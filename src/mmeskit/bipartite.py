@@ -1,10 +1,15 @@
 """Reduced density matrices, Schmidt spectra, and bipartite purity.
 
 Features:
-- reduced density matrix of any proper qubit subset by tensor reshape
+- reduced density matrix of any proper qubit subset by tensor reshape:
+  the amplitudes reshaped to an N_A x N_Abar matrix M_A give rho_A as the
+  Gram matrix M_A M_A^H
+- the Gram matrices of all balanced bipartitions in one pass, the single
+  evaluation core behind every potential, verdict and exact sign-vector
+  energy (integer Grams for sign vectors, so those stay exact)
 - purity in two algebraically equivalent forms: Frobenius norm of the
   reduced density matrix (Form 1) and the XOR-indexed amplitude quadruple
-  sum (Form 2, the default fast path: no N_A x N_A matrix is built)
+  sum (Form 2, the paper's expansion, kept as an independent cross-check)
 - Schmidt spectrum with explicit bookkeeping of numerical zeros
 - normalized entanglement measures: spectral E_A and linear entropy L_A
 - exact counts of the three purity monomial classes
@@ -23,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .bitspace import MAX_COUNT_QUBITS, QubitMask, as_mask, submasks
+from .bitspace import MAX_COUNT_QUBITS, QubitMask, as_mask, balanced_bipartitions, submasks
 from .states import PolarState, PureState
 
 __all__ = [
@@ -136,17 +141,32 @@ def _proper_mask(A: Union[QubitMask, int], n: int) -> QubitMask:
     return QubitMask(mask, n)
 
 
-def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> DensityMatrix:
-    """Partial trace over the complement of A.
+def _gram(amplitudes: np.ndarray, n: int, m: QubitMask) -> np.ndarray:
+    """M M^H for the amplitudes reshaped to (sub-index of A) x (sub-index of Abar).
 
-    Entry (l, l') is sum_m z at (l, m) times conj(z at (l', m)), the m sum
-    running over the complement's sub-indices; computed as t t* for the
-    amplitude tensor t reshaped to (sub-index of A) x (sub-index of Abar).
+    Entry (l, l') is sum_m z at (l, m) times conj(z at (l', m)).  Keeps the
+    input dtype, so an int64 sign vector gives an exact integer matrix.
     """
-    m = _proper_mask(A, state.n)
     axes = [i - 1 for i in m.qubits()] + [i - 1 for i in m.complement().qubits()]
-    t = state.amplitudes.reshape((2,) * state.n).transpose(axes).reshape(1 << m.size, -1)
-    return DensityMatrix(t @ t.conj().T)
+    t = amplitudes.reshape((2,) * n).transpose(axes).reshape(1 << m.size, -1)
+    return t @ t.conj().T
+
+
+def _balanced_grams(amplitudes: np.ndarray, n: int) -> list[np.ndarray]:
+    """Gram matrices M_A M_A^H of every balanced A, in balanced_bipartitions order.
+
+    For a normalized state these are the balanced reduced density matrices,
+    and the squared Frobenius norm of each is the purity of its A.  For an
+    int64 sign vector s every entry is an integer of magnitude at most
+    N_Abar, so the purities of s / sqrt(N) are exact rationals.
+    """
+    return [_gram(amplitudes, n, A) for A in balanced_bipartitions(n)]
+
+
+def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> DensityMatrix:
+    """Partial trace over the complement of A, as the Gram matrix of A."""
+    m = _proper_mask(A, state.n)
+    return DensityMatrix(_gram(state.amplitudes, state.n, m))
 
 
 def purity_form1(state: PureState, A: Union[QubitMask, int]) -> float:
@@ -207,7 +227,7 @@ def linear_entropy_L(state: PureState, A: Union[QubitMask, int]) -> float:
     """Normalized linear entropy N_A/(N_A-1) * (1 - pi_A), in [0, 1]."""
     m = _proper_mask(A, state.n)
     n_a_dim = 1 << m.size
-    return (n_a_dim / (n_a_dim - 1)) * (1.0 - purity_form2(state, A))
+    return (n_a_dim / (n_a_dim - 1)) * (1.0 - purity_form1(state, A))
 
 
 def bipartite_term_counts(n: int, n_a: int) -> tuple[int, int, int]:

@@ -132,9 +132,9 @@ def _cmd_potential(args: argparse.Namespace) -> int:
         if args.form == "1":
             value = pi_me_form1(state)
         elif args.form == "4":
-            value = pi_me_form4(state, workers=args.threads)
+            value = pi_me_form4(state)
         else:
-            value = pi_me_form2(state, workers=args.threads)
+            value = pi_me_form2(state)
     print(repr(value))
     return 0
 
@@ -203,10 +203,7 @@ def _report_doc(report: SearchReport) -> dict:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     report = exhaustive_search(
-        args.n,
-        symmetry_mode=args.mode,
-        workers=args.threads,
-        allow_long_run=args.allow_long_run,
+        args.n, symmetry_mode=args.mode, allow_long_run=args.allow_long_run
     )
     print(_dump(_report_doc(report), args.pretty))
     return 0
@@ -241,13 +238,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("purity", help="purity of one bipartition of a state file")
     p.add_argument("--file", required=True)
     p.add_argument("--subset", required=True, help="comma-separated qubit labels, e.g. 1,3")
-    p.add_argument("--form", type=int, choices=(1, 2), default=2)
+    p.add_argument("--form", type=int, choices=(1, 2), default=1)
     p.set_defaults(func=_cmd_purity)
 
     p = sub.add_parser("potential", help="potential of multipartite entanglement")
     p.add_argument("--file", required=True)
-    p.add_argument("--form", choices=("1", "2", "4", "uniform"), default="2")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--form", choices=("1", "2", "4", "uniform"), default="1")
     p.set_defaults(func=_cmd_potential)
 
     p = sub.add_parser("verify", help="perfect-MMES verdict as JSON")
@@ -267,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive sign-space sweep")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("full", "fix_global_sign"), default="full")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--allow-long-run", action="store_true")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_search)

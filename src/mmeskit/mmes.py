@@ -25,16 +25,15 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._catalog_data import SIGN_TARGETS
-from .bipartite import reduced_density_matrix, purity_form2
+from .bipartite import _balanced_grams
 from .bitspace import (
     MAX_COUNT_QUBITS,
     QubitMask,
     as_mask,
-    balanced_bipartitions,
     binomial,
     embed_table,
 )
-from .potential import energy_uniform_exact, pi_me_form2
+from .potential import energy_uniform_exact, pi_me_form1
 from .states import PureState, SignVector, permute_qubits, uniform_from_signs
 
 __all__ = [
@@ -233,6 +232,22 @@ def marginal_uniformity_gap(P: PopulationVector) -> float:
     return direct
 
 
+def _balanced_gaps(state: PureState) -> tuple[float, float]:
+    """Worst |pi_A - 1/N_A| and worst off-diagonal |rho_A[l, l']| over balanced A.
+
+    Both come from one pass over the balanced Gram matrices (the reduced
+    density matrices), with N_A = 2^floor(n/2).
+    """
+    flat = 1.0 / (1 << (state.n // 2))
+    purity_gap = phase_res = 0.0
+    for rho in _balanced_grams(state.amplitudes, state.n):
+        purity_gap = max(purity_gap, abs(float(np.vdot(rho, rho).real) - flat))
+        off = np.abs(rho)
+        np.fill_diagonal(off, 0.0)
+        phase_res = max(phase_res, float(np.max(off)))
+    return purity_gap, phase_res
+
+
 def phase_equation_residual(state: PureState) -> float:
     """Largest off-diagonal magnitude over balanced reduced matrices.
 
@@ -240,12 +255,7 @@ def phase_equation_residual(state: PureState) -> float:
     that every off-diagonal entry of the reduced matrix vanishes; the
     residual is the worst |rho_A[l, l']| with l != l'.
     """
-    worst = 0.0
-    for A in balanced_bipartitions(state.n):
-        rho = np.array(reduced_density_matrix(state, A).entries)
-        np.fill_diagonal(rho, 0.0)
-        worst = max(worst, float(np.max(np.abs(rho))))
-    return worst
+    return _balanced_gaps(state)[1]
 
 
 def is_perfect_mmes(state: PureState, tol: float = 1e-9) -> MmesVerdict:
@@ -258,12 +268,8 @@ def is_perfect_mmes(state: PureState, tol: float = 1e-9) -> MmesVerdict:
     """
     if state.n < 2:
         raise ValueError("perfect-state check requires n >= 2")
-    flat = 1.0 / (1 << (state.n // 2))
-    purity_gap = max(
-        abs(purity_form2(state, A) - flat) for A in balanced_bipartitions(state.n)
-    )
+    purity_gap, phase_res = _balanced_gaps(state)
     marg_gap = marginal_uniformity_gap(population(state))
-    phase_res = phase_equation_residual(state)
     return MmesVerdict(
         is_perfect=purity_gap <= tol,
         worst_purity_gap=purity_gap,
@@ -370,7 +376,7 @@ def _self_test() -> bool:
         if got != target:
             raise RuntimeError(f"catalog entry {name} has potential {got}, expected {target}")
     for state in (_build_bell((1, 1, 1)), _build_ghz(3), _build_three(0, (1,) * 5)):
-        if abs(pi_me_form2(state) - 0.5) > 1e-12:
+        if abs(pi_me_form1(state) - 0.5) > 1e-12:
             raise RuntimeError("catalog phase family failed its potential check")
     return True
 

@@ -10,38 +10,39 @@ Features:
 - CouplingTable: precomputed nonzero (l, m, weight) triples with exact
   rational weights, float views for fast evaluation, and an integer
   rescaling that makes sign-vector energies exact
-- the potential pi_ME in three equivalent forms (bipartition average,
-  XOR-coupled quadruple sum, deficit form), a uniform-modulus fast path,
-  and an exact rational evaluator on sign vectors
+- the potential pi_ME in three equivalent forms: the bipartition average
+  of Gram-matrix purities (form 1, what every other evaluator uses), and
+  the paper's XOR-coupled quadruple sum (form 2) and deficit form
+  (form 4), kept as independent cross-checks
+- uniform-modulus and exact rational sign-vector evaluators on the same
+  Gram core
 - exact monomial counts in closed form
 
 Weights are exact fractions; floats enter only at evaluation time.  All
 floating sums are compensated with math.fsum over deterministically
-ordered contribution lists, so results are independent of worker count.
+ordered contribution lists.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .bitspace import (
     MAX_COUNT_QUBITS,
     MAX_QUBITS,
-    balanced_bipartitions,
     binomial,
     multinomial,
     submasks,
     weight,
 )
-from .bipartite import purity_form2
-from .states import PolarState, PureState, SignVector
+from .bipartite import _balanced_grams
+from .states import PolarState, PureState, SignVector, assemble
 
 __all__ = [
     "CouplingTable",
@@ -244,45 +245,18 @@ def _resolve_table(n: int, table: Optional[CouplingTable]) -> CouplingTable:
     return table
 
 
-def _entry_terms(
-    table: CouplingTable,
-    kernel: Callable[[int, int, int, float], float],
-    workers: int = 1,
-) -> list[float]:
-    """Per-entry contributions kernel(l, m, l^m, weight), in entry order.
-
-    The entry list may be partitioned across threads; chunks are merged in
-    entry order, so the caller's fsum sees the same sequence regardless of
-    worker count.
-    """
-    entries = table.entries
-    if workers <= 1 or len(entries) < 4:
-        return [kernel(l, m, l ^ m, float(w)) for l, m, w in entries]
-    chunk = (len(entries) + workers - 1) // workers
-    spans = [entries[i : i + chunk] for i in range(0, len(entries), chunk)]
-
-    def run(span):
-        return [kernel(l, m, l ^ m, float(w)) for l, m, w in span]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        out: list[float] = []
-        for part in pool.map(run, spans):
-            out.extend(part)
-    return out
-
-
 def pi_me_form1(state: PureState) -> float:
-    """Potential as the mean purity over all balanced bipartitions."""
-    parts = [purity_form2(state, A) for A in balanced_bipartitions(state.n)]
-    return math.fsum(parts) / len(parts)
+    """Potential as the mean purity over all balanced bipartitions.
+
+    Each purity is the squared Frobenius norm of the bipartition's Gram
+    matrix M_A M_A^H.
+    """
+    grams = _balanced_grams(state.amplitudes, state.n)
+    return math.fsum(float(np.vdot(G, G).real) for G in grams) / len(grams)
 
 
-def pi_me_form2(
-    state: PureState,
-    table: Optional[CouplingTable] = None,
-    workers: int = 1,
-) -> float:
-    """Potential as the XOR-coupled quadruple sum (the default fast path).
+def pi_me_form2(state: PureState, table: Optional[CouplingTable] = None) -> float:
+    """Potential as the XOR-coupled quadruple sum.
 
     Evaluated in the three-group split: the sum of |z_k|^4, the pair group
     2 sum_{l != 0} g_hat(|l|, 0) sum_k |z_k|^2 |z_{k xor l}|^2, and the
@@ -303,19 +277,13 @@ def pi_me_form2(
         if w:
             parts.append(2.0 * float(w) * float(np.dot(p, p[ks ^ l])))
 
-    def kernel(l: int, m: int, lm: int, w: float) -> float:
-        term = z * z[ks ^ lm] * zc[ks ^ l] * zc[ks ^ m]
-        return w * float(np.sum(term).real)
-
-    parts.extend(_entry_terms(table, kernel, workers))
+    for l, m, w in table.entries:
+        term = z * z[ks ^ (l ^ m)] * zc[ks ^ l] * zc[ks ^ m]
+        parts.append(float(w) * float(np.sum(term).real))
     return math.fsum(parts)
 
 
-def pi_me_form4(
-    state: PureState,
-    table: Optional[CouplingTable] = None,
-    workers: int = 1,
-) -> float:
+def pi_me_form4(state: PureState, table: Optional[CouplingTable] = None) -> float:
     """Potential as one minus half the weighted cross-difference sum.
 
     pi_ME = 1 - (1/2) sum g(l, m) sum_k |z_k z_{k xor l xor m} -
@@ -327,75 +295,42 @@ def pi_me_form4(
     z = state.amplitudes
     ks = np.arange(1 << state.n, dtype=np.intp)
 
-    def kernel(l: int, m: int, lm: int, w: float) -> float:
-        d = z * z[ks ^ lm] - z[ks ^ l] * z[ks ^ m]
-        return w * float(np.sum(d.real * d.real + d.imag * d.imag))
+    deficit = []
+    for l, m, w in table.entries:
+        d = z * z[ks ^ (l ^ m)] - z[ks ^ l] * z[ks ^ m]
+        deficit.append(float(w) * float(np.sum(d.real * d.real + d.imag * d.imag)))
+    return 1.0 - 0.5 * math.fsum(deficit)
 
-    deficit = math.fsum(_entry_terms(table, kernel, workers))
-    return 1.0 - 0.5 * deficit
 
+def pi_me_uniform(phases: Union[PolarState, SignVector]) -> float:
+    """Potential of a uniform-modulus state given by its phases.
 
-def pi_me_uniform(
-    phases: Union[PolarState, SignVector],
-    table: Optional[CouplingTable] = None,
-    workers: int = 1,
-) -> float:
-    """Potential of a uniform-modulus state straight from its phases.
-
-    pi_ME(zeta) = (N_A + N_Abar - 1)/N + (1/N^2) sum over table entries of
+    Equal to (N_A + N_Abar - 1)/N + (1/N^2) sum over table entries of
     g(l, m) sum_k Re(zeta_k zeta_{k xor l xor m} conj(zeta_{k xor l})
-    conj(zeta_{k xor m})).  Sign vectors are evaluated in exact integer
-    arithmetic.
+    conj(zeta_{k xor m})); evaluated as the form-1 bipartition average.
+    Sign vectors are evaluated in exact integer arithmetic.
     """
     if isinstance(phases, SignVector):
-        return float(energy_uniform_exact(phases, table))
+        return float(energy_uniform_exact(phases))
     if not phases.is_uniform():
         raise ValueError("pi_me_uniform requires uniform moduli 1/sqrt(N)")
-    table = _resolve_table(phases.n, table)
-    N = 1 << phases.n
-    zeta = phases.phases
-    zc = zeta.conj()
-    ks = np.arange(N, dtype=np.intp)
-
-    def kernel(l: int, m: int, lm: int, w: float) -> float:
-        term = zeta * zeta[ks ^ lm] * zc[ks ^ l] * zc[ks ^ m]
-        return w * float(np.sum(term).real)
-
-    parts = _entry_terms(table, kernel, workers)
-    return float(table.constant) + math.fsum(parts) / (N * N)
+    return pi_me_form1(assemble(phases))
 
 
-def _interference_int(signs: np.ndarray, table: CouplingTable) -> int:
-    """Exact rescaled interference sum of a sign vector.
+def energy_uniform_exact(sv: SignVector) -> Fraction:
+    """Exact rational potential of the real uniform state with these signs.
 
-    Returns sum over entries of W_e S_e with W_e the integer weights and
-    S_e = sum_k s_k s_{k xor l} s_{k xor m} s_{k xor l xor m}.
+    The Gram matrices of the +-1 vector are integer; the potential is the
+    sum of their squared entries over C(n, floor(n/2)) N^2.  One
+    bipartition's sum is at most N_A^2 N_Abar^2 = N^2 <= 2^48, so int64
+    is exact; the sums are added as Python ints.
     """
-    s = signs.astype(np.int64)
-    ks = np.arange(s.size, dtype=np.intp)
-    total = 0
-    for w, l, m, lm in zip(
-        table.int_weights, table.l_idx, table.m_idx, table.lm_idx
-    ):
-        corr = int(np.dot(s * s[ks ^ l], s[ks ^ m] * s[ks ^ lm]))
-        total += int(w) * corr
-    return total
-
-
-def energy_uniform_exact(
-    sv: SignVector, table: Optional[CouplingTable] = None
-) -> Fraction:
-    """Exact rational potential of the real uniform state with these signs."""
-    table = _resolve_table(sv.n, table)
+    grams = _balanced_grams(sv.signs.astype(np.int64), sv.n)
     N = 1 << sv.n
-    return table.constant + Fraction(_interference_int(sv.signs, table), table.scale * N * N)
+    return Fraction(sum(int(np.sum(G * G)) for G in grams), len(grams) * N * N)
 
 
-def avg_linear_entropy(
-    state: PureState,
-    table: Optional[CouplingTable] = None,
-    workers: int = 1,
-) -> float:
+def avg_linear_entropy(state: PureState) -> float:
     """Average linear entropy N_A/(N_A - 1) (1 - pi_ME), N_A = 2^floor(n/2).
 
     0 for product states, 1 exactly when every balanced bipartition is
@@ -404,7 +339,7 @@ def avg_linear_entropy(
     if state.n < 2:
         raise ValueError("average linear entropy requires n >= 2")
     n_a_dim = 1 << (state.n // 2)
-    pot = pi_me_form2(state, table, workers)
+    pot = pi_me_form1(state)
     return (n_a_dim / (n_a_dim - 1)) * (1.0 - pot)
 
 

@@ -2,12 +2,12 @@
 
 Features:
 - energy of real uniform states in exact rational arithmetic (integer
-  interference sums; float conversion only at the interface)
+  Gram sums; float conversion only at the interface)
 - incremental single-flip energy deltas from precomputed per-site index
-  tables, the workhorse of both the sweeps and the annealer
+  tables, the workhorse of both the sweeps and the annealer; the tables
+  are refused before allocation when they would exceed 2 GiB
 - exhaustive Gray-code enumeration of all sign vectors with exact integer
-  minimum tracking, exact tie counting, deterministic block partitioning
-  across workers, and worker-count-independent reports
+  minimum tracking, exact tie counting and deterministic reports
 - Metropolis annealer over sign flips or single-site phase rotations at a
   fictitious inverse temperature, both signs supported: positive schedules
   seek minima, negative ones maxima (fully factorized states); replicas
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,10 +28,10 @@ import numpy as np
 
 from .potential import (
     CouplingTable,
-    _interference_int,
     _resolve_table,
     build_coupling_table,
     energy_uniform_exact,
+    monomial_counts,
     pi_me_uniform,
 )
 from .states import PolarState, SignVector
@@ -53,6 +52,10 @@ MAX_SAMPLES = 16
 # hours at n=5 (gated behind allow_long_run), out of reach beyond.
 MAX_EXHAUSTIVE_N = 4
 MAX_GATED_N = 5
+
+# The per-site index tables take 3 * 8 * 2^n * entries bytes: 1.2 GB at
+# n=10, 7.9 GB at n=11.  Larger tables are refused before allocation.
+MAX_SITE_TABLE_BYTES = 2 << 30
 
 
 @dataclass(eq=False, frozen=True)
@@ -125,18 +128,36 @@ class AnnealConfig:
         return "minimize"
 
 
-def energy_uniform(signs: SignVector, table: Optional[CouplingTable] = None) -> float:
+def energy_uniform(signs: SignVector) -> float:
     """Potential of the real uniform state with the given signs.
 
-    Evaluated exactly (integer-weighted interference sum, one rational
-    rescaling) and converted to float at the end.
+    Evaluated exactly (integer Gram sums, one rational rescaling) and
+    converted to float at the end.
     """
-    return float(energy_uniform_exact(signs, table))
+    return float(energy_uniform_exact(signs))
+
+
+def _rescaled_energy(s: np.ndarray, table: CouplingTable) -> int:
+    """scale N^2 (energy - constant): the exact integer the flip deltas update.
+
+    With T the integer Gram sum of the signs this is 2 T - scale N
+    (N_A + N_Abar - 1), the table's integer-weighted interference sum.
+    """
+    N = s.size
+    energy = energy_uniform_exact(SignVector(table.n, s))
+    return int((energy - table.constant) * (table.scale * N * N))
 
 
 @lru_cache(maxsize=8)
 def _site_tables(table: CouplingTable) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per-site gather indices (j^l, j^m, j^l^m) over all table entries."""
+    n = table.n
+    size = 3 * 8 * (1 << n) * (8 * monomial_counts(n).N4 >> n)
+    if size > MAX_SITE_TABLE_BYTES:
+        raise ValueError(
+            f"per-site flip tables for n={n} would take {size / 1e9:.1f} GB, "
+            f"over the {MAX_SITE_TABLE_BYTES >> 30} GiB limit"
+        )
     out = []
     for j in range(1 << table.n):
         out.append((table.l_idx ^ j, table.m_idx ^ j, table.lm_idx ^ j))
@@ -164,46 +185,8 @@ def flip_delta(signs: SignVector, flip_index: int, table: Optional[CouplingTable
     return _flip_delta_int(s, flip_index, table) / (table.scale * N * N)
 
 
-def _gray_signs(index: int, sites: int, offset: int, total_sites: int) -> np.ndarray:
-    """Sign vector at a Gray-code position; frozen sites stay +1."""
-    code = index ^ (index >> 1)
-    s = np.ones(total_sites, dtype=np.int64)
-    for b in range(sites):
-        if (code >> b) & 1:
-            s[b + offset] = -1
-    return s
-
-
-def _sweep_block(
-    lo: int, hi: int, offset: int, sites: int, table: CouplingTable
-) -> tuple[int, int, list[np.ndarray]]:
-    """Scan Gray positions [lo, hi): exact block minimum, count, samples."""
-    N = 1 << table.n
-    s = _gray_signs(lo, sites, offset, N)
-    current = _interference_int(s, table)
-    best = current
-    count = 1
-    samples = [s.copy()]
-    for i in range(lo + 1, hi):
-        j = ((i & -i).bit_length() - 1) + offset
-        current += _flip_delta_int(s, j, table)
-        s[j] = -s[j]
-        if current < best:
-            best = current
-            count = 1
-            samples = [s.copy()]
-        elif current == best:
-            count += 1
-            if len(samples) < MAX_SAMPLES:
-                samples.append(s.copy())
-    return best, count, samples
-
-
 def exhaustive_search(
-    n: int,
-    symmetry_mode: str = "full",
-    workers: int = 1,
-    allow_long_run: bool = False,
+    n: int, symmetry_mode: str = "full", allow_long_run: bool = False
 ) -> SearchReport:
     """Exact minimum of the potential over all real uniform states.
 
@@ -212,9 +195,7 @@ def exhaustive_search(
     tie count, and up to 16 sample minimizers (in enumeration order) are
     exact.  `full` mode visits all 2^(2^n) vectors, so counts include
     global-sign duplicates; `fix_global_sign` freezes site 0 at +1 and
-    visits half as many.  The index range splits into contiguous blocks
-    per worker and blocks merge in index order, so reports do not depend
-    on the worker count.  n=5 costs billions of steps and must be enabled
+    visits half as many.  n=5 costs billions of steps and must be enabled
     with allow_long_run; larger n is refused.
     """
     if symmetry_mode not in ("full", "fix_global_sign"):
@@ -226,34 +207,28 @@ def exhaustive_search(
             f"exhaustive search over 2^{1 << n} sign vectors is out of reach; "
             f"n <= {MAX_EXHAUSTIVE_N} (or n = {MAX_GATED_N} with allow_long_run=True)"
         )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     start = time.perf_counter()
     table = build_coupling_table(n)
     N = 1 << n
     offset = 0 if symmetry_mode == "full" else 1
-    sites = N - offset
-    total = 1 << sites
-    workers = min(workers, total)
-    bounds = [(total * w) // workers for w in range(workers + 1)]
-    spans = [(bounds[w], bounds[w + 1]) for w in range(workers) if bounds[w] < bounds[w + 1]]
-    if len(spans) == 1:
-        results = [_sweep_block(spans[0][0], spans[0][1], offset, sites, table)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            results = list(
-                pool.map(lambda span: _sweep_block(span[0], span[1], offset, sites, table), spans)
-            )
-    best = min(r[0] for r in results)
-    count = sum(r[1] for r in results if r[0] == best)
-    samples: list[SignVector] = []
-    for r in results:
-        if r[0] != best:
-            continue
-        for s in r[2]:
-            if len(samples) == MAX_SAMPLES:
-                break
-            samples.append(SignVector(n, s.astype(np.int8)))
+    total = 1 << (N - offset)
+    s = np.ones(N, dtype=np.int64)  # Gray position 0
+    current = best = _rescaled_energy(s, table)
+    count = 1
+    found = [s.copy()]
+    for i in range(1, total):
+        j = ((i & -i).bit_length() - 1) + offset
+        current += _flip_delta_int(s, j, table)
+        s[j] = -s[j]
+        if current < best:
+            best = current
+            count = 1
+            found = [s.copy()]
+        elif current == best:
+            count += 1
+            if len(found) < MAX_SAMPLES:
+                found.append(s.copy())
+    samples = [SignVector(n, v) for v in found]
     exact = table.constant + Fraction(best, table.scale * N * N)
     return SearchReport(
         n=n,
@@ -274,7 +249,7 @@ def _anneal_signs(
     N = 1 << table.n
     denom = table.scale * N * N
     s = rng.integers(0, 2, N, dtype=np.int64) * 2 - 1
-    current = _interference_int(s, table)
+    current = _rescaled_energy(s, table)
     best, best_s = current, s.copy()
     evals = 1
     for beta, sweeps in config.beta_schedule:
@@ -291,7 +266,7 @@ def _anneal_signs(
                     if better(current, best):
                         best, best_s = current, s.copy()
     sv = SignVector(table.n, best_s.astype(np.int8))
-    return energy_uniform(sv, table), sv, evals
+    return energy_uniform(sv), sv, evals
 
 
 def _anneal_phases(
@@ -300,7 +275,7 @@ def _anneal_phases(
     N = 1 << table.n
     moduli = np.full(N, 1.0 / math.sqrt(N))
     zeta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, N))
-    current = pi_me_uniform(PolarState(table.n, moduli, zeta), table)
+    current = pi_me_uniform(PolarState(table.n, moduli, zeta))
     best, best_z = current, zeta.copy()
     evals = 1
     idx = _site_tables(table)
@@ -321,7 +296,7 @@ def _anneal_phases(
                     if better(current, best):
                         best, best_z = current, zeta.copy()
     state = PolarState(table.n, moduli, best_z)
-    return pi_me_uniform(state, table), state, evals
+    return pi_me_uniform(state), state, evals
 
 
 def anneal(
@@ -358,7 +333,7 @@ def anneal(
     exact = None
     if isinstance(best_state, SignVector):
         samples = (best_state,)
-        exact = energy_uniform_exact(best_state, table)
+        exact = energy_uniform_exact(best_state)
     return SearchReport(
         n=n,
         mode="anneal",

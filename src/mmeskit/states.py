@@ -13,7 +13,7 @@ Features:
 - JSON state format used by the command line front end
 
 States are immutable after construction (amplitude arrays are read-only)
-and safe to share across threads.
+and safe to share between callers.
 """
 
 from __future__ import annotations

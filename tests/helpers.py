@@ -7,9 +7,11 @@ from the library's vectorized code paths.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from mmeskit import PureState
+from mmeskit import PureState, SignVector, build_coupling_table
 
 
 def place_bits(n: int, qubits, sub: int) -> int:
@@ -48,6 +50,21 @@ def naive_reduced_density(state: PureState, qubits) -> np.ndarray:
 def naive_purity(state: PureState, qubits) -> float:
     rho = naive_reduced_density(state, qubits)
     return float(np.trace(rho @ rho).real)
+
+
+def table_energy_exact(sv: SignVector) -> Fraction:
+    """Exact potential of a sign vector from the coupling-table expansion.
+
+    constant + (sum over table entries of W_e S_e) / (scale N^2), with W_e
+    the integer weights and S_e = sum_k s_k s_{k^l} s_{k^m} s_{k^l^m}.
+    """
+    table = build_coupling_table(sv.n)
+    s = sv.signs.astype(np.int64)
+    ks = np.arange(s.size)
+    total = 0
+    for w, l, m, lm in zip(table.int_weights, table.l_idx, table.m_idx, table.lm_idx):
+        total += int(w) * int(np.dot(s * s[ks ^ l], s[ks ^ m] * s[ks ^ lm]))
+    return table.constant + Fraction(total, table.scale * s.size * s.size)
 
 
 def naive_wht(vec: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import unit_phases
+from helpers import table_energy_exact, unit_phases
 from mmeskit import (
     QubitMask,
     SignVector,
@@ -252,12 +252,6 @@ class TestPotentialForms:
     def test_ghz3_value(self):
         assert pi_me_form2(ghz(3)) == pytest.approx(0.5, abs=1e-14)
 
-    @pytest.mark.parametrize("n", [5, 6])
-    def test_worker_count_does_not_change_the_bits(self, n):
-        st = random_state(n, 30 + n)
-        assert pi_me_form2(st, workers=4) == pi_me_form2(st, workers=1)
-        assert pi_me_form4(st, workers=4) == pi_me_form4(st, workers=1)
-
 
 class TestUniformPotential:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -275,6 +269,15 @@ class TestUniformPotential:
         assert energy_uniform_exact(SignVector.from_string("-++++++-")) == Fraction(1, 2)
         assert energy_uniform_exact(catalog_sign_vector("five_perfect")) == Fraction(1, 4)
         assert energy_uniform_exact(catalog_sign_vector("six_perfect")) == Fraction(1, 8)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sign_energy_equals_the_table_expansion_exactly(self, n):
+        rng = np.random.default_rng(50 + n)
+        for _ in range(4):
+            sv = SignVector(n, rng.choice((-1, 1), size=1 << n).astype(np.int8))
+            got = energy_uniform_exact(sv)
+            assert isinstance(got, Fraction)
+            assert got == table_energy_exact(sv)
 
     def test_sign_energy_matches_float_pipeline(self):
         rng = np.random.default_rng(4)

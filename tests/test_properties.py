@@ -1,0 +1,88 @@
+"""Property tests over generated states.
+
+Every evaluation path of the potential agrees on arbitrary normalized
+states, the potential is invariant under local unitaries and qubit
+relabelings, and the JSON state format round-trips.  Examples are
+derandomized, so every run checks the same states.
+"""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from helpers import haar_unitary
+from mmeskit import (
+    PureState,
+    SignVector,
+    apply_single_qubit_unitary,
+    balanced_bipartitions,
+    permute_qubits,
+    pi_me_form1,
+    pi_me_form2,
+    pi_me_form4,
+    purity_form2,
+    state_from_json,
+    state_to_json,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+@st.composite
+def states(draw, n_min=2, n_max=7):
+    """Normalized dense states from arbitrary real and imaginary parts."""
+    n = draw(st.integers(n_min, n_max))
+    part = arrays(np.float64, 1 << n, elements=st.floats(-1.0, 1.0))
+    amp = draw(part) + 1j * draw(part)
+    norm = float(np.linalg.norm(amp))
+    assume(norm > 1e-3)
+    return PureState(n, amp / norm)
+
+
+@PROPERTY
+@given(states())
+def test_every_potential_path_agrees(state):
+    core = pi_me_form1(state)
+    purities = [purity_form2(state, A) for A in balanced_bipartitions(state.n)]
+    assert abs(core - pi_me_form2(state)) <= 1e-12
+    assert abs(core - pi_me_form4(state)) <= 1e-12
+    assert abs(core - math.fsum(purities) / len(purities)) <= 1e-12
+
+
+@PROPERTY
+@given(states(), st.data())
+def test_potential_is_invariant_under_single_qubit_unitaries(state, data):
+    qubit = data.draw(st.integers(1, state.n))
+    U = haar_unitary(2, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    rotated = apply_single_qubit_unitary(state, qubit, U)
+    assert abs(pi_me_form1(rotated) - pi_me_form1(state)) <= 1e-12
+
+
+@PROPERTY
+@given(states(), st.data())
+def test_potential_is_invariant_under_qubit_permutations(state, data):
+    perm = data.draw(st.permutations(range(1, state.n + 1)))
+    relabeled = permute_qubits(state, perm)
+    assert abs(pi_me_form1(relabeled) - pi_me_form1(state)) <= 1e-12
+
+
+@PROPERTY
+@given(states(n_min=1, n_max=6))
+def test_json_round_trip_preserves_dense_states(state):
+    back = state_from_json(json.loads(json.dumps(state_to_json(state))))
+    assert isinstance(back, PureState)
+    assert back.n == state.n
+    assert np.array_equal(back.amplitudes, state.amplitudes)
+
+
+@PROPERTY
+@given(st.integers(1, 6).flatmap(lambda n: arrays(np.int8, 1 << n, elements=st.sampled_from((-1, 1)))))
+def test_json_round_trip_preserves_sign_vectors(signs):
+    sv = SignVector(signs.size.bit_length() - 1, signs)
+    back = state_from_json(json.loads(json.dumps(state_to_json(sv))))
+    assert isinstance(back, SignVector)
+    assert back.n == sv.n
+    assert np.array_equal(back.signs, sv.signs)
