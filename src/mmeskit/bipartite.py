@@ -141,15 +141,28 @@ def _proper_mask(A: Union[QubitMask, int], n: int) -> QubitMask:
     return QubitMask(mask, n)
 
 
+def _matricize(amplitudes: np.ndarray, n: int, m: QubitMask) -> np.ndarray:
+    """The amplitudes reshaped to M_A: (sub-index of A) x (sub-index of Abar).
+
+    Leading axes are kept, so a (..., 2^n) batch gives (..., N_A, N_Abar).
+    Applied to arange(2^n) it gives the basis index at each entry of M_A.
+    """
+    lead = amplitudes.shape[:-1]
+    k = len(lead)
+    axes = list(range(k)) + [k + i - 1 for i in m.qubits() + m.complement().qubits()]
+    t = amplitudes.reshape(lead + (2,) * n).transpose(axes)
+    return t.reshape(lead + (1 << m.size, -1))
+
+
 def _gram(amplitudes: np.ndarray, n: int, m: QubitMask) -> np.ndarray:
     """M M^H for the amplitudes reshaped to (sub-index of A) x (sub-index of Abar).
 
     Entry (l, l') is sum_m z at (l, m) times conj(z at (l', m)).  Keeps the
-    input dtype, so an int64 sign vector gives an exact integer matrix.
+    input dtype, so an int64 sign vector gives an exact integer matrix, and
+    any leading batch axes.
     """
-    axes = [i - 1 for i in m.qubits()] + [i - 1 for i in m.complement().qubits()]
-    t = amplitudes.reshape((2,) * n).transpose(axes).reshape(1 << m.size, -1)
-    return t @ t.conj().T
+    t = _matricize(amplitudes, n, m)
+    return t @ t.conj().swapaxes(-1, -2)
 
 
 def _balanced_grams(amplitudes: np.ndarray, n: int) -> list[np.ndarray]:

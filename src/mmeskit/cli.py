@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from ._catalog_data import SIGN_TARGETS
@@ -222,7 +223,9 @@ def _cmd_anneal(args: argparse.Namespace) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mmeskit",
         description="Entanglement quantities and optimal-state searches for n-qubit pure states.",

@@ -9,7 +9,8 @@ Features:
   that contribute to the potential
 - CouplingTable: precomputed nonzero (l, m, weight) triples with exact
   rational weights, float views for fast evaluation, and an integer
-  rescaling that makes sign-vector energies exact
+  rescaling that makes sign-vector energies exact; tables over 500,000
+  entries are refused before they are built
 - the potential pi_ME in three equivalent forms: the bipartition average
   of Gram-matrix purities (form 1, what every other evaluator uses), and
   the paper's XOR-coupled quadruple sum (form 2) and deficit form
@@ -200,15 +201,28 @@ class CouplingTable:
                 raise ValueError(f"row sum at l={l} is not 1")
 
 
+# Entries are Python tuples with a Fraction weight, about 100 bytes each,
+# built one by one: n <= 12 (455,796 entries) builds, n = 13 (1,472,198)
+# is refused.
+MAX_TABLE_ENTRIES = 500_000
+
+
 @lru_cache(maxsize=None)
 def build_coupling_table(n: int) -> CouplingTable:
     """All nonzero couplings (l, m, g(l, m; floor(n/2))) with l, m != 0.
 
     Lexicographic entry order (l ascending, then m ascending).  Cached per
-    n; tables are immutable and shared.
+    n; tables are immutable and shared.  Tables of more than
+    MAX_TABLE_ENTRIES entries are refused before any entry is built.
     """
     if not 2 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [2, {MAX_QUBITS}], got {n}")
+    count = 8 * monomial_counts(n).N4 >> n
+    if count > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"the coupling table for n={n} would hold {count} entries, "
+            f"over the limit of {MAX_TABLE_ENTRIES}"
+        )
     n_a = n // 2
     full = (1 << n) - 1
     entries = []

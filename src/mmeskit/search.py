@@ -3,11 +3,14 @@
 Features:
 - energy of real uniform states in exact rational arithmetic (integer
   Gram sums; float conversion only at the interface)
-- incremental single-flip energy deltas from precomputed per-site index
-  tables, the workhorse of both the sweeps and the annealer; the tables
-  are refused before allocation when they would exceed 2 GiB
-- exhaustive Gray-code enumeration of all sign vectors with exact integer
-  minimum tracking, exact tie counting and deterministic reports
+- incremental single-site moves on the Gram state: changing one amplitude
+  changes one entry of every M_A, so each Gram matrix G_A = M_A M_A^H
+  takes a rank-one update of one row and column; sign flips stay exact
+  integers, and the state is refused before allocation when it would
+  exceed 1 GiB
+- exhaustive Gray-code enumeration of all sign vectors in batched blocks
+  of exact integer Gram sums, with exact minimum, exact tie counting and
+  deterministic reports
 - Metropolis annealer over sign flips or single-site phase rotations at a
   fictitious inverse temperature, both signs supported: positive schedules
   seek minima, negative ones maxima (fully factorized states); replicas
@@ -21,19 +24,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
 
-from .potential import (
-    CouplingTable,
-    _resolve_table,
-    build_coupling_table,
-    energy_uniform_exact,
-    monomial_counts,
-    pi_me_uniform,
-)
+from .bipartite import _gram, _matricize
+from .bitspace import QubitMask, balanced_bipartitions, binomial
+from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
 
 __all__ = [
@@ -53,9 +50,13 @@ MAX_SAMPLES = 16
 MAX_EXHAUSTIVE_N = 4
 MAX_GATED_N = 5
 
-# The per-site index tables take 3 * 8 * 2^n * entries bytes: 1.2 GB at
-# n=10, 7.9 GB at n=11.  Larger tables are refused before allocation.
-MAX_SITE_TABLE_BYTES = 2 << 30
+# Gray-code positions evaluated together by the sweep: large enough to
+# amortize the per-block calls, small enough to keep its arrays near 1 MB.
+SWEEP_BLOCK = 1024
+
+# The annealer's Gram state (see _state_bytes) is refused above this size
+# before it is allocated: n <= 13 runs, n = 14 is refused.
+MAX_ANNEAL_STATE_BYTES = 1 << 30
 
 
 @dataclass(eq=False, frozen=True)
@@ -137,52 +138,97 @@ def energy_uniform(signs: SignVector) -> float:
     return float(energy_uniform_exact(signs))
 
 
-def _rescaled_energy(s: np.ndarray, table: CouplingTable) -> int:
-    """scale N^2 (energy - constant): the exact integer the flip deltas update.
+def _kept_bipartitions(n: int) -> tuple[list[QubitMask], int]:
+    """Balanced subsets the Gram sum T runs over, and the weight of each.
 
-    With T the integer Gram sum of the signs this is 2 T - scale N
-    (N_A + N_Abar - 1), the table's integer-weighted interference sum.
+    At even n, A and its complement have equal purity, so only the subsets
+    containing qubit 1 are kept and each counts twice.
     """
-    N = s.size
-    energy = energy_uniform_exact(SignVector(table.n, s))
-    return int((energy - table.constant) * (table.scale * N * N))
+    subsets = balanced_bipartitions(n)
+    if n % 2:
+        return subsets, 1
+    return [A for A in subsets if A.mask >> (n - 1)], 2
 
 
-@lru_cache(maxsize=8)
-def _site_tables(table: CouplingTable) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-site gather indices (j^l, j^m, j^l^m) over all table entries."""
-    n = table.n
-    size = 3 * 8 * (1 << n) * (8 * monomial_counts(n).N4 >> n)
-    if size > MAX_SITE_TABLE_BYTES:
-        raise ValueError(
-            f"per-site flip tables for n={n} would take {size / 1e9:.1f} GB, "
-            f"over the {MAX_SITE_TABLE_BYTES >> 30} GiB limit"
+def _state_bytes(n: int, itemsize: int) -> int:
+    """Peak size of building a _GramState: M_A, a conjugate copy of it and
+    G_A, plus three index arrays of one entry per site and kept subset."""
+    kept = binomial(n, n // 2) if n % 2 else binomial(n, n // 2) // 2  # _kept_bipartitions
+    n_a = 1 << (n // 2)
+    N = 1 << n
+    return kept * (2 * N + n_a * n_a) * itemsize + 3 * kept * N * 8
+
+
+class _GramState:
+    """M_A and G_A = M_A M_A^H of every kept balanced A, one site at a time.
+
+    Amplitude j sits at entry (r_A(j), c_A(j)) of M_A; the layout is the
+    reshape of `bipartite._matricize` applied to the basis indices.  T is
+    the weighted sum of ||G_A||_F^2, so the potential of the unnormalized
+    vector z is T / (C N^2) with C = C(n, floor(n/2)).  Integer z (signs)
+    keeps T exact.
+    """
+
+    def __init__(self, n: int, z: np.ndarray) -> None:
+        subsets, self.weight = _kept_bipartitions(n)
+        N = 1 << n
+        # M_A is stored transposed, so that the column of a site is contiguous
+        sites = np.array([_matricize(np.arange(N), n, A).T for A in subsets])
+        kept, n_b, n_a = sites.shape
+        self.pick = np.arange(kept)
+        self.rows = np.empty((N, kept), dtype=np.intp)
+        self.cols = np.empty((N, kept), dtype=np.intp)
+        self.rows[sites, self.pick[:, None, None]] = np.arange(n_a)
+        self.cols[sites, self.pick[:, None, None]] = np.arange(n_b)[:, None]
+        self.z = z
+        self.Mt = z[sites]
+        self.G = self.Mt.swapaxes(1, 2) @ self.Mt.conj()
+        self.n_a, self.n_b = n_a, n_b
+        self.denom = binomial(n, n // 2) * N * N
+
+    def total(self):
+        """T, the weighted sum of the squared Frobenius norms of the G_A."""
+        return self.weight * np.vdot(self.G, self.G).real
+
+    def delta(self, j: int, new):
+        """Change of T when z_j becomes `new`, with |new| = |z_j|.
+
+        With d = new - z_j and v the column c_A(j) of M_A, row r = r_A(j)
+        of G_A moves by u = d conj(v) off the diagonal, and column r by
+        conj(u).  Summed over A, the change is 2 (2 Re <G_A[r, :], u> +
+        ||u||^2) = 4 Re(d conj(S - N_Abar z_j)) + 2 (N_A - 1) |d|^2 per A,
+        with S = sum_k G_A[r, k] v_k.  For signs this is the integer
+        -8 s_j S + 8 (N_A + N_Abar - 1).
+        """
+        r, c = self.rows[j], self.cols[j]
+        old = self.z[j]
+        d = new - old
+        S = np.dot(self.G[self.pick, r, :].ravel(), self.Mt[self.pick, c, :].ravel())
+        kept = self.pick.size
+        shifted = S - kept * self.n_b * old
+        return self.weight * (
+            4 * (d * np.conj(shifted)).real + 2 * kept * (self.n_a - 1) * abs(d) ** 2
         )
-    out = []
-    for j in range(1 << table.n):
-        out.append((table.l_idx ^ j, table.m_idx ^ j, table.lm_idx ^ j))
-    return out
+
+    def set(self, j: int, new) -> None:
+        """z_j = new, with the rank-one updates of every M_A and G_A."""
+        r, c = self.rows[j], self.cols[j]
+        u = (new - self.z[j]) * self.Mt[self.pick, c, :].conj()
+        u[self.pick, r] = 0
+        row = self.G[self.pick, r, :] + u
+        self.G[self.pick, r, :] = row
+        self.G[self.pick, :, r] = row.conj()  # G_A stays Hermitian
+        self.Mt[self.pick, c, r] = new
+        self.z[j] = new
 
 
-def _flip_delta_int(s: np.ndarray, j: int, table: CouplingTable) -> int:
-    """Exact change of the rescaled interference sum when site j flips.
-
-    Each table entry meets site j in exactly four k-terms, all equal to
-    the same sign product, so the entry's correlation moves by -8 times
-    that product.
-    """
-    i1, i2, i3 = _site_tables(table)[j]
-    return -8 * int(s[j]) * int(np.dot(table.int_weights, s[i1] * s[i2] * s[i3]))
-
-
-def flip_delta(signs: SignVector, flip_index: int, table: Optional[CouplingTable] = None) -> float:
+def flip_delta(signs: SignVector, flip_index: int) -> float:
     """Energy change from flipping one sign, without full re-evaluation."""
-    table = _resolve_table(signs.n, table)
     N = 1 << signs.n
     if not 0 <= flip_index < N:
         raise ValueError(f"flip index {flip_index} out of range for {N} sites")
-    s = signs.signs.astype(np.int64)
-    return _flip_delta_int(s, flip_index, table) / (table.scale * N * N)
+    state = _GramState(signs.n, signs.signs.astype(np.int64))
+    return int(state.delta(flip_index, -state.z[flip_index])) / state.denom
 
 
 def exhaustive_search(
@@ -190,13 +236,14 @@ def exhaustive_search(
 ) -> SearchReport:
     """Exact minimum of the potential over all real uniform states.
 
-    Enumerates sign vectors in Gray-code order with one incremental flip
-    per step, tracking the rescaled integer energy, so the minimum, the
-    tie count, and up to 16 sample minimizers (in enumeration order) are
-    exact.  `full` mode visits all 2^(2^n) vectors, so counts include
-    global-sign duplicates; `fix_global_sign` freezes site 0 at +1 and
-    visits half as many.  n=5 costs billions of steps and must be enabled
-    with allow_long_run; larger n is refused.
+    Enumerates sign vectors in Gray-code order, position i holding the
+    signs of g = i xor (i >> 1), and evaluates blocks of positions at once
+    as exact integer Gram sums, so the minimum, the tie count, and up to
+    16 sample minimizers (in enumeration order) are exact.  `full` mode
+    visits all 2^(2^n) vectors, so counts include global-sign duplicates;
+    `fix_global_sign` freezes site 0 at +1 and visits half as many.  n=5
+    costs billions of evaluations and must be enabled with allow_long_run;
+    larger n is refused.
     """
     if symmetry_mode not in ("full", "fix_global_sign"):
         raise ValueError(f"unknown symmetry mode {symmetry_mode!r}")
@@ -208,28 +255,29 @@ def exhaustive_search(
             f"n <= {MAX_EXHAUSTIVE_N} (or n = {MAX_GATED_N} with allow_long_run=True)"
         )
     start = time.perf_counter()
-    table = build_coupling_table(n)
+    subsets, weight = _kept_bipartitions(n)
     N = 1 << n
     offset = 0 if symmetry_mode == "full" else 1
     total = 1 << (N - offset)
-    s = np.ones(N, dtype=np.int64)  # Gray position 0
-    current = best = _rescaled_energy(s, table)
-    count = 1
-    found = [s.copy()]
-    for i in range(1, total):
-        j = ((i & -i).bit_length() - 1) + offset
-        current += _flip_delta_int(s, j, table)
-        s[j] = -s[j]
-        if current < best:
-            best = current
-            count = 1
-            found = [s.copy()]
-        elif current == best:
-            count += 1
-            if len(found) < MAX_SAMPLES:
-                found.append(s.copy())
+    bits = np.arange(N - offset)  # Gray bit b is site b + offset
+    best: Optional[int] = None
+    count = 0
+    found: list[np.ndarray] = []
+    for lo in range(0, total, SWEEP_BLOCK):
+        i = np.arange(lo, min(lo + SWEEP_BLOCK, total), dtype=np.int64)
+        s = np.ones((i.size, N), dtype=np.int64)
+        s[:, offset:] -= 2 * (((i ^ (i >> 1))[:, None] >> bits) & 1)
+        grams = (_gram(s, n, A) for A in subsets)
+        T = weight * sum(np.sum(G * G, axis=(1, 2)) for G in grams)
+        low = int(T.min())
+        if best is None or low < best:
+            best, count, found = low, 0, []
+        if low == best:
+            hits = np.flatnonzero(T == best)
+            count += hits.size
+            found.extend(s[h] for h in hits[: MAX_SAMPLES - len(found)])
     samples = [SignVector(n, v) for v in found]
-    exact = table.constant + Fraction(best, table.scale * N * N)
+    exact = Fraction(best, binomial(n, n // 2) * N * N)
     return SearchReport(
         n=n,
         mode="exhaustive",
@@ -243,65 +291,47 @@ def exhaustive_search(
     )
 
 
-def _anneal_signs(
-    rng: np.random.Generator, config: AnnealConfig, table: CouplingTable, better
-) -> tuple[float, SignVector, int]:
-    N = 1 << table.n
-    denom = table.scale * N * N
-    s = rng.integers(0, 2, N, dtype=np.int64) * 2 - 1
-    current = _rescaled_energy(s, table)
-    best, best_s = current, s.copy()
+def _anneal_replica(
+    rng: np.random.Generator, config: AnnealConfig, n: int, better
+) -> tuple[float, Union[SignVector, PolarState], int]:
+    """One Metropolis walk on the Gram state; the best state re-verified."""
+    N = 1 << n
+    signs = config.move == "sign_flip"
+    if signs:
+        z = rng.integers(0, 2, N, dtype=np.int64) * 2 - 1
+    else:
+        z = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, N))
+    grams = _GramState(n, z)
+    # T orders states as the energy does, exactly for signs
+    current = grams.total()
+    best, best_z = current, z.copy()
     evals = 1
     for beta, sweeps in config.beta_schedule:
         for _ in range(sweeps):
             for _ in range(N):
                 j = int(rng.integers(N))
-                delta = _flip_delta_int(s, j, table)
+                if signs:
+                    new = -z[j]
+                else:
+                    new = z[j] * np.exp(1j * rng.uniform(-config.max_angle, config.max_angle))
+                delta = grams.delta(j, new)
                 evals += 1
-                x = -beta * (delta / denom)
+                # an integer delta and C N^2 convert to float exactly, so the
+                # energy change is the exact rational rounded once
+                x = -beta * (delta / grams.denom)
                 if x >= 0 or rng.random() < math.exp(x):
-                    s[j] = -s[j]
-                    current += delta
-                    # the rescaled integer orders states exactly as energy
-                    if better(current, best):
-                        best, best_s = current, s.copy()
-    sv = SignVector(table.n, best_s.astype(np.int8))
-    return energy_uniform(sv), sv, evals
-
-
-def _anneal_phases(
-    rng: np.random.Generator, config: AnnealConfig, table: CouplingTable, better
-) -> tuple[float, PolarState, int]:
-    N = 1 << table.n
-    moduli = np.full(N, 1.0 / math.sqrt(N))
-    zeta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, N))
-    current = pi_me_uniform(PolarState(table.n, moduli, zeta))
-    best, best_z = current, zeta.copy()
-    evals = 1
-    idx = _site_tables(table)
-    w = table.weights
-    for beta, sweeps in config.beta_schedule:
-        for _ in range(sweeps):
-            for _ in range(N):
-                j = int(rng.integers(N))
-                i1, i2, i3 = idx[j]
-                f_j = np.dot(w, zeta[i3] * np.conj(zeta[i1] * zeta[i2]))
-                new = zeta[j] * np.exp(1j * rng.uniform(-config.max_angle, config.max_angle))
-                delta = 4.0 * ((new - zeta[j]) * f_j).real / (N * N)
-                evals += 1
-                x = -beta * delta
-                if x >= 0 or rng.random() < math.exp(x):
-                    zeta[j] = new
+                    grams.set(j, new)
                     current += delta
                     if better(current, best):
-                        best, best_z = current, zeta.copy()
-    state = PolarState(table.n, moduli, best_z)
+                        best, best_z = current, z.copy()
+    if signs:
+        sv = SignVector(n, best_z.astype(np.int8))
+        return energy_uniform(sv), sv, evals
+    state = PolarState(n, np.full(N, 1.0 / math.sqrt(N)), best_z)
     return pi_me_uniform(state), state, evals
 
 
-def anneal(
-    n: int, config: AnnealConfig, table: Optional[CouplingTable] = None
-) -> SearchReport:
+def anneal(n: int, config: AnnealConfig) -> SearchReport:
     """Metropolis annealing of the potential over uniform states.
 
     Moves are single-site sign flips or phase rotations by a uniform angle
@@ -309,22 +339,28 @@ def anneal(
     min(1, exp(-beta * delta)), so negative beta drives the walk uphill.
     Replicas start from independent random states on seeds spawned
     deterministically from config.seed and run sequentially; the reported
-    best is re-verified by a full evaluation of the best state.
+    best is re-verified by a full evaluation of the best state.  Raises
+    ValueError before allocating when the Gram state would exceed
+    MAX_ANNEAL_STATE_BYTES.
     """
     if n < 2:
         raise ValueError("annealing requires n >= 2")
+    size = _state_bytes(n, 8 if config.move == "sign_flip" else 16)
+    if size > MAX_ANNEAL_STATE_BYTES:
+        raise ValueError(
+            f"the {config.move} annealer's Gram state for n={n} would take "
+            f"{size / 1e9:.1f} GB, over the {MAX_ANNEAL_STATE_BYTES >> 30} GiB limit"
+        )
     start = time.perf_counter()
-    table = _resolve_table(n, table)
     objective = config.objective
     better = (lambda a, b: a < b) if objective == "minimize" else (lambda a, b: a > b)
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
-    runner = _anneal_signs if config.move == "sign_flip" else _anneal_phases
     replica_values: list[float] = []
     best_value: Optional[float] = None
     best_state: Union[SignVector, PolarState, None] = None
     evaluations = 0
     for seq in seeds:
-        value, state, evals = runner(np.random.default_rng(seq), config, table, better)
+        value, state, evals = _anneal_replica(np.random.default_rng(seq), config, n, better)
         replica_values.append(value)
         evaluations += evals
         if best_value is None or better(value, best_value):

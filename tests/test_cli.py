@@ -290,6 +290,23 @@ class TestErrorsAndFiles:
         write_state(p2, sv)
         assert read_state(p2).to_string() == sv.to_string()
 
+    def test_cached_parser_prints_the_bytes_of_fresh_runs(self, capture):
+        commands = [
+            ["anneal", "--n", "three", "--schedule", "1:5"],
+            ["search", "--n", "2", "--mode", "mirror"],
+            ["counts", "--n-max", "4", "--pretty"],
+            ["search", "--n", "3", "--mode", "fix_global_sign"],
+            ["anneal", "--n", "3", "--schedule", "1:5,10:5", "--seed", "4"],
+            ["catalog", "four_best"],
+        ]
+        script = "import sys; from mmeskit.cli import run; sys.exit(run(sys.argv[1:]))"
+        for argv in commands:
+            fresh = subprocess.run(
+                [sys.executable, "-c", script, *argv], capture_output=True, text=True
+            )
+            assert capture(argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert capture(commands[0])[0] == 2
+
     def test_console_script_smoke(self):
         proc = subprocess.run(
             [sys.executable, "-m", "mmeskit.cli", "counts", "--n-max", "3"],

@@ -9,6 +9,7 @@ Oracles:
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,20 @@ class TestCouplingTable:
         na = n // 2
         expect = Fraction((1 << na) + (1 << (n - na)) - 1, 1 << n)
         assert build_coupling_table(n).constant == expect
+
+    def test_oversized_tables_are_refused_before_building(self):
+        from mmeskit.potential import MAX_TABLE_ENTRIES
+
+        assert 8 * monomial_counts(12).N4 >> 12 <= MAX_TABLE_ENTRIES
+        for n, count in ((13, 1472198), (16, 38666874)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=rf"n={n} would hold {count} entries"):
+                    build_coupling_table(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_row_sums_are_exactly_one(self):
         for n in (2, 3, 4, 5):

@@ -5,6 +5,7 @@ exact rational energies for every claimed optimum, and cross-seed
 determinism checks on whole reports.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from mmeskit import (
     AnnealConfig,
+    PolarState,
     SearchReport,
     SignVector,
     anneal,
@@ -22,6 +24,7 @@ from mmeskit import (
     flip_delta,
     pi_me_uniform,
 )
+from mmeskit.search import MAX_ANNEAL_STATE_BYTES, _GramState, _state_bytes
 
 
 def random_signs(n, seed):
@@ -86,6 +89,37 @@ class TestFlipDelta:
             if step % 1000 == 999:
                 assert energy == pytest.approx(energy_uniform(sv), abs=1e-10)
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_gram_walk_is_exact_at_every_step(self, n):
+        rng = np.random.default_rng(200 + n)
+        state = _GramState(n, random_signs(n, n).signs.astype(np.int64))
+        energy = energy_uniform_exact(SignVector(n, state.z.astype(np.int8)))
+        assert Fraction(int(state.total()), state.denom) == energy
+        for _ in range(40):
+            j = int(rng.integers(1 << n))
+            delta = int(state.delta(j, -state.z[j]))
+            state.set(j, -state.z[j])
+            after = energy_uniform_exact(SignVector(n, state.z.astype(np.int8)))
+            assert Fraction(delta, state.denom) == after - energy
+            energy = after
+        assert Fraction(int(state.total()), state.denom) == energy
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_phase_walk_tracks_the_potential(self, n):
+        rng = np.random.default_rng(300 + n)
+        N = 1 << n
+        moduli = np.full(N, 1.0 / np.sqrt(N))
+        state = _GramState(n, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N)))
+        value = state.total() / state.denom
+        for step in range(3000):
+            j = int(rng.integers(N))
+            new = state.z[j] * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            value += state.delta(j, new) / state.denom
+            state.set(j, new)
+            if step % 300 == 299:
+                exact = pi_me_uniform(PolarState(n, moduli, state.z.copy()))
+                assert abs(value - exact) <= 1e-12
+
 
 class TestExhaustive:
     def test_two_qubits(self):
@@ -109,6 +143,12 @@ class TestExhaustive:
         assert len(report.sample_minimizers) == 16
         for sv in report.sample_minimizers:
             assert energy_uniform_exact(sv) == Fraction(1, 3)
+        assert [sv.to_string() for sv in report.sample_minimizers] == [
+            "-+-++--+--++++++", "+-+-+--+--++++++", "-++--+-+--++++++", "+--++-+---++++++",
+            "-+-+-++---++++++", "+-+--++---++++++", "-+-+--+++--+++++", "+-+---+++--+++++",
+            "+++++--++--+++++", "----+--++--+++++", "--++-+-++--+++++", "++---+-++--+++++",
+            "-+-+++--+--+++++", "+-+-++--+--+++++", "--+++-+-+--+++++", "++--+-+-+--+++++",
+        ]
 
     def test_fixing_the_global_sign_halves_the_count(self):
         full = exhaustive_search(4)
@@ -118,6 +158,12 @@ class TestExhaustive:
         assert fixed.evaluations * 2 == full.evaluations
         for sv in fixed.sample_minimizers:
             assert sv.signs[0] == 1
+        assert [sv.to_string() for sv in fixed.sample_minimizers] == [
+            "+-+-+--+--++++++", "+--++-+---++++++", "+-+--++---++++++", "+-+---+++--+++++",
+            "+++++--++--+++++", "++---+-++--+++++", "+-+-++--+--+++++", "++--+-+-+--+++++",
+            "++++-++-+--+++++", "++--+--+-+-+++++", "+--+++---+-+++++", "++---++--+-+++++",
+            "+-+-+--+++--++++", "+--+-+-+++--++++", "+-+--++-++--++++", "+--+--+++-+-++++",
+        ]
 
     def test_minimizers_come_in_sign_pairs(self):
         report = exhaustive_search(3)
@@ -212,10 +258,24 @@ class TestAnneal:
         assert report.min_value >= 0.5 - 1e-12
         assert pi_me_uniform(report.best_state) == pytest.approx(report.min_value, abs=1e-12)
 
-    def test_per_site_tables_are_refused_before_allocation(self):
-        cfg = AnnealConfig(beta_schedule=[(1.0, 1)], seed=0)
-        with pytest.raises(ValueError, match=r"n=11 would take 7\.9 GB"):
-            anneal(11, cfg)
+    def test_eleven_qubits_run_and_reverify(self):
+        report = anneal(11, AnnealConfig(beta_schedule=[(1.0, 1)], seed=0))
+        assert report.evaluations == 1 + 2048
+        assert report.min_value_exact == energy_uniform_exact(report.best_state)
+        assert report.min_value == energy_uniform(report.best_state)
+
+    @pytest.mark.parametrize("move, itemsize", [("sign_flip", 8), ("phase_rotation", 16)])
+    def test_gram_state_is_refused_before_allocation(self, move, itemsize):
+        assert _state_bytes(13, itemsize) <= MAX_ANNEAL_STATE_BYTES < _state_bytes(14, itemsize)
+        cfg = AnnealConfig(beta_schedule=[(1.0, 1)], move=move, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n=14 would take .* GB, over the 1 GiB limit"):
+                anneal(14, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_replica_best_values_cover_all_replicas(self):
         cfg = AnnealConfig(beta_schedule=self.SCHEDULE, replicas=5, seed=2)
