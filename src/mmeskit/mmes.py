@@ -4,8 +4,8 @@ Features:
 - population probability vectors and their marginals over any subset
 - Walsh analysis of populations: fast transform, subset-indexed
   coefficients, exact reconstruction, and the free-coefficient count
-- uniformity diagnostics: worst marginal gap (computed two independent
-  ways that must agree) and the off-diagonal phase-equation residual
+- uniformity diagnostics: worst small-subset marginal gap and the
+  off-diagonal phase-equation residual
 - perfect-state verdicts keyed to balanced-bipartition purity, with the
   marginal and phase gaps reported as diagnostics
 - exact equation/variable counts of the defining system
@@ -26,15 +26,9 @@ import numpy as np
 
 from ._catalog_data import SIGN_TARGETS
 from .bipartite import _balanced_grams
-from .bitspace import (
-    MAX_COUNT_QUBITS,
-    QubitMask,
-    as_mask,
-    binomial,
-    embed_table,
-)
+from .bitspace import MAX_COUNT_QUBITS, QubitMask, as_mask, binomial
 from .potential import energy_uniform_exact, pi_me_form1
-from .states import PureState, SignVector, permute_qubits, uniform_from_signs
+from .states import PureState, SignVector, ghz, permute_qubits, uniform_from_signs
 
 __all__ = [
     "PopulationVector",
@@ -55,7 +49,6 @@ __all__ = [
 ]
 
 POPULATION_TOL = 1e-12
-PATH_AGREEMENT_TOL = 1e-12
 PHASE_UNIT_TOL = 1e-9
 
 
@@ -206,30 +199,18 @@ def marginal_uniformity_gap(P: PopulationVector) -> float:
     """Largest deviation of any small-subset marginal from uniform.
 
     Maximum over subsets A with 1 <= |A| <= n/2 and sub-labels l of
-    |P_A(l) - 2^(-|A|)|.  Computed both by direct marginal sums and by
-    reconstructing each marginal from the Walsh coefficients (only
-    coefficients with T inside A contribute); the two paths must agree
-    within 1e-12.
+    |P_A(l) - 2^(-|A|)|, from the direct marginal sums.
     """
     n = P.n
     if n < 2:
         raise ValueError("marginal uniformity requires n >= 2")
-    d = _parity(n) * walsh_coefficients(P).values
-    direct = 0.0
-    reconstructed = 0.0
+    gap = 0.0
     for size in range(1, n // 2 + 1):
+        flat = 1.0 / (1 << size)
         for qubits in combinations(range(1, n + 1), size):
-            m = QubitMask.from_qubits(qubits, n)
-            flat = 1.0 / (1 << m.size)
-            got = marginal(P, m).probabilities
-            direct = max(direct, float(np.max(np.abs(got - flat))))
-            sub = _fwht(d[embed_table(m)]) * (1 << (n - m.size))
-            reconstructed = max(reconstructed, float(np.max(np.abs(sub - flat))))
-    if abs(direct - reconstructed) > PATH_AGREEMENT_TOL:
-        raise RuntimeError(
-            f"marginal gap paths disagree: direct {direct!r} vs Walsh {reconstructed!r}"
-        )
-    return direct
+            got = marginal(P, QubitMask.from_qubits(qubits, n)).probabilities
+            gap = max(gap, float(np.max(np.abs(got - flat))))
+    return gap
 
 
 def _balanced_gaps(state: PureState) -> tuple[float, float]:
@@ -264,10 +245,13 @@ def is_perfect_mmes(state: PureState, tol: float = 1e-9) -> MmesVerdict:
     The verdict is keyed to the purity criterion: perfect means
     |pi_A - 1/N_A| <= tol for every balanced A, with N_A = 2^floor(n/2).
     The marginal uniformity gap and phase residual, equivalent conditions
-    in exact arithmetic, are reported as diagnostics.
+    in exact arithmetic, are reported as diagnostics.  tol must be a
+    finite nonnegative number.
     """
     if state.n < 2:
         raise ValueError("perfect-state check requires n >= 2")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     purity_gap, phase_res = _balanced_gaps(state)
     marg_gap = marginal_uniformity_gap(population(state))
     return MmesVerdict(
@@ -358,12 +342,6 @@ def _build_three(rotation: int, phases: Sequence[complex]) -> PureState:
     return state
 
 
-def _build_ghz(n: int = 3) -> PureState:
-    from .states import ghz
-
-    return ghz(n)
-
-
 @lru_cache(maxsize=1)
 def _self_test() -> bool:
     """Assert the defining values of every catalog entry once per process.
@@ -375,7 +353,7 @@ def _self_test() -> bool:
         got = energy_uniform_exact(SignVector.from_string(signs))
         if got != target:
             raise RuntimeError(f"catalog entry {name} has potential {got}, expected {target}")
-    for state in (_build_bell((1, 1, 1)), _build_ghz(3), _build_three(0, (1,) * 5)):
+    for state in (_build_bell((1, 1, 1)), ghz(3), _build_three(0, (1,) * 5)):
         if abs(pi_me_form1(state) - 0.5) > 1e-12:
             raise RuntimeError("catalog phase family failed its potential check")
     return True
@@ -402,7 +380,7 @@ def catalog(name: str, **params) -> PureState:
     if name == "bell_family":
         out = _build_bell(params.pop("phases", (1, 1, 1)))
     elif name == "ghz":
-        out = _build_ghz(int(params.pop("n", 3)))
+        out = ghz(int(params.pop("n", 3)))
     elif name == "three_family":
         out = _build_three(int(params.pop("rotation", 0)), params.pop("phases", (1,) * 5))
     elif name in SIGN_TARGETS:

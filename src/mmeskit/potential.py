@@ -8,9 +8,8 @@ Features:
 - admissibility kernel q whose zero set is exactly the set of quadruples
   that contribute to the potential
 - CouplingTable: precomputed nonzero (l, m, weight) triples with exact
-  rational weights, float views for fast evaluation, and an integer
-  rescaling that makes sign-vector energies exact; tables over 500,000
-  entries are refused before they are built
+  rational weights; tables over 500,000 entries are refused before they
+  are built
 - the potential pi_ME in three equivalent forms: the bipartition average
   of Gram-matrix purities (form 1, what every other evaluator uses), and
   the paper's XOR-coupled quadruple sum (form 2) and deficit form
@@ -29,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -149,47 +148,13 @@ class CouplingTable:
 
     Entries have l != 0, m != 0, disjoint supports, and nonzero exact
     rational weight, in (l, m) lexicographic order.  `constant` is the
-    uniform-state offset (N_A + N_Abar - 1)/N.  Float and integer views
-    of the weights are materialized lazily and cached.
+    uniform-state offset (N_A + N_Abar - 1)/N.
     """
 
     n: int
     n_a: int
     entries: tuple[tuple[int, int, Fraction], ...]
     constant: Fraction
-
-    @property
-    def scale(self) -> int:
-        """Least common rescaling 2 C(n, n_a) making all weights integers."""
-        return 2 * binomial(self.n, self.n_a)
-
-    @cached_property
-    def l_idx(self) -> np.ndarray:
-        return np.array([e[0] for e in self.entries], dtype=np.intp)
-
-    @cached_property
-    def m_idx(self) -> np.ndarray:
-        return np.array([e[1] for e in self.entries], dtype=np.intp)
-
-    @cached_property
-    def lm_idx(self) -> np.ndarray:
-        return np.array([e[0] ^ e[1] for e in self.entries], dtype=np.intp)
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return np.array([float(e[2]) for e in self.entries], dtype=np.float64)
-
-    @cached_property
-    def int_weights(self) -> np.ndarray:
-        """Weights times `scale`, exact integers."""
-        scale = self.scale
-        vals = []
-        for _, _, w in self.entries:
-            v = w * scale
-            if v.denominator != 1:
-                raise AssertionError("weight rescaling failed to clear denominators")
-            vals.append(int(v))
-        return np.array(vals, dtype=np.int64)
 
     def validate(self) -> None:
         """Check disjoint supports and the exact row-sum normalization."""

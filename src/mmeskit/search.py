@@ -98,8 +98,9 @@ class AnnealConfig:
     """Annealing protocol: temperature ladder, move set, replicas, seed.
 
     beta_schedule lists (beta, sweeps) stages executed in order; one sweep
-    proposes one move per site.  The sign of the final stage's beta fixes
-    the reported objective: nonnegative seeks minima, negative maxima.
+    proposes one move per site; betas may be infinite (a quench) but not
+    NaN.  The sign of the final stage's beta fixes the reported objective:
+    nonnegative seeks minima, negative maxima.
     """
 
     beta_schedule: tuple[tuple[float, int], ...]
@@ -114,6 +115,8 @@ class AnnealConfig:
             raise ValueError("beta_schedule must contain at least one stage")
         if any(s < 0 for _, s in stages):
             raise ValueError("sweep counts must be nonnegative")
+        if any(math.isnan(b) for b, _ in stages):
+            raise ValueError("beta must not be NaN (use inf or -inf for a quench)")
         object.__setattr__(self, "beta_schedule", stages)
         if self.move not in ("sign_flip", "phase_rotation"):
             raise ValueError(f"unknown move {self.move!r}")
@@ -293,8 +296,9 @@ def exhaustive_search(
 
 def _anneal_replica(
     rng: np.random.Generator, config: AnnealConfig, n: int, better
-) -> tuple[float, Union[SignVector, PolarState], int]:
-    """One Metropolis walk on the Gram state; the best state re-verified."""
+) -> tuple[Union[Fraction, float], Union[SignVector, PolarState], int]:
+    """One Metropolis walk on the Gram state; the best state re-verified,
+    as an exact Fraction for signs."""
     N = 1 << n
     signs = config.move == "sign_flip"
     if signs:
@@ -326,7 +330,7 @@ def _anneal_replica(
                         best, best_z = current, z.copy()
     if signs:
         sv = SignVector(n, best_z.astype(np.int8))
-        return energy_uniform(sv), sv, evals
+        return energy_uniform_exact(sv), sv, evals
     state = PolarState(n, np.full(N, 1.0 / math.sqrt(N)), best_z)
     return pi_me_uniform(state), state, evals
 
@@ -356,24 +360,23 @@ def anneal(n: int, config: AnnealConfig) -> SearchReport:
     better = (lambda a, b: a < b) if objective == "minimize" else (lambda a, b: a > b)
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
     replica_values: list[float] = []
-    best_value: Optional[float] = None
+    best_value: Union[Fraction, float, None] = None
     best_state: Union[SignVector, PolarState, None] = None
     evaluations = 0
     for seq in seeds:
         value, state, evals = _anneal_replica(np.random.default_rng(seq), config, n, better)
-        replica_values.append(value)
+        replica_values.append(float(value))
         evaluations += evals
         if best_value is None or better(value, best_value):
             best_value, best_state = value, state
     samples: tuple[SignVector, ...] = ()
     exact = None
     if isinstance(best_state, SignVector):
-        samples = (best_state,)
-        exact = energy_uniform_exact(best_state)
+        samples, exact = (best_state,), best_value
     return SearchReport(
         n=n,
         mode="anneal",
-        min_value=best_value,
+        min_value=float(best_value),
         minimizer_count=None,
         sample_minimizers=samples,
         evaluations=evaluations,

@@ -361,11 +361,13 @@ def state_from_json(doc: dict) -> Union[PureState, SignVector]:
     if not isinstance(doc, dict):
         raise ValueError("state document must be a JSON object")
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         fmt = doc["format"]
         data = doc["data"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"state document is missing a required field: {exc}") from exc
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"state field 'n' must be a JSON integer, got {n!r}")
     _check_n(n)
     if fmt == "signs":
         if not isinstance(data, str):

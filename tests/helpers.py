@@ -8,10 +8,21 @@ from the library's vectorized code paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from mmeskit import PureState, SignVector, build_coupling_table
+from mmeskit import (
+    PopulationVector,
+    PureState,
+    QubitMask,
+    SignVector,
+    WalshCoefficients,
+    build_coupling_table,
+    population_from_walsh,
+    walsh_coefficients,
+)
+from mmeskit.bitspace import embed_table
 
 
 def place_bits(n: int, qubits, sub: int) -> int:
@@ -55,16 +66,34 @@ def naive_purity(state: PureState, qubits) -> float:
 def table_energy_exact(sv: SignVector) -> Fraction:
     """Exact potential of a sign vector from the coupling-table expansion.
 
-    constant + (sum over table entries of W_e S_e) / (scale N^2), with W_e
-    the integer weights and S_e = sum_k s_k s_{k^l} s_{k^m} s_{k^l^m}.
+    constant + (sum over table entries (l, m, w) of w S_lm) / N^2, with the
+    exact rational weights w and S_lm = sum_k s_k s_{k^l} s_{k^m} s_{k^l^m}.
     """
     table = build_coupling_table(sv.n)
     s = sv.signs.astype(np.int64)
     ks = np.arange(s.size)
-    total = 0
-    for w, l, m, lm in zip(table.int_weights, table.l_idx, table.m_idx, table.lm_idx):
-        total += int(w) * int(np.dot(s * s[ks ^ l], s[ks ^ m] * s[ks ^ lm]))
-    return table.constant + Fraction(total, table.scale * s.size * s.size)
+    total = sum(
+        w * int(np.dot(s * s[ks ^ l], s[ks ^ m] * s[ks ^ l ^ m])) for l, m, w in table.entries
+    )
+    return table.constant + Fraction(total) / (s.size * s.size)
+
+
+def walsh_marginal_gap(P: PopulationVector) -> float:
+    """Worst small-subset marginal gap, each marginal rebuilt from Walsh coefficients.
+
+    Marginalizing onto A keeps only the coefficients c_T with T inside A,
+    each scaled by 2^(n - |A|); the marginal is their inverse transform.
+    Independent of the direct marginal sums of `marginal_uniformity_gap`.
+    """
+    n = P.n
+    c = walsh_coefficients(P).values
+    gap = 0.0
+    for size in range(1, n // 2 + 1):
+        for qubits in combinations(range(1, n + 1), size):
+            sub = c[embed_table(QubitMask.from_qubits(qubits, n))] * (1 << (n - size))
+            got = population_from_walsh(WalshCoefficients(size, sub)).probabilities
+            gap = max(gap, float(np.max(np.abs(got - 1.0 / (1 << size)))))
+    return gap
 
 
 def naive_wht(vec: np.ndarray) -> np.ndarray:

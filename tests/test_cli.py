@@ -144,6 +144,14 @@ class TestVerify:
         assert doc["worst_purity_gap"] == v.worst_purity_gap
         assert doc["worst_marginal_gap"] == v.worst_marginal_gap
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_exits_one(self, capture, state_file, tol):
+        path = state_file(ghz(3))
+        code, out, err = capture(["verify", path, "--tol", tol])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "tolerance" in err
+
     def test_output_is_sorted_compact_json(self, capture, state_file):
         path = state_file(ghz(3))
         _, out, _ = capture(["verify", path])
@@ -254,6 +262,12 @@ class TestAnneal:
         assert doc["best_state"]["format"] == "complex"
         assert len(doc["best_state"]["data"]) == 4
 
+    def test_nan_beta_fails_cleanly(self, capture):
+        code, out, err = capture(["anneal", "--n", "4", "--schedule", "nan:5", "--seed", "0"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "NaN" in err
+
     def test_malformed_schedule_fails_cleanly(self, capture):
         code, _, err = capture(["anneal", "--n", "2", "--schedule", "1:x"])
         assert code == 1
@@ -277,6 +291,15 @@ class TestErrorsAndFiles:
         ))
         code, _, err = capture(["verify", str(path)])
         assert code == 1
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("n", [2.9, True, "3"])
+    def test_non_integer_qubit_count_exits_one(self, capture, tmp_path, n):
+        path = tmp_path / "bad_n.json"
+        path.write_text(json.dumps({"n": n, "format": "signs", "data": "+++-"}))
+        code, out, err = capture(["verify", str(path)])
+        assert code == 1
+        assert out == ""
         assert err.startswith("error:")
 
     def test_read_write_roundtrip_both_formats(self, tmp_path):

@@ -202,6 +202,14 @@ class TestVerdict:
         for st in entries:
             assert is_perfect_mmes(st).is_perfect
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-15, math.inf])
+    def test_rejects_bad_tolerances(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            is_perfect_mmes(ghz(3), tol=tol)
+
+    def test_zero_tolerance_is_accepted(self):
+        assert is_perfect_mmes(ghz(3), tol=0.0).tolerance == 0.0
+
     def test_best_four_qubit_state_is_not_perfect(self):
         v = is_perfect_mmes(uniform_from_signs(catalog_sign_vector("four_best")))
         assert not v.is_perfect

@@ -82,7 +82,7 @@ def quartic_monomial_count(n):
     """Count distinct genuinely quartic monomials reachable from the table."""
     table = build_coupling_table(n)
     keys = set()
-    for l, m in zip(table.l_idx.tolist(), table.m_idx.tolist()):
+    for l, m, _ in table.entries:
         for k in range(1 << n):
             plain = tuple(sorted((k, k ^ l ^ m)))
             barred = tuple(sorted((k ^ l, k ^ m)))
@@ -191,28 +191,27 @@ class TestAdmissibility:
 class TestCouplingTable:
     def test_two_qubit_table(self):
         table = build_coupling_table(2)
-        entries = list(zip(table.l_idx.tolist(), table.m_idx.tolist(), table.weights.tolist()))
-        assert entries == [(1, 2, 0.5), (2, 1, 0.5)]
+        assert table.entries == ((1, 2, Fraction(1, 2)), (2, 1, Fraction(1, 2)))
         assert table.constant == Fraction(3, 4)
-        assert table.scale == 4
+        assert all((4 * w).denominator == 1 for _, _, w in table.entries)  # 4 = 2 C(2, 1)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_sizes_and_invariants(self, n):
         table = build_coupling_table(n)
-        assert len(table.l_idx) == EXPECTED_TABLE_SIZES[n]
-        assert len(table.l_idx) == 8 * monomial_counts(n).N4 // (1 << n)
-        assert np.all(table.l_idx & table.m_idx == 0)  # disjoint label pairs
-        assert np.all(table.l_idx > 0) and np.all(table.m_idx > 0)
-        assert np.array_equal(table.lm_idx, table.l_idx ^ table.m_idx)
-        pairs = list(zip(table.l_idx.tolist(), table.m_idx.tolist()))
+        assert len(table.entries) == EXPECTED_TABLE_SIZES[n]
+        assert len(table.entries) == 8 * monomial_counts(n).N4 // (1 << n)
+        assert all(l & m == 0 for l, m, _ in table.entries)  # disjoint label pairs
+        assert all(l > 0 and m > 0 for l, m, _ in table.entries)
+        assert all(isinstance(w, Fraction) and w > 0 for _, _, w in table.entries)
+        pairs = [(l, m) for l, m, _ in table.entries]
         assert pairs == sorted(pairs)
         table.validate()
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_integer_weights_reconstruct_rationals(self, n):
-        table = build_coupling_table(n)
-        assert np.array_equal(table.int_weights, np.round(table.weights * table.scale))
-        assert np.allclose(table.int_weights / table.scale, table.weights)
+        scale = 2 * math.comb(n, n // 2)
+        for _, _, w in build_coupling_table(n).entries:
+            assert (w * scale).denominator == 1
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_constant_matches_uniform_baseline(self, n):

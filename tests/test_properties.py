@@ -1,8 +1,9 @@
 """Property tests over generated states.
 
 Every evaluation path of the potential agrees on arbitrary normalized
-states, the potential is invariant under local unitaries and qubit
-relabelings, and the JSON state format round-trips.  Examples are
+states, the direct marginal gap agrees with its Walsh reconstruction, the
+potential is invariant under local unitaries and qubit relabelings, and
+the JSON state format round-trips.  Examples are
 derandomized, so every run checks the same states.
 """
 
@@ -10,23 +11,30 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import haar_unitary
+from helpers import haar_unitary, walsh_marginal_gap
 from mmeskit import (
     PureState,
     SignVector,
     apply_single_qubit_unitary,
     balanced_bipartitions,
+    catalog,
+    fully_factorized,
+    ghz,
+    marginal_uniformity_gap,
     permute_qubits,
     pi_me_form1,
     pi_me_form2,
     pi_me_form4,
+    population,
     purity_form2,
     state_from_json,
     state_to_json,
 )
+from mmeskit.mmes import CATALOG_NAMES
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -50,6 +58,23 @@ def test_every_potential_path_agrees(state):
     assert abs(core - pi_me_form2(state)) <= 1e-12
     assert abs(core - pi_me_form4(state)) <= 1e-12
     assert abs(core - math.fsum(purities) / len(purities)) <= 1e-12
+
+
+@PROPERTY
+@given(states(n_max=8))
+def test_marginal_gap_matches_the_walsh_reconstruction(state):
+    P = population(state)
+    assert abs(marginal_uniformity_gap(P) - walsh_marginal_gap(P)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "state",
+    [fully_factorized([(1, 0)] * 3), ghz(3), ghz(4)] + [catalog(name) for name in CATALOG_NAMES],
+    ids=["basis3", "ghz3", "ghz4", *CATALOG_NAMES],
+)
+def test_marginal_gap_matches_the_walsh_reconstruction_on_named_states(state):
+    P = population(state)
+    assert abs(marginal_uniformity_gap(P) - walsh_marginal_gap(P)) <= 1e-12
 
 
 @PROPERTY

@@ -5,6 +5,7 @@ exact rational energies for every claimed optimum, and cross-seed
 determinism checks on whole reports.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -202,6 +203,13 @@ class TestAnnealConfig:
             AnnealConfig(beta_schedule=[(1.0, 5)], replicas=0)
         with pytest.raises(ValueError):
             AnnealConfig(beta_schedule=[(1.0, 5)], max_angle=0.0)
+
+    def test_rejects_nan_betas_and_keeps_infinite_quenches(self):
+        for schedule in ([(math.nan, 5)], [(1.0, 5), (math.nan, 5)]):
+            with pytest.raises(ValueError, match="NaN"):
+                AnnealConfig(beta_schedule=schedule)
+        assert AnnealConfig(beta_schedule=[(math.inf, 5)]).objective == "minimize"
+        assert AnnealConfig(beta_schedule=[(-math.inf, 5)]).objective == "maximize"
 
 
 class TestAnneal:

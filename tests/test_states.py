@@ -253,3 +253,8 @@ class TestJson:
     def test_length_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
             state_from_json({"n": 2, "format": "complex", "data": [[1.0, 0.0]] * 3})
+
+    @pytest.mark.parametrize("n", [2.9, 2.0, True, "3", None])
+    def test_non_integer_qubit_count_is_rejected(self, n):
+        with pytest.raises(ValueError, match="JSON integer"):
+            state_from_json({"n": n, "format": "signs", "data": "+++-"})
