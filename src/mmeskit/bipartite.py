@@ -4,9 +4,11 @@ Features:
 - reduced density matrix of any proper qubit subset by tensor reshape:
   the amplitudes reshaped to an N_A x N_Abar matrix M_A give rho_A as the
   Gram matrix M_A M_A^H
-- the Gram matrices of all balanced bipartitions in one pass, the single
-  evaluation core behind every potential, verdict and exact sign-vector
-  energy (integer Grams for sign vectors, so those stay exact)
+- the Gram matrices of the balanced bipartitions, streamed one at a time:
+  the single evaluation core behind every potential, verdict, sweep and
+  anneal (integer Grams for sign vectors, so those stay exact)
+- the exact Gram sum of sign vectors, each complementary pair of balanced
+  subsets counted once, and its C(n, n/2) N^2 normaliser
 - purity in two algebraically equivalent forms: Frobenius norm of the
   reduced density matrix (Form 1) and the XOR-indexed amplitude quadruple
   sum (Form 2, the paper's expansion, kept as an independent cross-check)
@@ -24,11 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import lru_cache
+from typing import Iterator, Union
 
 import numpy as np
 
-from .bitspace import MAX_COUNT_QUBITS, QubitMask, as_mask, balanced_bipartitions, submasks
+from .bitspace import (
+    QubitMask, _check_split, _frozen, as_mask, balanced_bipartitions, binomial, submasks
+)
 from .states import PolarState, PureState
 
 __all__ = [
@@ -51,11 +56,6 @@ SCHMIDT_CUTOFF = 1e-12
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGEN_TOL = 1e-10
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(eq=False, frozen=True)
@@ -165,15 +165,52 @@ def _gram(amplitudes: np.ndarray, n: int, m: QubitMask) -> np.ndarray:
     return t @ t.conj().swapaxes(-1, -2)
 
 
-def _balanced_grams(amplitudes: np.ndarray, n: int) -> list[np.ndarray]:
+def _balanced_grams(amplitudes: np.ndarray, n: int) -> Iterator[np.ndarray]:
     """Gram matrices M_A M_A^H of every balanced A, in balanced_bipartitions order.
 
-    For a normalized state these are the balanced reduced density matrices,
-    and the squared Frobenius norm of each is the purity of its A.  For an
-    int64 sign vector s every entry is an integer of magnitude at most
-    N_Abar, so the purities of s / sqrt(N) are exact rationals.
+    Yielded one at a time.  For a normalized state these are the balanced
+    reduced density matrices, and each one's squared Frobenius norm is a purity.
     """
-    return [_gram(amplitudes, n, A) for A in balanced_bipartitions(n)]
+    return (_gram(amplitudes, n, A) for A in balanced_bipartitions(n))
+
+
+@lru_cache(maxsize=1)
+def _kept_bipartitions(n: int) -> tuple[tuple[QubitMask, ...], int]:
+    """Balanced subsets an exact Gram sum runs over, and the weight of each.
+
+    At even n, A and its complement are both balanced, and their Gram
+    matrices M M^H and M^H M have the same Frobenius norm, so only the
+    subsets containing qubit 1 are kept, each counting twice.  The last n
+    asked for is cached, for the sweep's repeated block sums.
+    """
+    weight = 2 - n % 2
+    kept = (A for A in balanced_bipartitions(n) if weight == 1 or A.mask >> (n - 1))
+    return tuple(kept), weight
+
+
+def _kept_count(n: int) -> int:
+    """Number of subsets _kept_bipartitions(n) keeps, without listing them."""
+    return binomial(n, n // 2) // (2 - n % 2)
+
+
+def _gram_sum_denominator(n: int) -> int:
+    """C(n, floor(n/2)) N^2: the potential of a unimodular vector z (every
+    |z_k| = 1) is its Gram sum T divided by this."""
+    return binomial(n, n // 2) << (2 * n)
+
+
+def _sign_gram_sum(signs: np.ndarray, n: int):
+    """Exact T = sum over balanced A of ||M_A M_A^T||_F^2 for int64 signs.
+
+    Leading batch axes are kept, and each complementary pair is summed once
+    (see _kept_bipartitions).  One bipartition's sum is at most N^2 <= 2^48,
+    so int64 holds it; the total, up to C(n, n/2) N^2, overflows int64 from
+    n = 22 on, and there it is added in Python ints.
+    """
+    subsets, weight = _kept_bipartitions(n)
+    acc = np.int64 if _gram_sum_denominator(n) < 1 << 63 else object
+    grams = (_gram(signs, n, A) for A in subsets)
+    return weight * sum(np.einsum("...ij,...ij->...", G, G).astype(acc) for G in grams)
 
 
 def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> DensityMatrix:
@@ -249,10 +286,7 @@ def bipartite_term_counts(n: int, n_a: int) -> tuple[int, int, int]:
     Returns (count of |z_k|^4 terms, count of |z_k|^2 |z_h|^2 cross terms,
     count of genuine quadruples); the three add up to 2^(2n).
     """
-    if not 2 <= n <= MAX_COUNT_QUBITS:
-        raise ValueError(f"qubit count must be in [2, {MAX_COUNT_QUBITS}], got {n}")
-    if not 1 <= n_a <= n - 1:
-        raise ValueError(f"subset size must be in [1, {n - 1}], got {n_a}")
+    _check_split(n, n_a)
     n_b = n - n_a
     c1 = 1 << n
     c2 = (1 << n) * ((1 << n_a) + (1 << n_b) - 2)

@@ -60,9 +60,21 @@ BasisIndex = int
 Rational = Union[int, Fraction]
 
 
-def _check_n(n: int, limit: int = MAX_COUNT_QUBITS) -> None:
-    if not 1 <= n <= limit:
-        raise ValueError(f"qubit count must be in [1, {limit}], got {n}")
+def _check_n(n: int, limit: int = MAX_COUNT_QUBITS, low: int = 1) -> None:
+    if not low <= n <= limit:
+        raise ValueError(f"qubit count must be in [{low}, {limit}], got {n}")
+
+
+def _check_split(n: int, n_a: int) -> None:
+    """A split of n >= 2 qubits into n_a and n - n_a, both nonempty."""
+    _check_n(n, low=2)
+    if not 1 <= n_a <= n - 1:
+        raise ValueError(f"subset size must be in [1, {n - 1}], got {n_a}")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def weight(k: BasisIndex) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._catalog_data import SIGN_TARGETS
 from .bipartite import _balanced_grams
-from .bitspace import MAX_COUNT_QUBITS, QubitMask, as_mask, binomial
+from .bitspace import QubitMask, _check_n, _frozen, as_mask, binomial
 from .potential import energy_uniform_exact, pi_me_form1
 from .states import PureState, SignVector, ghz, permute_qubits, uniform_from_signs
 
@@ -52,11 +52,6 @@ POPULATION_TOL = 1e-12
 PHASE_UNIT_TOL = 1e-9
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(eq=False, frozen=True)
 class PopulationVector:
     """Probability distribution P(k) = |z_k|^2 over basis labels.
@@ -69,8 +64,7 @@ class PopulationVector:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_COUNT_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_COUNT_QUBITS}], got {self.n}")
+        _check_n(self.n)
         p = np.array(self.probabilities, dtype=np.float64, order="C")
         if p.shape != (1 << self.n,):
             raise ValueError(f"population vector must have length {1 << self.n}")
@@ -96,8 +90,7 @@ class WalshCoefficients:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_COUNT_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_COUNT_QUBITS}], got {self.n}")
+        _check_n(self.n)
         v = np.array(self.values, dtype=np.float64, order="C")
         if v.shape != (1 << self.n,):
             raise ValueError(f"coefficient vector must have length {1 << self.n}")
@@ -199,17 +192,17 @@ def marginal_uniformity_gap(P: PopulationVector) -> float:
     """Largest deviation of any small-subset marginal from uniform.
 
     Maximum over subsets A with 1 <= |A| <= n/2 and sub-labels l of
-    |P_A(l) - 2^(-|A|)|, from the direct marginal sums.
+    |P_A(l) - 2^(-|A|)|, summing the probability tensor over the complement.
     """
     n = P.n
     if n < 2:
         raise ValueError("marginal uniformity requires n >= 2")
+    t = P.probabilities.reshape((2,) * n)
     gap = 0.0
     for size in range(1, n // 2 + 1):
         flat = 1.0 / (1 << size)
-        for qubits in combinations(range(1, n + 1), size):
-            got = marginal(P, QubitMask.from_qubits(qubits, n)).probabilities
-            gap = max(gap, float(np.max(np.abs(got - flat))))
+        for drop in combinations(range(n), n - size):
+            gap = max(gap, float(np.max(np.abs(t.sum(axis=drop) - flat))))
     return gap
 
 
@@ -269,8 +262,7 @@ def equation_variable_counts(n: int) -> tuple[int, int]:
     equations = N_A (N_A - 1) C(n, floor(n/2)) with N_A = 2^floor(n/2);
     unknowns = 3 2^(n-1) - (1 + (-1)^n) C(n, floor(n/2)) / 4.
     """
-    if not 2 <= n <= MAX_COUNT_QUBITS:
-        raise ValueError(f"qubit count must be in [2, {MAX_COUNT_QUBITS}], got {n}")
+    _check_n(n, low=2)
     n_a_dim = 1 << (n // 2)
     half_binom = binomial(n, n // 2)
     m_e = n_a_dim * (n_a_dim - 1) * half_binom
@@ -281,8 +273,7 @@ def equation_variable_counts(n: int) -> tuple[int, int]:
 def free_coefficient_count(n: int) -> int:
     """Number of subset masks with |T| > n/2: the unconstrained Walsh
     coefficients of a population with uniform small marginals."""
-    if not 2 <= n <= MAX_COUNT_QUBITS:
-        raise ValueError(f"qubit count must be in [2, {MAX_COUNT_QUBITS}], got {n}")
+    _check_n(n, low=2)
     return (1 << (n - 1)) - ((1 + (-1) ** n) * binomial(n, n // 2)) // 4
 
 

@@ -33,15 +33,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bitspace import (
-    MAX_COUNT_QUBITS,
-    MAX_QUBITS,
-    binomial,
-    multinomial,
-    submasks,
-    weight,
-)
-from .bipartite import _balanced_grams
+from .bitspace import MAX_QUBITS, _check_n, _check_split, binomial, multinomial, submasks, weight
+from .bipartite import _balanced_grams, _gram_sum_denominator, _sign_gram_sum
 from .states import PolarState, PureState, SignVector, assemble
 
 __all__ = [
@@ -64,13 +57,6 @@ __all__ = [
 ]
 
 
-def _check_args(n: int, n_a: int) -> None:
-    if not 2 <= n <= MAX_COUNT_QUBITS:
-        raise ValueError(f"qubit count must be in [2, {MAX_COUNT_QUBITS}], got {n}")
-    if not 1 <= n_a <= n - 1:
-        raise ValueError(f"subset size must be in [1, {n - 1}], got {n_a}")
-
-
 @lru_cache(maxsize=None)
 def _g_hat_core(s: int, t: int, n: int, n_a: int) -> Fraction:
     num = binomial(n - s - t, n_a - s) + binomial(n - s - t, n_a - t)
@@ -84,7 +70,7 @@ def g_hat(s: int, t: int, n: int, n_a: int) -> Fraction:
     C(n-s-t, n_a-t)] with out-of-range binomials equal to zero.  Symmetric
     in (s, t); g_hat(0, 0) = 1.
     """
-    _check_args(n, n_a)
+    _check_split(n, n_a)
     if s < 0 or t < 0:
         raise ValueError("weights s, t must be nonnegative")
     return _g_hat_core(s, t, n, n_a)
@@ -97,7 +83,7 @@ def g_hat_dual(s: int, t: int, n: int, n_a: int) -> Fraction:
     C(n_a, t) C(n-n_a, s)], zero when s + t > n.  Agrees with g_hat
     exactly; kept as an independent closed form.
     """
-    _check_args(n, n_a)
+    _check_split(n, n_a)
     if s < 0 or t < 0:
         raise ValueError("weights s, t must be nonnegative")
     if s + t > n:
@@ -112,7 +98,7 @@ def g(a: int, b: int, n: int, n_a: int) -> Fraction:
 
     g(a, b; n_a) = g_hat(|a|, |b|; n_a) when a and b are disjoint, else 0.
     """
-    _check_args(n, n_a)
+    _check_split(n, n_a)
     if not (0 <= a < (1 << n) and 0 <= b < (1 << n)):
         raise ValueError(f"masks must lie in [0, 2^{n})")
     if a & b:
@@ -127,7 +113,7 @@ def coupling_delta(k: int, k2: int, l: int, l2: int, n: int, n_a: int) -> Fracti
     (k xor l') or (k' xor l); n_a).  Symmetric under swapping k with k'
     and under exchanging the pair (k, k') with (l, l').
     """
-    _check_args(n, n_a)
+    _check_split(n, n_a)
     hi = 1 << n
     if not all(0 <= x < hi for x in (k, k2, l, l2)):
         raise ValueError(f"basis labels must lie in [0, 2^{n})")
@@ -180,8 +166,7 @@ def build_coupling_table(n: int) -> CouplingTable:
     n; tables are immutable and shared.  Tables of more than
     MAX_TABLE_ENTRIES entries are refused before any entry is built.
     """
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in [2, {MAX_QUBITS}], got {n}")
+    _check_n(n, MAX_QUBITS, low=2)
     count = 8 * monomial_counts(n).N4 >> n
     if count > MAX_TABLE_ENTRIES:
         raise ValueError(
@@ -205,7 +190,7 @@ def build_coupling_table(n: int) -> CouplingTable:
 
 def coupling_row_sum(l: int, n: int, n_a: int) -> Fraction:
     """Exact sum over m of g(l xor m, m; n_a); equals 1 for every l."""
-    _check_args(n, n_a)
+    _check_split(n, n_a)
     if not 0 <= l < (1 << n):
         raise ValueError(f"mask must lie in [0, 2^{n})")
     total = Fraction(0)
@@ -231,7 +216,7 @@ def pi_me_form1(state: PureState) -> float:
     matrix M_A M_A^H.
     """
     grams = _balanced_grams(state.amplitudes, state.n)
-    return math.fsum(float(np.vdot(G, G).real) for G in grams) / len(grams)
+    return math.fsum(float(np.vdot(G, G).real) for G in grams) / binomial(state.n, state.n // 2)
 
 
 def pi_me_form2(state: PureState, table: Optional[CouplingTable] = None) -> float:
@@ -300,13 +285,10 @@ def energy_uniform_exact(sv: SignVector) -> Fraction:
     """Exact rational potential of the real uniform state with these signs.
 
     The Gram matrices of the +-1 vector are integer; the potential is the
-    sum of their squared entries over C(n, floor(n/2)) N^2.  One
-    bipartition's sum is at most N_A^2 N_Abar^2 = N^2 <= 2^48, so int64
-    is exact; the sums are added as Python ints.
+    sum of their squared entries over C(n, floor(n/2)) N^2.
     """
-    grams = _balanced_grams(sv.signs.astype(np.int64), sv.n)
-    N = 1 << sv.n
-    return Fraction(sum(int(np.sum(G * G)) for G in grams), len(grams) * N * N)
+    T = _sign_gram_sum(sv.signs.astype(np.int64), sv.n)
+    return Fraction(int(T), _gram_sum_denominator(sv.n))
 
 
 def avg_linear_entropy(state: PureState) -> float:
@@ -342,8 +324,7 @@ def monomial_counts(n: int) -> MonomialCounts:
     N4 = 2^(n-3) sum over 1 <= s, t <= ceil(n/2) of C(n, s) C(n-s, t).
     Eight times N4 equals 2^n times the coupling-table entry count.
     """
-    if not 2 <= n <= MAX_COUNT_QUBITS:
-        raise ValueError(f"qubit count must be in [2, {MAX_COUNT_QUBITS}], got {n}")
+    _check_n(n, low=2)
     n1 = 1 << n
     half_binom = binomial(n, n // 2)
     n2 = (1 << (2 * n - 2)) - (1 << (n - 1)) + ((1 << n) // (3 + (-1) ** n)) * half_binom

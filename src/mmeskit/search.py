@@ -1,8 +1,8 @@
 """Sign-space sweeps and Metropolis annealing over the potential landscape.
 
 Features:
-- energy of real uniform states in exact rational arithmetic (integer
-  Gram sums; float conversion only at the interface)
+- energy of real uniform states in exact rational arithmetic, from the
+  integer Gram sums of `bipartite`; floats enter only at the interface
 - incremental single-site moves on the Gram state: changing one amplitude
   changes one entry of every M_A, so each Gram matrix G_A = M_A M_A^H
   takes a rank-one update of one row and column; sign flips stay exact
@@ -28,8 +28,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bipartite import _gram, _matricize
-from .bitspace import QubitMask, balanced_bipartitions, binomial
+from .bipartite import (
+    _gram_sum_denominator, _kept_bipartitions, _kept_count, _matricize, _sign_gram_sum
+)
 from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
 
@@ -141,22 +142,10 @@ def energy_uniform(signs: SignVector) -> float:
     return float(energy_uniform_exact(signs))
 
 
-def _kept_bipartitions(n: int) -> tuple[list[QubitMask], int]:
-    """Balanced subsets the Gram sum T runs over, and the weight of each.
-
-    At even n, A and its complement have equal purity, so only the subsets
-    containing qubit 1 are kept and each counts twice.
-    """
-    subsets = balanced_bipartitions(n)
-    if n % 2:
-        return subsets, 1
-    return [A for A in subsets if A.mask >> (n - 1)], 2
-
-
 def _state_bytes(n: int, itemsize: int) -> int:
     """Peak size of building a _GramState: M_A, a conjugate copy of it and
     G_A, plus three index arrays of one entry per site and kept subset."""
-    kept = binomial(n, n // 2) if n % 2 else binomial(n, n // 2) // 2  # _kept_bipartitions
+    kept = _kept_count(n)
     n_a = 1 << (n // 2)
     N = 1 << n
     return kept * (2 * N + n_a * n_a) * itemsize + 3 * kept * N * 8
@@ -168,7 +157,7 @@ class _GramState:
     Amplitude j sits at entry (r_A(j), c_A(j)) of M_A; the layout is the
     reshape of `bipartite._matricize` applied to the basis indices.  T is
     the weighted sum of ||G_A||_F^2, so the potential of the unnormalized
-    vector z is T / (C N^2) with C = C(n, floor(n/2)).  Integer z (signs)
+    vector z is T / bipartite._gram_sum_denominator(n).  Integer z (signs)
     keeps T exact.
     """
 
@@ -187,7 +176,6 @@ class _GramState:
         self.Mt = z[sites]
         self.G = self.Mt.swapaxes(1, 2) @ self.Mt.conj()
         self.n_a, self.n_b = n_a, n_b
-        self.denom = binomial(n, n // 2) * N * N
 
     def total(self):
         """T, the weighted sum of the squared Frobenius norms of the G_A."""
@@ -231,7 +219,8 @@ def flip_delta(signs: SignVector, flip_index: int) -> float:
     if not 0 <= flip_index < N:
         raise ValueError(f"flip index {flip_index} out of range for {N} sites")
     state = _GramState(signs.n, signs.signs.astype(np.int64))
-    return int(state.delta(flip_index, -state.z[flip_index])) / state.denom
+    delta = int(state.delta(flip_index, -state.z[flip_index]))
+    return delta / _gram_sum_denominator(signs.n)
 
 
 def exhaustive_search(
@@ -258,7 +247,6 @@ def exhaustive_search(
             f"n <= {MAX_EXHAUSTIVE_N} (or n = {MAX_GATED_N} with allow_long_run=True)"
         )
     start = time.perf_counter()
-    subsets, weight = _kept_bipartitions(n)
     N = 1 << n
     offset = 0 if symmetry_mode == "full" else 1
     total = 1 << (N - offset)
@@ -270,8 +258,7 @@ def exhaustive_search(
         i = np.arange(lo, min(lo + SWEEP_BLOCK, total), dtype=np.int64)
         s = np.ones((i.size, N), dtype=np.int64)
         s[:, offset:] -= 2 * (((i ^ (i >> 1))[:, None] >> bits) & 1)
-        grams = (_gram(s, n, A) for A in subsets)
-        T = weight * sum(np.sum(G * G, axis=(1, 2)) for G in grams)
+        T = _sign_gram_sum(s, n)
         low = int(T.min())
         if best is None or low < best:
             best, count, found = low, 0, []
@@ -280,7 +267,7 @@ def exhaustive_search(
             count += hits.size
             found.extend(s[h] for h in hits[: MAX_SAMPLES - len(found)])
     samples = [SignVector(n, v) for v in found]
-    exact = Fraction(best, binomial(n, n // 2) * N * N)
+    exact = Fraction(best, _gram_sum_denominator(n))
     return SearchReport(
         n=n,
         mode="exhaustive",
@@ -306,6 +293,7 @@ def _anneal_replica(
     else:
         z = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, N))
     grams = _GramState(n, z)
+    denom = _gram_sum_denominator(n)
     # T orders states as the energy does, exactly for signs
     current = grams.total()
     best, best_z = current, z.copy()
@@ -322,7 +310,7 @@ def _anneal_replica(
                 evals += 1
                 # an integer delta and C N^2 convert to float exactly, so the
                 # energy change is the exact rational rounded once
-                x = -beta * (delta / grams.denom)
+                x = -beta * (delta / denom)
                 if x >= 0 or rng.random() < math.exp(x):
                     grams.set(j, new)
                     current += delta

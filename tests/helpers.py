@@ -78,6 +78,23 @@ def table_energy_exact(sv: SignVector) -> Fraction:
     return table.constant + Fraction(total) / (s.size * s.size)
 
 
+def all_bipartition_sign_sum(sv: SignVector) -> int:
+    """Sum of ||M_A M_A^T||_F^2 over all C(n, n/2) balanced A, with no pairing.
+
+    M_A[a, b] is the sign at the label holding the sub-labels a on A and b
+    on the complement, placed through `embed_table` rather than a reshape.
+    """
+    n = sv.n
+    s = sv.signs.astype(np.int64)
+    total = 0
+    for qubits in combinations(range(1, n + 1), n // 2):
+        A = QubitMask.from_qubits(qubits, n)
+        M = s[embed_table(A)[:, None] | embed_table(A.complement())[None, :]]
+        G = M @ M.T
+        total += int(np.sum(G * G))
+    return total
+
+
 def walsh_marginal_gap(P: PopulationVector) -> float:
     """Worst small-subset marginal gap, each marginal rebuilt from Walsh coefficients.
 

@@ -293,6 +293,16 @@ class TestErrorsAndFiles:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", [["verify"], ["potential", "--file"]])
+    def test_boolean_amplitudes_exit_one(self, capture, tmp_path, command):
+        path = tmp_path / "bools.json"
+        data = [[True, False], [False, False], [False, False], [False, False]]
+        path.write_text(json.dumps({"n": 2, "format": "complex", "data": data}))
+        code, out, err = capture([*command, str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     @pytest.mark.parametrize("n", [2.9, True, "3"])
     def test_non_integer_qubit_count_exits_one(self, capture, tmp_path, n):
         path = tmp_path / "bad_n.json"

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import table_energy_exact, unit_phases
+from helpers import all_bipartition_sign_sum, table_energy_exact, unit_phases
 from mmeskit import (
     QubitMask,
     SignVector,
@@ -34,6 +34,7 @@ from mmeskit import (
     g_hat,
     g_hat_dual,
     ghz,
+    is_perfect_mmes,
     monomial_counts,
     pi_me_form1,
     pi_me_form2,
@@ -46,6 +47,7 @@ from mmeskit import (
     uniform_from_signs,
     weight,
 )
+from mmeskit.bipartite import _sign_gram_sum
 from mmeskit.potential import MonomialCounts
 
 EXPECTED_TABLE_SIZES = {2: 2, 3: 12, 4: 42, 5: 170, 6: 500, 7: 1792, 8: 5082}
@@ -293,6 +295,16 @@ class TestUniformPotential:
             assert isinstance(got, Fraction)
             assert got == table_energy_exact(sv)
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_paired_sign_sums_equal_the_unpaired_sum_exactly(self, n):
+        rng = np.random.default_rng(70 + n)
+        signs = rng.choice((-1, 1), size=(3, 1 << n)).astype(np.int64)
+        for s, batched in zip(signs, _sign_gram_sum(signs, n)):
+            sv = SignVector(n, s)
+            want = all_bipartition_sign_sum(sv)
+            assert batched == want
+            assert energy_uniform_exact(sv) == Fraction(want, math.comb(n, n // 2) << (2 * n))
+
     def test_sign_energy_matches_float_pipeline(self):
         rng = np.random.default_rng(4)
         for n in (3, 4, 5):
@@ -301,6 +313,21 @@ class TestUniformPotential:
                 sv = SignVector(n, signs)
                 want = pi_me_form2(uniform_from_signs(sv))
                 assert float(energy_uniform_exact(sv)) == pytest.approx(want, abs=1e-12)
+
+
+class TestStreamedGrams:
+    def test_twelve_qubit_evaluations_hold_one_gram_at_a_time(self):
+        st = random_state(12, 5)
+        rng = np.random.default_rng(12)
+        sv = SignVector(12, rng.choice((-1, 1), size=1 << 12).astype(np.int8))
+        for fn, arg in ((pi_me_form1, st), (energy_uniform_exact, sv), (is_perfect_mmes, st)):
+            tracemalloc.start()
+            try:
+                fn(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 << 20, f"{fn.__name__} peaked at {peak} bytes"
 
 
 class TestAvgLinearEntropy:

@@ -25,6 +25,7 @@ from mmeskit import (
     flip_delta,
     pi_me_uniform,
 )
+from mmeskit.bipartite import _gram_sum_denominator, _kept_bipartitions, _kept_count
 from mmeskit.search import MAX_ANNEAL_STATE_BYTES, _GramState, _state_bytes
 
 
@@ -93,29 +94,31 @@ class TestFlipDelta:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_gram_walk_is_exact_at_every_step(self, n):
         rng = np.random.default_rng(200 + n)
+        denom = _gram_sum_denominator(n)
         state = _GramState(n, random_signs(n, n).signs.astype(np.int64))
         energy = energy_uniform_exact(SignVector(n, state.z.astype(np.int8)))
-        assert Fraction(int(state.total()), state.denom) == energy
+        assert Fraction(int(state.total()), denom) == energy
         for _ in range(40):
             j = int(rng.integers(1 << n))
             delta = int(state.delta(j, -state.z[j]))
             state.set(j, -state.z[j])
             after = energy_uniform_exact(SignVector(n, state.z.astype(np.int8)))
-            assert Fraction(delta, state.denom) == after - energy
+            assert Fraction(delta, denom) == after - energy
             energy = after
-        assert Fraction(int(state.total()), state.denom) == energy
+        assert Fraction(int(state.total()), denom) == energy
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_phase_walk_tracks_the_potential(self, n):
         rng = np.random.default_rng(300 + n)
         N = 1 << n
         moduli = np.full(N, 1.0 / np.sqrt(N))
+        denom = _gram_sum_denominator(n)
         state = _GramState(n, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N)))
-        value = state.total() / state.denom
+        value = state.total() / denom
         for step in range(3000):
             j = int(rng.integers(N))
             new = state.z[j] * np.exp(1j * rng.uniform(-np.pi, np.pi))
-            value += state.delta(j, new) / state.denom
+            value += state.delta(j, new) / denom
             state.set(j, new)
             if step % 300 == 299:
                 exact = pi_me_uniform(PolarState(n, moduli, state.z.copy()))
@@ -274,6 +277,7 @@ class TestAnneal:
 
     @pytest.mark.parametrize("move, itemsize", [("sign_flip", 8), ("phase_rotation", 16)])
     def test_gram_state_is_refused_before_allocation(self, move, itemsize):
+        assert all(_kept_count(n) == len(_kept_bipartitions(n)[0]) for n in range(2, 13))
         assert _state_bytes(13, itemsize) <= MAX_ANNEAL_STATE_BYTES < _state_bytes(14, itemsize)
         cfg = AnnealConfig(beta_schedule=[(1.0, 1)], move=move, seed=0)
         tracemalloc.start()

@@ -254,6 +254,16 @@ class TestJson:
         with pytest.raises(ValueError):
             state_from_json({"n": 2, "format": "complex", "data": [[1.0, 0.0]] * 3})
 
+    @pytest.mark.parametrize("bad", [True, False, "1", None, [1]])
+    def test_non_number_amplitude_components_are_rejected(self, bad):
+        for data in ([[bad, 0], [0, 0], [0, 0], [0, 0]], [[1, 0], [0, 0], [0, 0], [0, bad]]):
+            with pytest.raises(ValueError, match=r"list of \[re, im\] pairs"):
+                state_from_json({"n": 2, "format": "complex", "data": data})
+
+    def test_integer_amplitude_components_are_read_as_numbers(self):
+        st = state_from_json({"n": 2, "format": "complex", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]})
+        assert np.array_equal(st.amplitudes, [1, 0, 0, 0])
+
     @pytest.mark.parametrize("n", [2.9, 2.0, True, "3", None])
     def test_non_integer_qubit_count_is_rejected(self, n):
         with pytest.raises(ValueError, match="JSON integer"):
