@@ -7,19 +7,23 @@ Features:
 - the Gram matrices of the balanced bipartitions, streamed one at a time:
   the single evaluation core behind every potential, verdict, sweep and
   anneal (integer Grams for sign vectors, so those stay exact)
+- a per-n layout of the balanced bipartitions, built once for each of the
+  last few n: the tensor transpose that gives each M_A and the subsets an
+  exact sum keeps, so the evaluations repeat no bipartition bookkeeping
 - the exact Gram sum of sign vectors, each complementary pair of balanced
   subsets counted once, and its C(n, n/2) N^2 normaliser
 - purity in two algebraically equivalent forms: Frobenius norm of the
   reduced density matrix (Form 1) and the XOR-indexed amplitude quadruple
-  sum (Form 2, the paper's expansion, kept as an independent cross-check)
+  sum (Form 2, the paper's expansion, kept as an independent cross-check),
+  its values of h gathered in blocks of about XOR_BLOCK amplitudes
 - Schmidt spectrum with explicit bookkeeping of numerical zeros
 - normalized entanglement measures: spectral E_A and linear entropy L_A
 - exact counts of the three purity monomial classes
 - purity of uniform-modulus states straight from the phase vector
 
 All purity paths agree within 1e-12 on normalized states; the quadruple
-sums are compensated with math.fsum so results do not depend on summation
-chunking.
+sums are compensated with math.fsum over one numpy sum per term, so
+results do not depend on how the terms are blocked.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -56,6 +60,9 @@ SCHMIDT_CUTOFF = 1e-12
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGEN_TOL = 1e-10
+
+# The XOR quadruple sums gather about this many amplitudes per block of terms.
+XOR_BLOCK = 4096
 
 
 @dataclass(eq=False, frozen=True)
@@ -141,28 +148,58 @@ def _proper_mask(A: Union[QubitMask, int], n: int) -> QubitMask:
     return QubitMask(mask, n)
 
 
-def _matricize(amplitudes: np.ndarray, n: int, m: QubitMask) -> np.ndarray:
+def _axes(mask: int, n: int) -> tuple[int, ...]:
+    """Transpose of a (batch, 2, ..., 2) amplitude tensor that gives M_A:
+    the batch axis, then the qubits of A, then those of Abar, ascending."""
+    inside = tuple(i for i in range(1, n + 1) if mask >> (n - i) & 1)
+    return (0,) + inside + tuple(i for i in range(1, n + 1) if i not in inside)
+
+
+def _matricize(amplitudes: np.ndarray, axes: tuple[int, ...], rows: int) -> np.ndarray:
     """The amplitudes reshaped to M_A: (sub-index of A) x (sub-index of Abar).
 
-    Leading axes are kept, so a (..., 2^n) batch gives (..., N_A, N_Abar).
-    Applied to arange(2^n) it gives the basis index at each entry of M_A.
+    `axes` comes from _axes and `rows` is N_A.  Leading axes are kept, so a
+    (..., 2^n) batch gives (..., N_A, N_Abar).  Applied to arange(2^n) it
+    gives the basis index at each entry of M_A.
     """
-    lead = amplitudes.shape[:-1]
-    k = len(lead)
-    axes = list(range(k)) + [k + i - 1 for i in m.qubits() + m.complement().qubits()]
-    t = amplitudes.reshape(lead + (2,) * n).transpose(axes)
-    return t.reshape(lead + (1 << m.size, -1))
+    t = amplitudes.reshape((-1,) + (2,) * (len(axes) - 1)).transpose(axes)
+    return t.reshape(amplitudes.shape[:-1] + (rows, -1))
 
 
-def _gram(amplitudes: np.ndarray, n: int, m: QubitMask) -> np.ndarray:
+def _gram(amplitudes: np.ndarray, axes: tuple[int, ...], rows: int) -> np.ndarray:
     """M M^H for the amplitudes reshaped to (sub-index of A) x (sub-index of Abar).
 
     Entry (l, l') is sum_m z at (l, m) times conj(z at (l', m)).  Keeps the
     input dtype, so an int64 sign vector gives an exact integer matrix, and
     any leading batch axes.
     """
-    t = _matricize(amplitudes, n, m)
+    t = _matricize(amplitudes, axes, rows)
     return t @ t.conj().swapaxes(-1, -2)
+
+
+class _Layout(NamedTuple):
+    """Bookkeeping of the balanced bipartitions of n qubits, shared by every
+    evaluation at that n."""
+
+    axes: tuple[tuple[int, ...], ...]  # _axes of each A, in balanced_bipartitions order
+    rows: int  # N_A = 2^floor(n/2)
+    kept: tuple[tuple[int, ...], ...]  # _axes of the subsets an exact sum runs over
+    weight: int  # how often each kept subset counts
+
+
+@lru_cache(maxsize=8)
+def _layout(n: int) -> _Layout:
+    """The balanced layout of n qubits, built once for each of the last few n.
+
+    At even n, A and its complement are both balanced, and their Gram
+    matrices M M^H and M^H M have the same Frobenius norm, so an exact sum
+    keeps only the subsets containing qubit 1, each counting twice.
+    """
+    weight = 2 - n % 2
+    subsets = balanced_bipartitions(n)
+    axes = tuple(_axes(A.mask, n) for A in subsets)
+    kept = tuple(a for a, A in zip(axes, subsets) if weight == 1 or A.mask >> (n - 1))
+    return _Layout(axes, 1 << (n // 2), kept, weight)
 
 
 def _balanced_grams(amplitudes: np.ndarray, n: int) -> Iterator[np.ndarray]:
@@ -171,25 +208,12 @@ def _balanced_grams(amplitudes: np.ndarray, n: int) -> Iterator[np.ndarray]:
     Yielded one at a time.  For a normalized state these are the balanced
     reduced density matrices, and each one's squared Frobenius norm is a purity.
     """
-    return (_gram(amplitudes, n, A) for A in balanced_bipartitions(n))
-
-
-@lru_cache(maxsize=1)
-def _kept_bipartitions(n: int) -> tuple[tuple[QubitMask, ...], int]:
-    """Balanced subsets an exact Gram sum runs over, and the weight of each.
-
-    At even n, A and its complement are both balanced, and their Gram
-    matrices M M^H and M^H M have the same Frobenius norm, so only the
-    subsets containing qubit 1 are kept, each counting twice.  The last n
-    asked for is cached, for the sweep's repeated block sums.
-    """
-    weight = 2 - n % 2
-    kept = (A for A in balanced_bipartitions(n) if weight == 1 or A.mask >> (n - 1))
-    return tuple(kept), weight
+    layout = _layout(n)
+    return (_gram(amplitudes, axes, layout.rows) for axes in layout.axes)
 
 
 def _kept_count(n: int) -> int:
-    """Number of subsets _kept_bipartitions(n) keeps, without listing them."""
+    """Number of subsets _layout(n) keeps, without listing them."""
     return binomial(n, n // 2) // (2 - n % 2)
 
 
@@ -203,20 +227,26 @@ def _sign_gram_sum(signs: np.ndarray, n: int):
     """Exact T = sum over balanced A of ||M_A M_A^T||_F^2 for int64 signs.
 
     Leading batch axes are kept, and each complementary pair is summed once
-    (see _kept_bipartitions).  One bipartition's sum is at most N^2 <= 2^48,
-    so int64 holds it; the total, up to C(n, n/2) N^2, overflows int64 from
-    n = 22 on, and there it is added in Python ints.
+    (see _layout).  One bipartition's sum is at most N^2 <= 2^48, so int64
+    holds it; the total, up to C(n, n/2) N^2, overflows int64 from n = 22
+    on, and there it is added in Python ints.
     """
-    subsets, weight = _kept_bipartitions(n)
+    layout = _layout(n)
     acc = np.int64 if _gram_sum_denominator(n) < 1 << 63 else object
-    grams = (_gram(signs, n, A) for A in subsets)
-    return weight * sum(np.einsum("...ij,...ij->...", G, G).astype(acc) for G in grams)
+    grams = (_gram(signs, axes, layout.rows) for axes in layout.kept)
+    return layout.weight * sum(np.einsum("...ij,...ij->...", G, G).astype(acc) for G in grams)
+
+
+def _xor_blocks(N: int, count: int) -> Iterator[slice]:
+    """Slices of `count` terms of N amplitudes each, about XOR_BLOCK amplitudes per slice."""
+    step = max(1, XOR_BLOCK // N)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> DensityMatrix:
     """Partial trace over the complement of A, as the Gram matrix of A."""
     m = _proper_mask(A, state.n)
-    return DensityMatrix(_gram(state.amplitudes, state.n, m))
+    return DensityMatrix(_gram(state.amplitudes, _axes(m.mask, state.n), 1 << m.size))
 
 
 def purity_form1(state: PureState, A: Union[QubitMask, int]) -> float:
@@ -229,19 +259,20 @@ def purity_form2(state: PureState, A: Union[QubitMask, int]) -> float:
 
     pi_A = sum over k, h of z_k z_{k xor h} conj(z_{k xor h_A})
     conj(z_{k xor h_Abar}), with h_A the A-part of h.  Never builds the
-    reduced matrix; one compensated pass over the 2^n values of h.
+    reduced matrix; one numpy sum per h, the 2^n of them compensated.
     """
     m = _proper_mask(A, state.n)
     N = 1 << state.n
     z = state.amplitudes
     zc = z.conj()
     ks = np.arange(N, dtype=np.intp)
+    h = ks[:, None]
+    h_a = h & m.mask
+    h_b = h ^ h_a
     parts = []
-    for h in range(N):
-        h_a = h & m.mask
-        h_b = h ^ h_a
-        term = z * z[ks ^ h] * zc[ks ^ h_a] * zc[ks ^ h_b]
-        parts.append(float(np.sum(term).real))
+    for b in _xor_blocks(N, N):
+        term = z * z[ks ^ h[b]] * zc[ks ^ h_a[b]] * zc[ks ^ h_b[b]]
+        parts.extend(term.sum(axis=1).real.tolist())
     return math.fsum(parts)
 
 
@@ -312,13 +343,12 @@ def purity_uniform(p: PolarState, A: Union[QubitMask, int]) -> float:
     zeta = p.phases
     zc = zeta.conj()
     ks = np.arange(N, dtype=np.intp)
+    ls = np.array([l for l in submasks(m.mask) if l], dtype=np.intp)
+    ms = np.array([x for x in submasks(m.complement().mask) if x], dtype=np.intp)
+    l = np.repeat(ls, ms.size)[:, None]
+    mm = np.tile(ms, ls.size)[:, None]
     parts = []
-    for l in submasks(m.mask):
-        if l == 0:
-            continue
-        for mm in submasks(m.complement().mask):
-            if mm == 0:
-                continue
-            term = zeta * zc[ks ^ l] * zeta[ks ^ l ^ mm] * zc[ks ^ mm]
-            parts.append(float(np.sum(term).real))
+    for b in _xor_blocks(N, l.size):
+        term = zeta * zc[ks ^ l[b]] * zeta[ks ^ l[b] ^ mm[b]] * zc[ks ^ mm[b]]
+        parts.extend(term.sum(axis=1).real.tolist())
     return (n_a_dim + n_b_dim - 1) / N + math.fsum(parts) / (N * N)

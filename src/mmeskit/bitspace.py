@@ -6,6 +6,7 @@ Features:
   k_1 k_2 ... k_n reads literally as the numeral of the integer
 - subsystem masks (QubitMask) with canonicalizing bipartition constructor
 - enumeration of balanced bipartitions in deterministic ascending order
+  (`bipartite` builds its per-n evaluation layout from it once per n)
 - extraction / embedding of sub-indices between X^A and X^n
 - exact binomial / multinomial coefficients with the zero-stipulation
   convention for out-of-range arguments

@@ -202,8 +202,8 @@ def marginal_uniformity_gap(P: PopulationVector) -> float:
     for size in range(1, n // 2 + 1):
         flat = 1.0 / (1 << size)
         for drop in combinations(range(n), n - size):
-            gap = max(gap, float(np.max(np.abs(t.sum(axis=drop) - flat))))
-    return gap
+            gap = max(gap, np.abs(t.sum(axis=drop) - flat).max())
+    return float(gap)
 
 
 def _balanced_gaps(state: PureState) -> tuple[float, float]:
@@ -215,11 +215,11 @@ def _balanced_gaps(state: PureState) -> tuple[float, float]:
     flat = 1.0 / (1 << (state.n // 2))
     purity_gap = phase_res = 0.0
     for rho in _balanced_grams(state.amplitudes, state.n):
-        purity_gap = max(purity_gap, abs(float(np.vdot(rho, rho).real) - flat))
-        off = np.abs(rho)
-        np.fill_diagonal(off, 0.0)
-        phase_res = max(phase_res, float(np.max(off)))
-    return purity_gap, phase_res
+        purity_gap = max(purity_gap, abs(np.vdot(rho, rho).real - flat))
+        off = np.abs(rho).ravel()
+        off[:: rho.shape[0] + 1] = 0.0  # the diagonal
+        phase_res = max(phase_res, off.max())
+    return float(purity_gap), float(phase_res)
 
 
 def phase_equation_residual(state: PureState) -> float:

@@ -28,9 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bipartite import (
-    _gram_sum_denominator, _kept_bipartitions, _kept_count, _matricize, _sign_gram_sum
-)
+from .bipartite import _gram_sum_denominator, _kept_count, _layout, _matricize, _sign_gram_sum
 from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
 
@@ -155,17 +153,19 @@ class _GramState:
     """M_A and G_A = M_A M_A^H of every kept balanced A, one site at a time.
 
     Amplitude j sits at entry (r_A(j), c_A(j)) of M_A; the layout is the
-    reshape of `bipartite._matricize` applied to the basis indices.  T is
+    reshape of `bipartite._matricize` applied to the basis indices, for the
+    subsets that `bipartite._layout` keeps.  T is
     the weighted sum of ||G_A||_F^2, so the potential of the unnormalized
     vector z is T / bipartite._gram_sum_denominator(n).  Integer z (signs)
     keeps T exact.
     """
 
     def __init__(self, n: int, z: np.ndarray) -> None:
-        subsets, self.weight = _kept_bipartitions(n)
+        layout = _layout(n)
+        self.weight = layout.weight
         N = 1 << n
         # M_A is stored transposed, so that the column of a site is contiguous
-        sites = np.array([_matricize(np.arange(N), n, A).T for A in subsets])
+        sites = np.array([_matricize(np.arange(N), axes, layout.rows).T for axes in layout.kept])
         kept, n_b, n_a = sites.shape
         self.pick = np.arange(kept)
         self.rows = np.empty((N, kept), dtype=np.intp)

@@ -19,9 +19,11 @@ and safe to share between callers.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
@@ -340,6 +342,22 @@ def state_to_json(obj: Union[PureState, SignVector]) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _complex_pairs(data) -> np.ndarray:
+    """[[re, im], ...] as complex128, read as one float64 array.
+
+    Components must be real numbers other than booleans, checked once per
+    type present, because numpy would read true as 1.0, "1.0" as 1.0 and
+    null as nan.
+    """
+    if not isinstance(data, (list, tuple)) or not set(map(len, data)) <= {2}:
+        raise ValueError("amplitudes must be [re, im] pairs")
+    for kind in set(map(type, chain.from_iterable(data))):
+        if not issubclass(kind, numbers.Real) or kind is bool:
+            raise TypeError(f"{kind.__name__} is not an amplitude component")
+    flat = np.fromiter(chain.from_iterable(data), dtype=np.float64, count=2 * len(data))
+    return flat.view(np.complex128)
+
+
 def state_from_json(doc: dict) -> Union[PureState, SignVector]:
     """Parse the JSON layout back into a PureState or SignVector.
 
@@ -368,11 +386,8 @@ def state_from_json(doc: dict) -> Union[PureState, SignVector]:
         return sv
     if fmt == "complex":
         try:
-            # complex() refuses every other non-number but reads true and false as 1 and 0
-            if any(isinstance(x, bool) for pair in data for x in pair):
-                raise TypeError("JSON true and false are not amplitude components")
-            amp = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-        except (TypeError, ValueError) as exc:
+            amp = _complex_pairs(data)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError("complex-format data must be a list of [re, im] pairs") from exc
         if amp.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes for n={n}, got {amp.shape[0]}")

@@ -7,6 +7,7 @@ from the library's vectorized code paths.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,7 +23,8 @@ from mmeskit import (
     population_from_walsh,
     walsh_coefficients,
 )
-from mmeskit.bitspace import embed_table
+from mmeskit.bitspace import embed_table, submasks, weight
+from mmeskit.potential import _g_hat_core
 
 
 def place_bits(n: int, qubits, sub: int) -> int:
@@ -111,6 +113,66 @@ def walsh_marginal_gap(P: PopulationVector) -> float:
             got = population_from_walsh(WalshCoefficients(size, sub)).probabilities
             gap = max(gap, float(np.max(np.abs(got - 1.0 / (1 << size)))))
     return gap
+
+
+# One numpy sum per h, per table entry or per (l, m) pair, one term at a
+# time: the loops the library gathers into blocks.  Their floats must match
+# the blocked versions bit for bit.
+
+
+def loop_purity_form2(state: PureState, A: QubitMask) -> float:
+    N = 1 << state.n
+    z = state.amplitudes
+    zc = z.conj()
+    ks = np.arange(N)
+    parts = []
+    for h in range(N):
+        h_a = h & A.mask
+        h_b = h ^ h_a
+        term = z * z[ks ^ h] * zc[ks ^ h_a] * zc[ks ^ h_b]
+        parts.append(float(np.sum(term).real))
+    return math.fsum(parts)
+
+
+def loop_purity_uniform(zeta: np.ndarray, n: int, A: QubitMask) -> float:
+    N = 1 << n
+    zc = zeta.conj()
+    ks = np.arange(N)
+    parts = []
+    for l in submasks(A.mask):
+        for m in submasks(A.complement().mask):
+            if l and m:
+                term = zeta * zc[ks ^ l] * zeta[ks ^ l ^ m] * zc[ks ^ m]
+                parts.append(float(np.sum(term).real))
+    return ((1 << A.size) + (1 << (n - A.size)) - 1) / N + math.fsum(parts) / (N * N)
+
+
+def loop_pi_me_form2(state: PureState, table=None) -> float:
+    n = state.n
+    N = 1 << n
+    z = state.amplitudes
+    zc = z.conj()
+    p = np.abs(z) ** 2
+    ks = np.arange(N)
+    parts = [float(np.dot(p, p))]
+    for l in range(1, N):
+        w = _g_hat_core(weight(l), 0, n, n // 2)
+        if w:
+            parts.append(2.0 * float(w) * float(np.dot(p, p[ks ^ l])))
+    for l, m, w in (table or build_coupling_table(n)).entries:
+        term = z * z[ks ^ (l ^ m)] * zc[ks ^ l] * zc[ks ^ m]
+        parts.append(float(w) * float(np.sum(term).real))
+    return math.fsum(parts)
+
+
+def loop_pi_me_form4(state: PureState, table=None) -> float:
+    z = state.amplitudes
+    ks = np.arange(1 << state.n)
+    deficit = []
+    for l, m, w in (table or build_coupling_table(state.n)).entries:
+        d = z * z[ks ^ (l ^ m)] - z[ks ^ l] * z[ks ^ m]
+        deficit.append(float(w) * float(np.sum(d.real * d.real + d.imag * d.imag)))
+    return 1.0 - 0.5 * math.fsum(deficit)
 
 
 def naive_wht(vec: np.ndarray) -> np.ndarray:

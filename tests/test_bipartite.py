@@ -9,10 +9,13 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import haar_unitary, naive_purity, naive_reduced_density
+from helpers import (
+    haar_unitary, loop_purity_form2, loop_purity_uniform, naive_purity, naive_reduced_density
+)
 from mmeskit import (
     DensityMatrix,
     QubitMask,
+    SignVector,
     apply_single_qubit_unitary,
     bipartite_term_counts,
     entanglement_E,
@@ -30,6 +33,7 @@ from mmeskit import (
     reduced_density_matrix,
     schmidt_spectrum,
     assemble,
+    uniform_from_signs,
 )
 
 
@@ -96,6 +100,32 @@ class TestReducedDensityMatrix:
             reduced_density_matrix(ghz(2), 0b00)
         with pytest.raises(ValueError):
             reduced_density_matrix(ghz(2), 0b11)
+
+
+def sample_subsets(n, rng, count=6):
+    """Every proper subset for n <= 4; otherwise sizes 1, n/2 and n - 1 and random others."""
+    if n <= 4:
+        return [QubitMask.from_qubits(q, n) for q in proper_subsets(n)]
+    sizes = [1, n // 2, n - 1] + [int(x) for x in rng.integers(1, n, count - 3)]
+    return [QubitMask.from_qubits(rng.choice(np.arange(1, n + 1), k, replace=False), n) for k in sizes]
+
+
+class TestBlockedXorSums:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_purity_form2_is_the_per_h_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng(300 + n)
+        for seed in range(2):
+            st = random_state(n, 3000 + 10 * n + seed)
+            for A in sample_subsets(n, rng):
+                assert purity_form2(st, A) == loop_purity_form2(st, A)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_purity_uniform_is_the_per_pair_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng(400 + n)
+        signs = rng.choice((-1.0, 1.0), size=1 << n)
+        for p in (random_phases(n, 4000 + n), polar(uniform_from_signs(SignVector(n, signs)))):
+            for A in sample_subsets(n, rng):
+                assert purity_uniform(p, A) == loop_purity_uniform(p.phases, n, A)
 
 
 class TestPurity:

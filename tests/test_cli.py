@@ -342,11 +342,47 @@ class TestErrorsAndFiles:
 
     def test_console_script_smoke(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "mmeskit.cli", "counts", "--n-max", "3"],
+            [sys.executable, "-m", "mmeskit", "counts", "--n-max", "3"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
+        assert proc.stderr == ""
         assert proc.stdout.splitlines()[0].split("\t")[0] == "2"
+
+
+# stdout of verify, potential and purity --form 1/2 (on SUBSETS[n]) as printed
+# by the one-term-at-a-time XOR loops and the per-amplitude complex() reader,
+# which the blocked sums and the array reader must reproduce byte for byte:
+# (n, seed of random_state or "mixed", verify, potential, form 1, form 2).
+PINNED = [
+    (6, 0, '{"is_perfect":false,"n":6,"tolerance":1e-09,"worst_marginal_gap":0.12061578940769913,"worst_phase_residual":0.10037268435964274,"worst_purity_gap":0.16195678962677967}', '0.24496079629872325', '0.3152319483402246', '0.3152319483402248'),
+    (6, 1, '{"is_perfect":false,"n":6,"tolerance":1e-09,"worst_marginal_gap":0.2170002074343914,"worst_phase_residual":0.12672336413939542,"worst_purity_gap":0.1679340670575118}', '0.26613692640501774', '0.3342233112759971', '0.334223311275997'),
+    (8, 0, '{"is_perfect":false,"n":8,"tolerance":1e-09,"worst_marginal_gap":0.10759470847015468,"worst_phase_residual":0.051139860544137196,"worst_purity_gap":0.07486743958944225}', '0.12552560938735077', '0.1305299937735458', '0.1305299937735458'),
+    (8, 1, '{"is_perfect":false,"n":8,"tolerance":1e-09,"worst_marginal_gap":0.08653944740402186,"worst_phase_residual":0.04546422741412737,"worst_purity_gap":0.07506013265997558}', '0.12747904464125007', '0.13659025667206104', '0.136590256672061'),
+    (10, 0, '{"is_perfect":false,"n":10,"tolerance":1e-09,"worst_marginal_gap":0.03962764687643905,"worst_phase_residual":0.019306788181533995,"worst_purity_gap":0.034536594577497665}', '0.06201578707167371', '0.06064037024445109', '0.06064037024445109'),
+    (10, 1, '{"is_perfect":false,"n":10,"tolerance":1e-09,"worst_marginal_gap":0.04192825665264699,"worst_phase_residual":0.021756880762487423,"worst_purity_gap":0.03391921717165487}', '0.06221116382567331', '0.06296742477503924', '0.06296742477503924'),
+    (2, "mixed", '{"is_perfect":true,"n":2,"tolerance":1e-09,"worst_marginal_gap":0.0,"worst_phase_residual":0.0,"worst_purity_gap":0.0}', '0.5', '0.5', '0.5'),
+]
+SUBSETS = {2: "2", 6: "1,3", 8: "2,3,5,8", 10: "1,4,5,9,10"}
+# integer components and -0.0 next to floats
+MIXED = {"n": 2, "format": "complex", "data": [[0.5, -0.0], [0.5, 0], [0, 0.5], [-0.0, -0.5]]}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("n, seed, verify, potential, form1, form2", PINNED)
+    def test_stdout_is_unchanged(self, capture, tmp_path, n, seed, verify, potential, form1, form2):
+        path = str(tmp_path / "state.json")
+        if seed == "mixed":
+            (tmp_path / "state.json").write_text(json.dumps(MIXED))
+        else:
+            write_state(path, random_state(n, seed))
+        assert capture(["verify", path]) == (0, verify + "\n", "")
+        pretty = json.dumps(json.loads(verify), sort_keys=True, indent=2) + "\n"
+        assert capture(["verify", path, "--pretty"]) == (0, pretty, "")
+        assert capture(["potential", "--file", path]) == (0, potential + "\n", "")
+        for form, want in (("1", form1), ("2", form2)):
+            argv = ["purity", "--file", path, "--subset", SUBSETS[n], "--form", form]
+            assert capture(argv) == (0, want + "\n", "")
 
 
 def read_signs(text):

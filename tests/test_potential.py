@@ -15,8 +15,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import all_bipartition_sign_sum, table_energy_exact, unit_phases
+from helpers import (
+    all_bipartition_sign_sum, loop_pi_me_form2, loop_pi_me_form4, table_energy_exact, unit_phases
+)
 from mmeskit import (
+    CouplingTable,
     QubitMask,
     SignVector,
     admissible_q,
@@ -47,6 +50,7 @@ from mmeskit import (
     uniform_from_signs,
     weight,
 )
+from mmeskit import bipartite
 from mmeskit.bipartite import _sign_gram_sum
 from mmeskit.potential import MonomialCounts
 
@@ -269,6 +273,26 @@ class TestPotentialForms:
         assert pi_me_form2(ghz(3)) == pytest.approx(0.5, abs=1e-14)
 
 
+class TestBlockedXorSums:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_forms_two_and_four_are_the_per_entry_loops_bit_for_bit(self, n):
+        for seed in range(1 if n == 9 else 2):
+            st = random_state(n, 5000 + 10 * n + seed)
+            assert pi_me_form2(st) == loop_pi_me_form2(st)
+            assert pi_me_form4(st) == loop_pi_me_form4(st)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_each_table_entry_keeps_its_own_sum(self, n):
+        # one entry scaled by 2^40 dominates the result, so a change in the
+        # last bit of that entry's sum changes the potential
+        st = random_state(n, 5500 + n)
+        table = build_coupling_table(n)
+        for l, m, w in table.entries[:: max(1, len(table.entries) // 8)]:
+            one = CouplingTable(n, table.n_a, ((l, m, w * (1 << 40)),), table.constant)
+            assert pi_me_form2(st, one) == loop_pi_me_form2(st, one)
+            assert pi_me_form4(st, one) == loop_pi_me_form4(st, one)
+
+
 class TestUniformPotential:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_general_path_on_phase_states(self, n):
@@ -305,6 +329,22 @@ class TestUniformPotential:
             assert batched == want
             assert energy_uniform_exact(sv) == Fraction(want, math.comb(n, n // 2) << (2 * n))
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_python_int_sums_equal_the_int64_sums(self, n, monkeypatch):
+        rng = np.random.default_rng(90 + n)
+        signs = rng.choice((-1, 1), size=(3, 1 << n)).astype(np.int64)
+        batched = _sign_gram_sum(signs, n)
+        single = [_sign_gram_sum(s, n) for s in signs]
+        # a normaliser of 2^63 or more selects the Python-int accumulator, as from n = 22
+        monkeypatch.setattr(bipartite, "_gram_sum_denominator", lambda n: 1 << 63)
+        wide = _sign_gram_sum(signs, n)
+        assert batched.dtype == np.int64 and wide.dtype == object
+        assert all(type(x) is int for x in wide)
+        assert wide.tolist() == batched.tolist()
+        for s, want in zip(signs, single):
+            got = _sign_gram_sum(s, n)
+            assert type(got) is int and got == want
+
     def test_sign_energy_matches_float_pipeline(self):
         rng = np.random.default_rng(4)
         for n in (3, 4, 5):
@@ -320,6 +360,8 @@ class TestStreamedGrams:
         st = random_state(12, 5)
         rng = np.random.default_rng(12)
         sv = SignVector(12, rng.choice((-1, 1), size=1 << 12).astype(np.int8))
+        # the first call builds the n=12 bipartition layout, and is traced too
+        bipartite._layout.cache_clear()
         for fn, arg in ((pi_me_form1, st), (energy_uniform_exact, sv), (is_perfect_mmes, st)):
             tracemalloc.start()
             try:

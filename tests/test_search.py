@@ -25,7 +25,7 @@ from mmeskit import (
     flip_delta,
     pi_me_uniform,
 )
-from mmeskit.bipartite import _gram_sum_denominator, _kept_bipartitions, _kept_count
+from mmeskit.bipartite import _gram_sum_denominator, _kept_count, _layout
 from mmeskit.search import MAX_ANNEAL_STATE_BYTES, _GramState, _state_bytes
 
 
@@ -277,7 +277,7 @@ class TestAnneal:
 
     @pytest.mark.parametrize("move, itemsize", [("sign_flip", 8), ("phase_rotation", 16)])
     def test_gram_state_is_refused_before_allocation(self, move, itemsize):
-        assert all(_kept_count(n) == len(_kept_bipartitions(n)[0]) for n in range(2, 13))
+        assert all(_kept_count(n) == len(_layout(n).kept) for n in range(2, 13))
         assert _state_bytes(13, itemsize) <= MAX_ANNEAL_STATE_BYTES < _state_bytes(14, itemsize)
         cfg = AnnealConfig(beta_schedule=[(1.0, 1)], move=move, seed=0)
         tracemalloc.start()

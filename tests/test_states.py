@@ -254,11 +254,37 @@ class TestJson:
         with pytest.raises(ValueError):
             state_from_json({"n": 2, "format": "complex", "data": [[1.0, 0.0]] * 3})
 
-    @pytest.mark.parametrize("bad", [True, False, "1", None, [1]])
+    @pytest.mark.parametrize(
+        "bad", [True, False, "1", None, [1], np.bool_(True), "1.0", [1, 0], 10**400]
+    )
     def test_non_number_amplitude_components_are_rejected(self, bad):
         for data in ([[bad, 0], [0, 0], [0, 0], [0, 0]], [[1, 0], [0, 0], [0, 0], [0, bad]]):
             with pytest.raises(ValueError, match=r"list of \[re, im\] pairs"):
                 state_from_json({"n": 2, "format": "complex", "data": data})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [[1, 0], [0]],
+            [[1, 0], []],
+            [[1, 0, 0], [0, 0, 0]],
+            [[1, 0], [0, 0, 0]],
+            [[1, 0], 0],
+            [[1, 0], "00"],
+            "1000",
+            {"re": [1, 0], "im": [0, 0]},
+            5,
+            None,
+        ],
+    )
+    def test_data_that_is_not_a_list_of_pairs_is_rejected(self, data):
+        with pytest.raises(ValueError, match=r"list of \[re, im\] pairs"):
+            state_from_json({"n": 1, "format": "complex", "data": data})
+
+    def test_numpy_real_components_are_read_as_numbers(self):
+        data = [[np.float64(0.6), np.int64(0)], [np.float32(0.0), -0.8]]
+        st = state_from_json({"n": 1, "format": "complex", "data": data})
+        assert st.amplitudes.tolist() == [0.6, -0.8j]
 
     def test_integer_amplitude_components_are_read_as_numbers(self):
         st = state_from_json({"n": 2, "format": "complex", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]})
