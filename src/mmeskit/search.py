@@ -5,9 +5,13 @@ Features:
   integer Gram sums of `bipartite`; floats enter only at the interface
 - incremental single-site moves on the Gram state: changing one amplitude
   changes one entry of every M_A, so each Gram matrix G_A = M_A M_A^H
-  takes a rank-one update of one row and column; sign flips stay exact
-  integers, and the state is refused before allocation when it would
-  exceed 1 GiB
+  takes a rank-one update of one row and column; the G_A rows and the M_A
+  columns share one row buffer, so a proposal gathers what it reads with
+  one take and an accept writes back from the same rows; sign flips stay
+  exact integers, and the state is refused before allocation when it
+  would exceed 1 GiB
+- single sign-flip energy changes without a Gram state, in
+  O(C(n, n/2) 2^n)
 - exhaustive Gray-code enumeration of all sign vectors in batched blocks
   of exact integer Gram sums, with exact minimum, exact tie counting and
   deterministic reports
@@ -28,7 +32,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bipartite import _gram_sum_denominator, _kept_count, _layout, _matricize, _sign_gram_sum
+from .bipartite import (
+    _gram_sum_denominator, _kept_count, _layout, _matricize, _sign_gram_sum, _xor_blocks
+)
 from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
 
@@ -141,20 +147,41 @@ def energy_uniform(signs: SignVector) -> float:
 
 
 def _state_bytes(n: int, itemsize: int) -> int:
-    """Peak size of building a _GramState: M_A, a conjugate copy of it and
-    G_A, plus three index arrays of one entry per site and kept subset."""
+    """Bound on the peak size of building a _GramState: its row buffer (G_A
+    and M_A^T), the conjugate copy of M_A that the Gram product reads, and
+    three index entries per site and kept subset: the two of the index
+    table and one of room for the temporaries of the build."""
     kept = _kept_count(n)
     n_a = 1 << (n // 2)
     N = 1 << n
     return kept * (2 * N + n_a * n_a) * itemsize + 3 * kept * N * 8
 
 
+def _delta(S, old, new, weight: int, kept: int, n_a: int, n_b: int):
+    """Change of T when z_j goes from `old` to `new`, with |new| = |old|.
+
+    S is the sum over the kept A of sum_k G_A[r, k] v_k, where r = r_A(j)
+    and v is the column c_A(j) of M_A.  With d = new - old, row r of G_A
+    moves by u = d conj(v) off the diagonal, and column r by conj(u).
+    Summed over A, the change is 2 (2 Re <G_A[r, :], u> + ||u||^2) =
+    4 Re(d conj(S - N_Abar old)) + 2 (N_A - 1) |d|^2 per A.  Python ints
+    give the exact integer change, numpy complex scalars its float.
+    """
+    d = new - old
+    shifted = S - kept * n_b * old
+    return weight * (4 * (d * shifted.conjugate()).real + 2 * kept * (n_a - 1) * abs(d) ** 2)
+
+
 class _GramState:
-    """M_A and G_A = M_A M_A^H of every kept balanced A, one site at a time.
+    """G_A = M_A M_A^H of every kept balanced A, one site at a time.
 
     Amplitude j sits at entry (r_A(j), c_A(j)) of M_A; the layout is the
     reshape of `bipartite._matricize` applied to the basis indices, for the
-    subsets that `bipartite._layout` keeps.  T is
+    subsets that `bipartite._layout` keeps.  One row buffer of width N_A
+    holds every G_A row, then every M_A column (the rows of M_A^T), and
+    index[j] lists the buffer rows of r_A(j) in each G_A, then those of
+    c_A(j) in each M_A^T.  A proposal is one `take` of those 2 kept rows and
+    one dot; the accept writes the update back from the same rows.  T is
     the weighted sum of ||G_A||_F^2, so the potential of the unnormalized
     vector z is T / bipartite._gram_sum_denominator(n).  Integer z (signs)
     keeps T exact.
@@ -162,65 +189,95 @@ class _GramState:
 
     def __init__(self, n: int, z: np.ndarray) -> None:
         layout = _layout(n)
-        self.weight = layout.weight
+        kept, n_a = len(layout.kept), layout.rows
         N = 1 << n
-        # M_A is stored transposed, so that the column of a site is contiguous
-        sites = np.array([_matricize(np.arange(N), axes, layout.rows).T for axes in layout.kept])
-        kept, n_b, n_a = sites.shape
-        self.pick = np.arange(kept)
-        self.rows = np.empty((N, kept), dtype=np.intp)
-        self.cols = np.empty((N, kept), dtype=np.intp)
-        self.rows[sites, self.pick[:, None, None]] = np.arange(n_a)
-        self.cols[sites, self.pick[:, None, None]] = np.arange(n_b)[:, None]
+        n_b = N // n_a
         self.z = z
-        self.Mt = z[sites]
-        self.G = self.Mt.swapaxes(1, 2) @ self.Mt.conj()
-        self.n_a, self.n_b = n_a, n_b
+        self.exact = z.dtype.kind == "i"
+        self.counts = (layout.weight, kept, n_a, n_b)
+        self.buffer = np.empty((kept * (n_a + n_b), n_a), dtype=z.dtype)
+        self.flat = self.buffer.reshape(-1)
+        G = self.buffer[: kept * n_a].reshape(kept, n_a, n_a)
+        Mt = self.buffer[kept * n_a :].reshape(kept, n_b, n_a)
+        self.columns = G.swapaxes(1, 2)  # columns[a, r] is column r of G_A
+        self.pick = np.arange(kept)
+        self.base = self.pick * n_a
+        self.index = np.empty((N, 2 * kept), dtype=np.intp)
+        basis = np.arange(N)
+        for a, axes in enumerate(layout.kept):
+            sites = _matricize(basis, axes, n_a)
+            self.index[sites, a] = a * n_a + np.arange(n_a)[:, None]
+            self.index[sites, kept + a] = kept * n_a + a * n_b + np.arange(n_b)
+            np.take(z, sites.T, out=Mt[a], mode="clip")  # in range; clip writes unbuffered
+        np.matmul(Mt.swapaxes(1, 2), Mt.conj(), out=G)
+        self.proposal = None
 
     def total(self):
         """T, the weighted sum of the squared Frobenius norms of the G_A."""
-        return self.weight * np.vdot(self.G, self.G).real
+        weight, kept, n_a, _ = self.counts
+        G = self.buffer[: kept * n_a]
+        return weight * np.vdot(G, G).real
 
     def delta(self, j: int, new):
-        """Change of T when z_j becomes `new`, with |new| = |z_j|.
+        """Change of T when z_j becomes `new`, with |new| = |z_j| (see _delta).
 
-        With d = new - z_j and v the column c_A(j) of M_A, row r = r_A(j)
-        of G_A moves by u = d conj(v) off the diagonal, and column r by
-        conj(u).  Summed over A, the change is 2 (2 Re <G_A[r, :], u> +
-        ||u||^2) = 4 Re(d conj(S - N_Abar z_j)) + 2 (N_A - 1) |d|^2 per A,
-        with S = sum_k G_A[r, k] v_k.  For signs this is the integer
-        -8 s_j S + 8 (N_A + N_Abar - 1).
+        Keeps the gathered rows for an accept of site j.
         """
-        r, c = self.rows[j], self.cols[j]
+        kept = self.counts[1]
+        rows = self.buffer.take(self.index[j], axis=0)
+        self.proposal = j, rows
+        S = np.dot(rows[:kept].ravel(), rows[kept:].ravel())
         old = self.z[j]
-        d = new - old
-        S = np.dot(self.G[self.pick, r, :].ravel(), self.Mt[self.pick, c, :].ravel())
-        kept = self.pick.size
-        shifted = S - kept * self.n_b * old
-        return self.weight * (
-            4 * (d * np.conj(shifted)).real + 2 * kept * (self.n_a - 1) * abs(d) ** 2
-        )
+        if self.exact:
+            S, old, new = int(S), int(old), int(new)
+        return _delta(S, old, new, *self.counts)
 
     def set(self, j: int, new) -> None:
-        """z_j = new, with the rank-one updates of every M_A and G_A."""
-        r, c = self.rows[j], self.cols[j]
-        u = (new - self.z[j]) * self.Mt[self.pick, c, :].conj()
-        u[self.pick, r] = 0
-        row = self.G[self.pick, r, :] + u
-        self.G[self.pick, r, :] = row
-        self.G[self.pick, :, r] = row.conj()  # G_A stays Hermitian
-        self.Mt[self.pick, c, r] = new
+        """z_j = new, with the rank-one updates of every G_A and M_A, from
+        the rows that the last proposal, delta(j, ...), gathered."""
+        if self.proposal is None or self.proposal[0] != j:
+            raise ValueError(f"site {j} is not the last proposed site")
+        rows = self.proposal[1]
+        self.proposal = None
+        kept, n_a = self.counts[1], self.counts[2]
+        at = self.index[j]
+        g = at[:kept]
+        r = g - self.base
+        u = (new - self.z[j]) * rows[kept:].conj()
+        u.put(g, 0)  # g[a] = a N_A + r_A(j) is also the flat index of u[a, r_A(j)]
+        u += rows[:kept]
+        self.buffer[g] = u
+        self.columns[self.pick, r] = u.conj()  # G_A stays Hermitian
+        self.flat[at[kept:] * n_a + r] = new
         self.z[j] = new
 
 
 def flip_delta(signs: SignVector, flip_index: int) -> float:
-    """Energy change from flipping one sign, without full re-evaluation."""
-    N = 1 << signs.n
-    if not 0 <= flip_index < N:
-        raise ValueError(f"flip index {flip_index} out of range for {N} sites")
-    state = _GramState(signs.n, signs.signs.astype(np.int64))
-    delta = int(state.delta(flip_index, -state.z[flip_index]))
-    return delta / _gram_sum_denominator(signs.n)
+    """Energy change from flipping one sign, without full re-evaluation.
+
+    Forms only the S of _delta, in O(C(n, n/2) N): for each kept A, the sum
+    over the sites s = (k, m) of M_A of z at (r, m), times z_s, times z at
+    (k, c), with (r, c) the entry of the flipped site j.  The site at (r, m)
+    takes its A-bits from j and its Abar-bits from s, the one at (k, c) the
+    other way round.
+    """
+    n = signs.n
+    N = 1 << n
+    j = flip_index
+    if not 0 <= j < N:
+        raise ValueError(f"flip index {j} out of range for {N} sites")
+    layout = _layout(n)
+    qubits = np.array(layout.kept)[:, 1 : 1 + n // 2]  # the qubits of each kept A
+    masks = (1 << (n - qubits)).sum(axis=1)[:, None]
+    z = signs.signs.astype(np.int64)
+    s = np.arange(N)
+    S = 0
+    for b in _xor_blocks(N, masks.size):
+        moved = (s ^ j) & masks[b]
+        S += int(((z[s ^ moved] * z[j ^ moved]) @ z).sum())
+    old = int(z[j])
+    delta = _delta(S, old, -old, layout.weight, masks.size, layout.rows, N // layout.rows)
+    return delta / _gram_sum_denominator(n)
 
 
 def exhaustive_search(

@@ -366,6 +366,18 @@ PINNED = [
 SUBSETS = {2: "2", 6: "1,3", 8: "2,3,5,8", 10: "1,4,5,9,10"}
 # integer components and -0.0 next to floats
 MIXED = {"n": 2, "format": "complex", "data": [[0.5, -0.0], [0.5, 0], [0, 0.5], [-0.0, -0.5]]}
+# stdout of seeded sign-flip anneals (n = 8, 9; two replicas; a negative beta)
+# as printed when the Gram state gathered rows and columns by separate
+# three-index lookups; the values are exact rationals, so the bytes do not
+# depend on the machine: (argv after "anneal", stdout).
+PINNED_ANNEAL = [
+    ('--n 8 --schedule 10:3,1000:3 --seed 0', '{"best_state":"+++------++++++-+-----+----+-++-+-++-+-++---+++---++-+-----+--+-++-----++--+++---+-+----+-+-+-----+---++++++--+-++-+++--+--++-+-+---+-----+-++-+-+++-----+--+++-+---++-++++---++-++++-+-+--+---+-++-+++-+-----+---+--++++---++---+-++-+++++-+-+-+--+--+--+------","evaluations":1537,"min_value":0.10997837611607143,"min_value_exact":"31533/286720","mode":"anneal","n":8,"objective":"minimize","replica_best_values":[0.10997837611607143],"sample_minimizers":["+++------++++++-+-----+----+-++-+-++-+-++---+++---++-+-----+--+-++-----++--+++---+-+----+-+-+-----+---++++++--+-++-+++--+--++-+-+---+-----+-++-+-+++-----+--+++-+---++-++++---++-++++-+-+--+---+-++-+++-+-----+---+--++++---++---+-++-+++++-+-+-+--+--+--+------"]}'),
+    ('--n 8 --schedule 10:3,1000:3 --seed 1', '{"best_state":"--++--+------++-+-+--+++----+-+--+-+---+-+++-+++------+++--++-++-+-+-+-++-+--+---+----++-+--++--++---++++--++--++++-+------+-----+-+++++--++-+++-+++++-+-++----+--+--+-----++++--+-++--+-+-+--+---++-++--+-----++++-+-+---++----+++--+------++++--++++--+-+-+---","evaluations":1537,"min_value":0.11089564732142858,"min_value_exact":"7949/71680","mode":"anneal","n":8,"objective":"minimize","replica_best_values":[0.11089564732142858],"sample_minimizers":["--++--+------++-+-+--+++----+-+--+-+---+-+++-+++------+++--++-++-+-+-+-++-+--+---+----++-+--++--++---++++--++--++++-+------+-----+-+++++--++-+++-+++++-+-++----+--+--+-----++++--+-++--+-+-+--+---++-++--+-----++++-+-+---++----+++--+------++++--++++--+-+-+---"]}'),
+    ('--n 9 --schedule 10:3,1000:3 --seed 0', '{"best_state":"-++++---++-+-++++-+-+---+-++---+-+--++----++-------+-+-+--+-+--++--++++-++-+-+--++-++-+++--++++-------+---++-+++--+-++-++-+--+--+---++--+-+-+-++--+-+--+++---+--+--++-++--++--+-+---+--+-+---+-+-+-+++--++-++-+++-------++-+++++-+-+-++-+-++-++--++-+-++-+--+-+----++--++++++---++++++-++++++----++-+++----++-+++--+++---+++-+++++-------+-+--++---+----++--++--++-++-+++++-++++--++-+--+++++-+---+----+---+++-+-+--+-+-++-+-+-+---+--+++---++++-+-++-+--+++++-+-++++----++-++---+----+---++++-+--++-+++--++----+-++-+++-++-++-+","evaluations":3073,"min_value":0.08786495148189484,"min_value_exact":"181387/2064384","mode":"anneal","n":9,"objective":"minimize","replica_best_values":[0.08786495148189484],"sample_minimizers":["-++++---++-+-++++-+-+---+-++---+-+--++----++-------+-+-+--+-+--++--++++-++-+-+--++-++-+++--++++-------+---++-+++--+-++-++-+--+--+---++--+-+-+-++--+-+--+++---+--+--++-++--++--+-+---+--+-+---+-+-+-+++--++-++-+++-------++-+++++-+-+-++-+-++-++--++-+-++-+--+-+----++--++++++---++++++-++++++----++-+++----++-+++--+++---+++-+++++-------+-+--++---+----++--++--++-++-+++++-++++--++-+--+++++-+---+----+---+++-+-+--+-+-++-+-+-+---+--+++---++++-+-++-+--+++++-+-++++----++-++---+----+---++++-+--++-+++--++----+-++-+++-++-++-+"]}'),
+    ('--n 9 --schedule 10:3,1000:3 --seed 1', '{"best_state":"-+++-+++-+-+-++-++----++++-+--+---++++--+-+++++--+-++-+--+++-+----+---+--++-+-+-+-++++---+++-+++----+---+-++----+-++-++-----+----+--+--+++-++--++----+--++++-++-+-+---+-+++++--++++-+-++++-++++------++--+-----+--+++++++-+++-++-+-+-++-+--+++-----------++++++--++-++--++++--++-++-+---+-+-++++--+++++++++-+++-++++-+-++----+-+-+-+----+--++-+++-+++-++-++-+++-+-+-+++-+--+++-++-+++++++-+-++-+-++-+-++----+--+-++-++---+++---++-++++++---+-+++------++++-+-++-++---+--++-+--+-----++--+++-++-++--+--+--++++--++-+-++---++++++-","evaluations":3073,"min_value":0.08812410869295635,"min_value_exact":"90961/1032192","mode":"anneal","n":9,"objective":"minimize","replica_best_values":[0.08812410869295635],"sample_minimizers":["-+++-+++-+-+-++-++----++++-+--+---++++--+-+++++--+-++-+--+++-+----+---+--++-+-+-+-++++---+++-+++----+---+-++----+-++-++-----+----+--+--+++-++--++----+--++++-++-+-+---+-+++++--++++-+-++++-++++------++--+-----+--+++++++-+++-++-+-+-++-+--+++-----------++++++--++-++--++++--++-++-+---+-+-++++--+++++++++-+++-++++-+-++----+-+-+-+----+--++-+++-+++-++-++-+++-+-+-+++-+--+++-++-+++++++-+-++-+-++-+-++----+--+-++-++---+++---++-++++++---+-+++------++++-+-++-++---+--++-+--+-----++--+++-++-++--+--+--++++--++-+-++---++++++-"]}'),
+    ('--n 8 --schedule 10:3,1000:3 --seed 2 --replicas 2', '{"best_state":"-+--++-+-+--+++------++---+--++-+--++++--+----+-++---+--+-+-+-+-++-+-+-----++--------++++-++++--+-++---+--++-++--++---+--++-------+-+-++++++-++-+++-+++---+-++----++++-+---++--++-+++-++-++-++-++------+-+----------+-+---++--+----++--+--+-----+-++--+-+-++-+-+","evaluations":3074,"min_value":0.10936453683035714,"min_value_exact":"31357/286720","mode":"anneal","n":8,"objective":"minimize","replica_best_values":[0.10997488839285714,0.10936453683035714],"sample_minimizers":["-+--++-+-+--+++------++---+--++-+--++++--+----+-++---+--+-+-+-+-++-+-+-----++--------++++-++++--+-++---+--++-++--++---+--++-------+-+-++++++-++-+++-+++---+-++----++++-+---++--++-+++-++-++-++-++------+-+----------+-+---++--+----++--+--+-----+-++--+-+-++-+-+"]}'),
+    ('--n 8 --schedule=-1:3,-10:3 --seed 3', '{"best_state":"--++-++++-+----+-+-++-+---+--++--+-+----+-------++---++++++++---++--+-+---+--+----+----++---+----+-+-+-+-+--+-------+++---+--+-++--++---+++--+++++-----++--++--+-+++--+-+--++--+++-++--+++++++++-++++----+--++--+-+----+++---+-+++++-++--+-+++---+--+--++-++--++","evaluations":1537,"min_value":0.12698451450892856,"min_value_exact":"36409/286720","mode":"anneal","n":8,"objective":"maximize","replica_best_values":[0.12698451450892856],"sample_minimizers":["--++-++++-+----+-+-++-+---+--++--+-+----+-------++---++++++++---++--+-+---+--+----+----++---+----+-+-+-+-+--+-------+++---+--+-++--++---+++--+++++-----++--++--+-+++--+-+--++--+++-++--+++++++++-++++----+--++--+-+----+++---+-+++++-++--+-+++---+--+--++-++--++"]}'),
+]
 
 
 class TestPinnedBytes:
@@ -383,6 +395,10 @@ class TestPinnedBytes:
         for form, want in (("1", form1), ("2", form2)):
             argv = ["purity", "--file", path, "--subset", SUBSETS[n], "--form", form]
             assert capture(argv) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize("argv, stdout", PINNED_ANNEAL, ids=[a for a, _ in PINNED_ANNEAL])
+    def test_seeded_sign_anneals_are_unchanged(self, capture, argv, stdout):
+        assert capture(["anneal", *argv.split()]) == (0, stdout + "\n", "")
 
 
 def read_signs(text):

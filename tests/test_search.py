@@ -125,6 +125,104 @@ class TestFlipDelta:
                 assert abs(value - exact) <= 1e-12
 
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_the_gram_state_proposal_exactly(self, n):
+        sv = random_signs(n, 70 + n)
+        state = _GramState(n, sv.signs.astype(np.int64))
+        denom = _gram_sum_denominator(n)
+        for j in np.random.default_rng(n).integers(1 << n, size=5):
+            j = int(j)
+            assert flip_delta(sv, j) == state.delta(j, -state.z[j]) / denom
+
+    def test_builds_no_gram_state(self):
+        n = 12
+        sv = random_signs(n, 12)
+        _layout(n)
+        tracemalloc.start()
+        try:
+            delta = flip_delta(sv, 1234)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the Gram state at n = 12 takes 60 MB
+        assert delta == float(energy_uniform_exact(flipped(sv, 1234)) - energy_uniform_exact(sv))
+
+
+class TestGramState:
+    """Proposals (delta) that are rejected, mixed with accepted ones (set)."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_sign_walk_with_rejected_proposals_is_exact_at_every_step(self, n):
+        rng = np.random.default_rng(500 + n)
+        denom = _gram_sum_denominator(n)
+        state = _GramState(n, random_signs(n, 60 + n).signs.astype(np.int64))
+        energy = energy_uniform_exact(SignVector(n, state.z.astype(np.int8)))
+        for _ in range(60):
+            j = int(rng.integers(1 << n))
+            z = state.z.copy()
+            z[j] = -z[j]
+            after = energy_uniform_exact(SignVector(n, z.astype(np.int8)))
+            assert Fraction(state.delta(j, -state.z[j]), denom) == after - energy
+            if rng.random() < 0.5:
+                continue
+            state.set(j, -state.z[j])
+            energy = after
+            assert Fraction(int(state.total()), denom) == energy
+        fresh = _GramState(n, state.z.copy())
+        assert np.array_equal(state.buffer, fresh.buffer)
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_phase_walk_with_rejected_proposals_tracks_the_potential(self, n):
+        rng = np.random.default_rng(600 + n)
+        N = 1 << n
+        moduli = np.full(N, 1.0 / np.sqrt(N))
+        denom = _gram_sum_denominator(n)
+        state = _GramState(n, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N)))
+        value = state.total() / denom
+        for _ in range(120):
+            j = int(rng.integers(N))
+            new = state.z[j] * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            delta = state.delta(j, new)
+            if rng.random() < 0.5:
+                continue
+            state.set(j, new)
+            value += delta / denom
+            assert abs(value - pi_me_uniform(PolarState(n, moduli, state.z.copy()))) <= 1e-12
+
+    def test_only_the_last_proposed_site_can_be_accepted(self):
+        n = 4
+        state = _GramState(n, random_signs(n, 4).signs.astype(np.int64))
+        with pytest.raises(ValueError, match="not the last proposed site"):
+            state.set(3, -state.z[3])
+        state.delta(3, -state.z[3])
+        state.delta(5, -state.z[5])
+        with pytest.raises(ValueError, match="not the last proposed site"):
+            state.set(3, -state.z[3])
+        state.set(5, -state.z[5])
+        # the rows gathered for site 5 went stale with the accept
+        with pytest.raises(ValueError, match="not the last proposed site"):
+            state.set(5, -state.z[5])
+        state.delta(5, -state.z[5])
+        state.set(5, -state.z[5])
+        fresh = _GramState(n, random_signs(n, 4).signs.astype(np.int64))
+        assert np.array_equal(state.z, fresh.z)
+        assert np.array_equal(state.buffer, fresh.buffer)
+
+    @pytest.mark.parametrize("n", range(8, 12))
+    @pytest.mark.parametrize("dtype, itemsize", [(np.int64, 8), (np.complex128, 16)])
+    def test_build_peak_is_within_the_gate(self, n, dtype, itemsize):
+        z = np.ones(1 << n, dtype=dtype)
+        _layout(n)  # cached per n and shared with every evaluation, so built first
+        tracemalloc.start()
+        try:
+            state = _GramState(n, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.buffer.dtype == dtype
+        assert peak <= _state_bytes(n, itemsize)
+
+
 class TestExhaustive:
     def test_two_qubits(self):
         report = exhaustive_search(2)
