@@ -9,175 +9,20 @@ Metropolis annealing.  A command line front end (`mmeskit`) exposes the
 same operations on JSON state files.
 """
 
-from .bitspace import (
-    BasisIndex,
-    QubitMask,
-    Rational,
-    balanced_bipartitions,
-    binomial,
-    embed,
-    extract,
-    weight,
-)
-from .bipartite import (
-    DensityMatrix,
-    SchmidtSpectrum,
-    bipartite_term_counts,
-    entanglement_E,
-    linear_entropy_L,
-    purity_form1,
-    purity_form2,
-    purity_uniform,
-    reduced_density_matrix,
-    schmidt_spectrum,
-)
-from .cli import main, read_state, run, write_state
-from .mmes import (
-    MmesVerdict,
-    PopulationVector,
-    WalshCoefficients,
-    catalog,
-    catalog_sign_vector,
-    equation_variable_counts,
-    free_coefficient_count,
-    is_perfect_mmes,
-    marginal,
-    marginal_uniformity_gap,
-    phase_equation_residual,
-    population,
-    population_from_walsh,
-    walsh_coefficients,
-)
-from .potential import (
-    CouplingTable,
-    MonomialCounts,
-    admissible_q,
-    avg_linear_entropy,
-    build_coupling_table,
-    coupling_delta,
-    coupling_row_sum,
-    energy_uniform_exact,
-    g,
-    g_hat,
-    g_hat_dual,
-    monomial_counts,
-    pi_me_form1,
-    pi_me_form2,
-    pi_me_form4,
-    pi_me_uniform,
-)
-from .search import (
-    AnnealConfig,
-    SearchReport,
-    anneal,
-    energy_uniform,
-    exhaustive_search,
-    flip_delta,
-)
-from .states import (
-    NormalizationWarning,
-    PolarState,
-    PureState,
-    SignVector,
-    apply_single_qubit_unitary,
-    assemble,
-    from_amplitudes,
-    fully_factorized,
-    ghz,
-    max_entangled_state,
-    permute_qubits,
-    polar,
-    random_phases,
-    random_state,
-    state_from_json,
-    state_to_json,
-    uniform_from_signs,
-)
+from . import bipartite, bitspace, cli, mmes, potential, search, states
+from .bitspace import *
+from .states import *
+from .bipartite import *
+from .potential import *
+from .mmes import *
+from .search import *
+from .cli import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # bitspace
-    "BasisIndex",
-    "QubitMask",
-    "Rational",
-    "balanced_bipartitions",
-    "binomial",
-    "embed",
-    "extract",
-    "weight",
-    # states
-    "NormalizationWarning",
-    "PolarState",
-    "PureState",
-    "SignVector",
-    "apply_single_qubit_unitary",
-    "assemble",
-    "from_amplitudes",
-    "fully_factorized",
-    "ghz",
-    "max_entangled_state",
-    "permute_qubits",
-    "polar",
-    "random_phases",
-    "random_state",
-    "state_from_json",
-    "state_to_json",
-    "uniform_from_signs",
-    # bipartite
-    "DensityMatrix",
-    "SchmidtSpectrum",
-    "bipartite_term_counts",
-    "entanglement_E",
-    "linear_entropy_L",
-    "purity_form1",
-    "purity_form2",
-    "purity_uniform",
-    "reduced_density_matrix",
-    "schmidt_spectrum",
-    # potential
-    "CouplingTable",
-    "MonomialCounts",
-    "admissible_q",
-    "avg_linear_entropy",
-    "build_coupling_table",
-    "coupling_delta",
-    "coupling_row_sum",
-    "energy_uniform_exact",
-    "g",
-    "g_hat",
-    "g_hat_dual",
-    "monomial_counts",
-    "pi_me_form1",
-    "pi_me_form2",
-    "pi_me_form4",
-    "pi_me_uniform",
-    # mmes
-    "MmesVerdict",
-    "PopulationVector",
-    "WalshCoefficients",
-    "catalog",
-    "catalog_sign_vector",
-    "equation_variable_counts",
-    "free_coefficient_count",
-    "is_perfect_mmes",
-    "marginal",
-    "marginal_uniformity_gap",
-    "phase_equation_residual",
-    "population",
-    "population_from_walsh",
-    "walsh_coefficients",
-    # search
-    "AnnealConfig",
-    "SearchReport",
-    "anneal",
-    "energy_uniform",
-    "exhaustive_search",
-    "flip_delta",
-    # cli
-    "main",
-    "read_state",
-    "run",
-    "write_state",
+# Each module's __all__ is its public surface; the package exports all of them.
+__all__ = ["__version__"] + [
+    name
+    for module in (bitspace, states, bipartite, potential, mmes, search, cli)
+    for name in module.__all__
 ]

@@ -33,9 +33,6 @@ __all__ = [
     "Rational",
     "QubitMask",
     "weight",
-    "xor",
-    "and_",
-    "or_",
     "complement",
     "balanced_bipartitions",
     "extract",
@@ -83,21 +80,6 @@ def weight(k: BasisIndex) -> int:
     if k < 0:
         raise ValueError("basis index must be nonnegative")
     return k.bit_count()
-
-
-def xor(a: BasisIndex, b: BasisIndex) -> BasisIndex:
-    """Componentwise sum mod 2 (XOR) of two basis labels."""
-    return a ^ b
-
-
-def and_(a: BasisIndex, b: BasisIndex) -> BasisIndex:
-    """Componentwise product (AND) of two basis labels."""
-    return a & b
-
-
-def or_(a: BasisIndex, b: BasisIndex) -> BasisIndex:
-    """Componentwise a + b + a*b mod 2 (OR) of two basis labels."""
-    return a | b
 
 
 def complement(mask: int, n: int) -> int:

@@ -25,6 +25,7 @@ Features:
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +42,6 @@ from .states import PolarState, SignVector
 __all__ = [
     "SearchReport",
     "AnnealConfig",
-    "energy_uniform",
     "flip_delta",
     "exhaustive_search",
     "anneal",
@@ -98,14 +98,27 @@ class SearchReport:
             )
 
 
+def _whole(value, field: str, floats: bool = False) -> int:
+    """value as an int, or ValueError naming field: booleans are refused,
+    and so are floats, unless `floats` admits the whole-numbered ones."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if floats and isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    kind = "whole numbers" if floats else "an integer"
+    raise ValueError(f"{field} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AnnealConfig:
     """Annealing protocol: temperature ladder, move set, replicas, seed.
 
-    beta_schedule lists (beta, sweeps) stages executed in order; one sweep
-    proposes one move per site; betas may be infinite (a quench) but not
-    NaN.  The sign of the final stage's beta fixes the reported objective:
-    nonnegative seeks minima, negative maxima.
+    beta_schedule lists (beta, sweeps) stages executed in order; sweeps
+    are whole numbers, one sweep proposes one move per site; betas may be
+    infinite (a quench) but not NaN.  The sign of the final stage's beta
+    fixes the reported objective: nonnegative seeks minima, negative
+    maxima.  replicas and seed are integers, the seed nonnegative.
     """
 
     beta_schedule: tuple[tuple[float, int], ...]
@@ -115,7 +128,9 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        stages = tuple((float(b), int(s)) for b, s in self.beta_schedule)
+        stages = tuple(
+            (float(b), _whole(s, "sweep counts", floats=True)) for b, s in self.beta_schedule
+        )
         if not stages:
             raise ValueError("beta_schedule must contain at least one stage")
         if any(s < 0 for _, s in stages):
@@ -127,23 +142,18 @@ class AnnealConfig:
             raise ValueError(f"unknown move {self.move!r}")
         if not 0 < self.max_angle <= math.pi:
             raise ValueError("max_angle must lie in (0, pi]")
+        object.__setattr__(self, "replicas", _whole(self.replicas, "replicas"))
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def objective(self) -> str:
         if self.beta_schedule[-1][0] < 0:
             return "maximize"
         return "minimize"
-
-
-def energy_uniform(signs: SignVector) -> float:
-    """Potential of the real uniform state with the given signs.
-
-    Evaluated exactly (integer Gram sums, one rational rescaling) and
-    converted to float at the end.
-    """
-    return float(energy_uniform_exact(signs))
 
 
 def _state_bytes(n: int, itemsize: int) -> int:

@@ -53,13 +53,6 @@ class TestWeightAndWordOps:
     def test_weight_handles_big_integers(self):
         assert weight((1 << 100) | 1) == 2
 
-    def test_word_operators(self):
-        from mmeskit.bitspace import and_, or_, xor
-
-        assert xor(0b110, 0b011) == 0b101
-        assert and_(0b110, 0b011) == 0b010
-        assert or_(0b110, 0b011) == 0b111
-
     def test_complement_flips_exactly_n_bits(self):
         assert complement(0b101, 3) == 0b010
         for n in range(1, 8):

@@ -15,7 +15,6 @@ from mmeskit import (
     QubitMask,
     catalog,
     catalog_sign_vector,
-    energy_uniform,
     equation_variable_counts,
     ghz,
     is_perfect_mmes,
@@ -212,7 +211,7 @@ class TestSearch:
         assert doc["minimizer_count"] == 64
         assert doc["mode"] == "exhaustive"
         for text in doc["sample_minimizers"]:
-            assert energy_uniform(read_signs(text)) == 0.5
+            assert pi_me_uniform(read_signs(text)) == 0.5
 
     def test_symmetry_mode_flag(self, capture):
         _, full, _ = capture(["search", "--n", "4"])
@@ -267,6 +266,12 @@ class TestAnneal:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "NaN" in err
+
+    def test_negative_seed_fails_cleanly(self, capture):
+        code, out, err = capture(["anneal", "--n", "3", "--schedule", "1:5", "--seed", "-1"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be nonnegative, got -1\n"
 
     def test_malformed_schedule_fails_cleanly(self, capture):
         code, _, err = capture(["anneal", "--n", "2", "--schedule", "1:x"])

@@ -19,7 +19,6 @@ from mmeskit import (
     SignVector,
     anneal,
     catalog_sign_vector,
-    energy_uniform,
     energy_uniform_exact,
     exhaustive_search,
     flip_delta,
@@ -43,11 +42,11 @@ def flipped(sv, j):
 class TestEnergy:
     def test_all_plus_is_fully_factorized(self):
         for n in (2, 3, 4, 5, 6):
-            assert energy_uniform(SignVector.from_string("+" * (1 << n))) == 1.0
+            assert pi_me_uniform(SignVector.from_string("+" * (1 << n))) == 1.0
 
     def test_catalog_minima(self):
         assert energy_uniform_exact(catalog_sign_vector("four_best")) == Fraction(1, 3)
-        assert energy_uniform(catalog_sign_vector("four_best")) == pytest.approx(1 / 3, abs=1e-15)
+        assert pi_me_uniform(catalog_sign_vector("four_best")) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_known_three_qubit_minimum(self):
         assert energy_uniform_exact(SignVector.from_string("-++++++-")) == Fraction(1, 2)
@@ -63,9 +62,9 @@ class TestFlipDelta:
     def test_matches_full_recomputation(self):
         for n in (3, 4):
             sv = random_signs(n, 10 + n)
-            base = energy_uniform(sv)
+            base = pi_me_uniform(sv)
             for j in range(1 << n):
-                want = energy_uniform(flipped(sv, j)) - base
+                want = pi_me_uniform(flipped(sv, j)) - base
                 assert flip_delta(sv, j) == pytest.approx(want, abs=1e-13)
 
     def test_flip_twice_cancels(self):
@@ -78,18 +77,18 @@ class TestFlipDelta:
     def test_known_single_flip(self):
         sv = SignVector.from_string("++++")
         assert flip_delta(sv, 3) == pytest.approx(-0.5)
-        assert energy_uniform(flipped(sv, 3)) == pytest.approx(0.5)
+        assert pi_me_uniform(flipped(sv, 3)) == pytest.approx(0.5)
 
     def test_long_incremental_walk_stays_exact(self):
         rng = np.random.default_rng(44)
         sv = random_signs(4, 44)
-        energy = energy_uniform(sv)
+        energy = pi_me_uniform(sv)
         for step in range(10_000):
             j = int(rng.integers(0, 16))
             energy += flip_delta(sv, j)
             sv = flipped(sv, j)
             if step % 1000 == 999:
-                assert energy == pytest.approx(energy_uniform(sv), abs=1e-10)
+                assert energy == pytest.approx(pi_me_uniform(sv), abs=1e-10)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_gram_walk_is_exact_at_every_step(self, n):
@@ -289,6 +288,11 @@ class TestAnnealConfig:
         cfg = AnnealConfig(beta_schedule=[[1, 50], (10.0, 50)])
         assert cfg.beta_schedule == ((1.0, 50), (10.0, 50))
         assert cfg.objective == "minimize"
+        cfg = AnnealConfig(beta_schedule=[(1.0, 2.0), (2.0, np.int64(3))],
+                           replicas=np.int64(2), seed=np.uint32(7))
+        assert cfg.beta_schedule == ((1.0, 2), (2.0, 3))
+        kinds = [type(v) for v in (*cfg.beta_schedule[0], cfg.replicas, cfg.seed)]
+        assert kinds == [float, int, int, int]
 
     def test_negative_final_beta_maximizes(self):
         assert AnnealConfig(beta_schedule=[(1, 5), (-3, 5)]).objective == "maximize"
@@ -304,6 +308,15 @@ class TestAnnealConfig:
             AnnealConfig(beta_schedule=[(1.0, 5)], replicas=0)
         with pytest.raises(ValueError):
             AnnealConfig(beta_schedule=[(1.0, 5)], max_angle=0.0)
+        for schedule in ([(1.0, 2.7)], [(1.0, True)], [(1.0, math.inf)], [(1.0, "5")]):
+            with pytest.raises(ValueError, match="sweep counts"):
+                AnnealConfig(beta_schedule=schedule)
+        for field, value in (
+            ("replicas", 2.5), ("replicas", 2.0), ("replicas", True),
+            ("seed", 1.5), ("seed", False), ("seed", -1),
+        ):
+            with pytest.raises(ValueError, match=field):
+                AnnealConfig(beta_schedule=[(1.0, 5)], **{field: value})
 
     def test_rejects_nan_betas_and_keeps_infinite_quenches(self):
         for schedule in ([(math.nan, 5)], [(1.0, 5), (math.nan, 5)]):
@@ -327,7 +340,7 @@ class TestAnneal:
         cfg = AnnealConfig(beta_schedule=self.SCHEDULE, replicas=3, seed=42)
         report = anneal(3, cfg)
         assert isinstance(report.best_state, SignVector)
-        assert energy_uniform(report.best_state) == report.min_value
+        assert pi_me_uniform(report.best_state) == report.min_value
 
     def test_fixed_seed_anchor(self):
         cfg = AnnealConfig(beta_schedule=self.SCHEDULE, replicas=3, seed=42)
@@ -346,7 +359,7 @@ class TestAnneal:
         report = anneal(3, cfg)
         assert report.evaluations == 1
         assert report.min_value == pytest.approx(0.625)
-        assert energy_uniform(report.best_state) == report.min_value
+        assert pi_me_uniform(report.best_state) == report.min_value
 
     def test_same_seed_same_report(self):
         cfg = AnnealConfig(beta_schedule=self.SCHEDULE, replicas=4, seed=9)
@@ -371,7 +384,7 @@ class TestAnneal:
         report = anneal(11, AnnealConfig(beta_schedule=[(1.0, 1)], seed=0))
         assert report.evaluations == 1 + 2048
         assert report.min_value_exact == energy_uniform_exact(report.best_state)
-        assert report.min_value == energy_uniform(report.best_state)
+        assert report.min_value == pi_me_uniform(report.best_state)
 
     @pytest.mark.parametrize("move, itemsize", [("sign_flip", 8), ("phase_rotation", 16)])
     def test_gram_state_is_refused_before_allocation(self, move, itemsize):
