@@ -11,7 +11,10 @@ Features:
   last few n: the tensor transpose that gives each M_A and the subsets an
   exact sum keeps, so the evaluations repeat no bipartition bookkeeping
 - the exact Gram sum of sign vectors, each complementary pair of balanced
-  subsets counted once, and its C(n, n/2) N^2 normaliser
+  subsets counted once, and its C(n, n/2) N^2 normaliser: chunks of the
+  M_A gathered in one step, their Gram entries summed in the narrowest
+  integer type that holds them (|G| <= N_Abar) for small N_A, or formed
+  by float32 BLAS products, exact as well, for larger N_A
 - purity in two algebraically equivalent forms: Frobenius norm of the
   reduced density matrix (Form 1) and the XOR-indexed amplitude quadruple
   sum (Form 2, the paper's expansion, kept as an independent cross-check),
@@ -63,6 +66,14 @@ EIGEN_TOL = 1e-10
 
 # The XOR quadruple sums gather about this many amplitudes per block of terms.
 XOR_BLOCK = 4096
+
+# The exact sign Gram sum takes its kept subsets in chunks of about this many
+# bytes of working arrays, gather index included.
+SIGN_CHUNK_BYTES = 1 << 18
+
+# Up to this N_A the exact sign Gram sum runs its narrow-integer kernel, the
+# batch innermost; from the next N_A on, float32 BLAS matrix products.
+PAIR_MAX_ROWS = 4
 
 
 @dataclass(eq=False, frozen=True)
@@ -223,18 +234,105 @@ def _gram_sum_denominator(n: int) -> int:
     return binomial(n, n // 2) << (2 * n)
 
 
+def _sign_dtype(n: int) -> np.dtype:
+    """Narrowest signed integer type that holds every sign Gram entry at n.
+
+    An entry of M_A M_A^T is a sum of N_Abar products of +-1, so |G| <= N_Abar:
+    int8 up to n = 12, int16 from n = 13.
+    """
+    return np.min_scalar_type(-1 - (1 << (n - n // 2)))
+
+
+@lru_cache(maxsize=8)
+def _sites(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each kept M_A reads the amplitudes, as (rows, cols).
+
+    Entry (i, j) of the a-th kept M_A is amplitude rows[a, i] + cols[a, j]:
+    rows[a, i] is the basis index whose A-bits spell i and whose Abar-bits
+    are 0, cols[a, j] the one whose Abar-bits spell j.  Their sums are the
+    map _matricize(arange(2^n), axes, N_A) gives, built without a transpose.
+    """
+    qubits = np.array(_layout(n).kept)[:, 1:]  # A's qubits, then Abar's
+    weights = 1 << (n - qubits)
+
+    def spell(w: np.ndarray) -> np.ndarray:
+        m = w.shape[1]
+        bits = np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1) & 1
+        return _frozen(w @ bits.T)
+
+    return spell(weights[:, : n // 2]), spell(weights[:, n // 2 :])
+
+
+@lru_cache(maxsize=8)
+def _pair_sites(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sites of rows i and m of each kept M_A, for every row pair i < m.
+
+    Two (kept, pairs, N_Abar) arrays, built from _sites for the narrow kernel.
+    """
+    rows, cols = _sites(n)
+    upper, lower = np.triu_indices(rows.shape[1], 1)
+    return tuple(_frozen(rows[:, pick, None] + cols[:, None, :]) for pick in (upper, lower))
+
+
+def _pair_squares(columns: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Sum of the squared Gram entries of a chunk of M_A, for (N, B) signs.
+
+    first and second are a chunk of _pair_sites.  The batch is the innermost
+    axis, so every step is one vectorised pass over B-long rows of the
+    narrow sign type.  Only the entries above the diagonal are formed, once
+    each: a sign Gram matrix has N_Abar on its diagonal.
+    """
+    terms = np.take(columns, first, axis=0)
+    terms *= np.take(columns, second, axis=0)
+    G = terms.sum(axis=2, dtype=columns.dtype).reshape(-1, columns.shape[1]).astype(np.int32)
+    G *= G
+    kept, _, n_b = first.shape
+    # int32 holds the total, at most N^2 per M_A: 10 * 2^10 at N_A = 4;
+    # each diagonal adds N_A entries of N_Abar squared, N N_Abar
+    return 2 * G.sum(axis=0, dtype=np.int32) + kept * len(columns) * n_b
+
+
+def _blas_squares(signs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sum of the squared Gram entries of a chunk of M_A, for float32 (B, N) signs.
+
+    float32 BLAS forms each M_A M_A^T exactly, since |G| <= N_Abar <= 2^24.
+    """
+    M = np.take(signs, rows[:, :, None] + cols[:, None, :], axis=1)
+    G = (M @ M.swapaxes(-1, -2)).astype(np.int64)
+    return np.einsum("bkij,bkij->b", G, G)
+
+
 def _sign_gram_sum(signs: np.ndarray, n: int):
-    """Exact T = sum over balanced A of ||M_A M_A^T||_F^2 for int64 signs.
+    """Exact T = sum over balanced A of ||M_A M_A^T||_F^2 for +-1 signs.
 
     Leading batch axes are kept, and each complementary pair is summed once
-    (see _layout).  One bipartition's sum is at most N^2 <= 2^48, so int64
-    holds it; the total, up to C(n, n/2) N^2, overflows int64 from n = 22
-    on, and there it is added in Python ints.
+    (see _layout).  The kept subsets go in chunks of about SIGN_CHUNK_BYTES,
+    gather index included, each chunk's M_A gathered in one step (see
+    _sites).  Up to N_A = PAIR_MAX_ROWS the chunk's Gram entries are summed
+    in the narrow integer type of _sign_dtype, the batch innermost;
+    beyond it float32 BLAS forms them.  One bipartition's sum is at most
+    N^2 <= 2^48, so int64 holds it; the total, up to C(n, n/2) N^2,
+    overflows int64 from n = 22 on, and there it is added in Python ints.
     """
     layout = _layout(n)
+    N = 1 << n
+    n_a, n_b = layout.rows, N // layout.rows
+    flat = signs.reshape(-1, N)
+    batch = len(flat)
+    if n_a <= PAIR_MAX_ROWS:
+        kernel, sites = _pair_squares, _pair_sites(n)
+        data = np.ascontiguousarray(flat.T, dtype=_sign_dtype(n))
+        per_subset = 2 * sites[0][0].size * (8 + batch * data.itemsize)
+    else:
+        kernel, sites = _blas_squares, _sites(n)
+        data = flat.astype(np.float32)
+        per_subset = N * (8 + 4 * batch) + 12 * n_a * n_a * batch
+    step = max(1, SIGN_CHUNK_BYTES // per_subset)
     acc = np.int64 if _gram_sum_denominator(n) < 1 << 63 else object
-    grams = (_gram(signs, axes, layout.rows) for axes in layout.kept)
-    return layout.weight * sum(np.einsum("...ij,...ij->...", G, G).astype(acc) for G in grams)
+    total = np.zeros(batch, dtype=acc)
+    for lo in range(0, len(layout.kept), step):
+        total += kernel(data, *(a[lo : lo + step] for a in sites)).astype(acc)
+    return (layout.weight * total).reshape(signs.shape[:-1])[()]
 
 
 def _xor_blocks(N: int, count: int) -> Iterator[slice]:

@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
@@ -283,6 +284,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one `warning: ...` line, like the errors."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, dispatch, and return the process exit code."""
     parser = _build_parser()
@@ -291,7 +297,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -298,7 +298,7 @@ def energy_uniform_exact(sv: SignVector) -> Fraction:
     The Gram matrices of the +-1 vector are integer; the potential is the
     sum of their squared entries over C(n, floor(n/2)) N^2.
     """
-    T = _sign_gram_sum(sv.signs.astype(np.int64), sv.n)
+    T = _sign_gram_sum(sv.signs, sv.n)
     return Fraction(int(T), _gram_sum_denominator(sv.n))
 
 

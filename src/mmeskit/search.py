@@ -34,7 +34,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .bipartite import (
-    _gram_sum_denominator, _kept_count, _layout, _matricize, _sign_gram_sum, _xor_blocks
+    _gram_sum_denominator, _kept_count, _layout, _matricize, _sign_dtype, _sign_gram_sum,
+    _xor_blocks,
 )
 from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
@@ -50,13 +51,15 @@ __all__ = [
 ENERGY_TOL = 1e-12
 MAX_SAMPLES = 16
 
-# Full sweeps cost 2^(2^n) evaluations: instantaneous through n=4,
-# hours at n=5 (gated behind allow_long_run), out of reach beyond.
+# Full sweeps cost 2^(2^n) evaluations: instantaneous through n=4, about
+# 20 minutes on one core at n=5 (gated behind allow_long_run), out of reach
+# beyond.
 MAX_EXHAUSTIVE_N = 4
 MAX_GATED_N = 5
 
-# Gray-code positions evaluated together by the sweep: large enough to
-# amortize the per-block calls, small enough to keep its arrays near 1 MB.
+# Gray-code positions evaluated together by the sweep, a power of two: large
+# enough to amortize the per-block calls, small enough to keep its arrays
+# near 1 MB.
 SWEEP_BLOCK = 1024
 
 # The annealer's Gram state (see _state_bytes) is refused above this size
@@ -317,22 +320,33 @@ def exhaustive_search(
     N = 1 << n
     offset = 0 if symmetry_mode == "full" else 1
     total = 1 << (N - offset)
-    bits = np.arange(N - offset)  # Gray bit b is site b + offset
+    # A block starts at a multiple lo of its power-of-two size 2^w, so
+    # position lo + t has Gray code gray(lo) xor gray(t), t < 2^w: each block
+    # is one sign pattern of the Gray bits of t, times the signs of gray(lo).
+    w = min(total, SWEEP_BLOCK).bit_length() - 1
+    t = np.arange(1 << w)
+    gray = t ^ t >> 1
+    pattern = np.ones((N - offset, 1 << w), dtype=_sign_dtype(n))
+    for b in range(w):  # Gray bit b is site b + offset
+        pattern[b] -= 2 * (gray >> b & 1).astype(pattern.dtype)
+    bits = np.arange(N - offset)
     best: Optional[int] = None
     count = 0
     found: list[np.ndarray] = []
-    for lo in range(0, total, SWEEP_BLOCK):
-        i = np.arange(lo, min(lo + SWEEP_BLOCK, total), dtype=np.int64)
-        s = np.ones((i.size, N), dtype=np.int64)
-        s[:, offset:] -= 2 * (((i ^ (i >> 1))[:, None] >> bits) & 1)
-        T = _sign_gram_sum(s, n)
+    for lo in range(0, total, 1 << w):
+        # column t holds the signs of position lo + t
+        s = np.ones((N, 1 << w), dtype=pattern.dtype)
+        high = (1 - 2 * ((lo ^ lo >> 1) >> bits & 1)).astype(pattern.dtype)
+        np.multiply(pattern, high[:, None], out=s[offset:])
+        T = _sign_gram_sum(s.T, n)
         low = int(T.min())
         if best is None or low < best:
             best, count, found = low, 0, []
         if low == best:
             hits = np.flatnonzero(T == best)
             count += hits.size
-            found.extend(s[h] for h in hits[: MAX_SAMPLES - len(found)])
+            # copies, so that a sample does not keep its whole block alive
+            found.extend(s[:, h].copy() for h in hits[: MAX_SAMPLES - len(found)])
     samples = [SignVector(n, v) for v in found]
     exact = Fraction(best, _gram_sum_denominator(n))
     return SearchReport(

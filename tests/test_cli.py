@@ -308,6 +308,15 @@ class TestErrorsAndFiles:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_renormalization_warns_in_one_line(self, capture, tmp_path):
+        path = tmp_path / "off.json"
+        data = [[1.00000005, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        path.write_text(json.dumps({"n": 2, "format": "complex", "data": data}))
+        warning = "warning: state norm deviates from 1 by 5.000e-08; renormalizing\n"
+        # each run warns, not only the first in a process
+        for _ in range(2):
+            assert capture(["potential", "--file", str(path)]) == (0, "1.0\n", warning)
+
     @pytest.mark.parametrize("n", [2.9, True, "3"])
     def test_non_integer_qubit_count_exits_one(self, capture, tmp_path, n):
         path = tmp_path / "bad_n.json"
@@ -385,6 +394,17 @@ PINNED_ANNEAL = [
 ]
 
 
+PINNED_SEARCH = [
+    ('--n 2 --mode full', '{"evaluations":16,"min_value":0.5,"min_value_exact":"1/2","minimizer_count":8,"mode":"exhaustive","n":2,"sample_minimizers":["-+++","+-++","---+","++-+","-+--","+---","--+-","+++-"]}'),
+    ('--n 2 --mode fix_global_sign', '{"evaluations":8,"min_value":0.5,"min_value_exact":"1/2","minimizer_count":4,"mode":"exhaustive","n":2,"sample_minimizers":["+-++","++-+","+---","+++-"]}'),
+    ('--n 3 --mode full', '{"evaluations":256,"min_value":0.5,"min_value_exact":"1/2","minimizer_count":64,"mode":"exhaustive","n":3,"sample_minimizers":["+--+++++","-++-++++","+++--+++","--+--+++","-+---+++","++-+-+++","---+-+++","+-++-+++","-+-+--++","+-+---++","+++-+-++","--+-+-++","+---+-++","++-++-++","---++-++","-++++-++"]}'),
+    ('--n 3 --mode full --pretty', '{\n  "evaluations": 256,\n  "min_value": 0.5,\n  "min_value_exact": "1/2",\n  "minimizer_count": 64,\n  "mode": "exhaustive",\n  "n": 3,\n  "sample_minimizers": [\n    "+--+++++",\n    "-++-++++",\n    "+++--+++",\n    "--+--+++",\n    "-+---+++",\n    "++-+-+++",\n    "---+-+++",\n    "+-++-+++",\n    "-+-+--++",\n    "+-+---++",\n    "+++-+-++",\n    "--+-+-++",\n    "+---+-++",\n    "++-++-++",\n    "---++-++",\n    "-++++-++"\n  ]\n}'),
+    ('--n 3 --mode fix_global_sign', '{"evaluations":128,"min_value":0.5,"min_value_exact":"1/2","minimizer_count":32,"mode":"exhaustive","n":3,"sample_minimizers":["+--+++++","+++--+++","++-+-+++","+-++-+++","+-+---++","+++-+-++","+---+-++","++-++-++","+++++--+","+------+","++-+---+","+-++---+","++---+-+","+++-++-+","+---++-+","+-++++-+"]}'),
+    ('--n 4 --mode full', '{"evaluations":65536,"min_value":0.3333333333333333,"min_value_exact":"1/3","minimizer_count":1056,"mode":"exhaustive","n":4,"sample_minimizers":["-+-++--+--++++++","+-+-+--+--++++++","-++--+-+--++++++","+--++-+---++++++","-+-+-++---++++++","+-+--++---++++++","-+-+--+++--+++++","+-+---+++--+++++","+++++--++--+++++","----+--++--+++++","--++-+-++--+++++","++---+-++--+++++","-+-+++--+--+++++","+-+-++--+--+++++","--+++-+-+--+++++","++--+-+-+--+++++"]}'),
+    ('--n 4 --mode fix_global_sign', '{"evaluations":32768,"min_value":0.3333333333333333,"min_value_exact":"1/3","minimizer_count":528,"mode":"exhaustive","n":4,"sample_minimizers":["+-+-+--+--++++++","+--++-+---++++++","+-+--++---++++++","+-+---+++--+++++","+++++--++--+++++","++---+-++--+++++","+-+-++--+--+++++","++--+-+-+--+++++","++++-++-+--+++++","++--+--+-+-+++++","+--+++---+-+++++","++---++--+-+++++","+-+-+--+++--++++","+--+-+-+++--++++","+-+--++-++--++++","+--+--+++-+-++++"]}'),
+]
+
+
 class TestPinnedBytes:
     @pytest.mark.parametrize("n, seed, verify, potential, form1, form2", PINNED)
     def test_stdout_is_unchanged(self, capture, tmp_path, n, seed, verify, potential, form1, form2):
@@ -404,6 +424,10 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("argv, stdout", PINNED_ANNEAL, ids=[a for a, _ in PINNED_ANNEAL])
     def test_seeded_sign_anneals_are_unchanged(self, capture, argv, stdout):
         assert capture(["anneal", *argv.split()]) == (0, stdout + "\n", "")
+
+    @pytest.mark.parametrize("argv, stdout", PINNED_SEARCH, ids=[a for a, _ in PINNED_SEARCH])
+    def test_exhaustive_searches_are_unchanged(self, capture, argv, stdout):
+        assert capture(["search", *argv.split()]) == (0, stdout + "\n", "")
 
 
 def read_signs(text):

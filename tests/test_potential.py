@@ -322,12 +322,40 @@ class TestUniformPotential:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_paired_sign_sums_equal_the_unpaired_sum_exactly(self, n):
         rng = np.random.default_rng(70 + n)
-        signs = rng.choice((-1, 1), size=(3, 1 << n)).astype(np.int64)
-        for s, batched in zip(signs, _sign_gram_sum(signs, n)):
-            sv = SignVector(n, s)
-            want = all_bipartition_sign_sum(sv)
-            assert batched == want
-            assert energy_uniform_exact(sv) == Fraction(want, math.comb(n, n // 2) << (2 * n))
+        signs = rng.choice((-1, 1), size=(2, 3, 1 << n))
+        want = [all_bipartition_sign_sum(SignVector(n, s)) for s in signs.reshape(-1, 1 << n)]
+        for s, w in zip(signs.reshape(-1, 1 << n), want):
+            assert energy_uniform_exact(SignVector(n, s)) == Fraction(w, math.comb(n, n // 2) << (2 * n))
+        for dtype in (np.int8, np.int64):
+            for lead in ((), (3,), (2, 3)):
+                batch = signs.astype(dtype)[(0,) * (2 - len(lead))]
+                got = _sign_gram_sum(batch, n)
+                assert np.shape(got) == lead
+                assert np.ravel(got).tolist() == want[: math.prod(lead)]
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_all_plus_gram_entries_fill_the_narrow_type_exactly(self, n):
+        # every Gram entry is N_Abar: 64 at n = 12, in int8; 128 at n = 13,
+        # one past int8, so int16
+        dtype = bipartite._sign_dtype(n)
+        assert dtype == (np.int8 if n == 12 else np.int16)
+        assert energy_uniform_exact(SignVector(n, np.ones(1 << n, dtype=np.int8))) == 1
+        # the narrow kernel on one kept subset: N_A^2 entries of N_Abar squared
+        rows, cols = bipartite._sites(n)
+        upper, lower = np.triu_indices(rows.shape[1], 1)
+        first = rows[:1, upper, None] + cols[:1, None, :]
+        second = rows[:1, lower, None] + cols[:1, None, :]
+        columns = np.ones((1 << n, 2), dtype=dtype)
+        assert bipartite._pair_squares(columns, first, second).tolist() == [1 << (2 * n)] * 2
+
+    def test_sites_spell_the_matricized_basis_of_each_kept_subset(self):
+        for n in range(2, 10):
+            layout = bipartite._layout(n)
+            rows, cols = bipartite._sites(n)
+            basis = np.arange(1 << n)
+            for a, axes in enumerate(layout.kept):
+                want = bipartite._matricize(basis, axes, layout.rows)
+                assert np.array_equal(rows[a][:, None] + cols[a], want)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_python_int_sums_equal_the_int64_sums(self, n, monkeypatch):
