@@ -4,12 +4,12 @@ Features:
 - reduced density matrix of any proper qubit subset by tensor reshape:
   the amplitudes reshaped to an N_A x N_Abar matrix M_A give rho_A as the
   Gram matrix M_A M_A^H
-- the Gram matrices of the balanced bipartitions, streamed one at a time:
-  the single evaluation core behind every potential, verdict, sweep and
-  anneal (integer Grams for sign vectors, so those stay exact)
-- a per-n layout of the balanced bipartitions, built once for each of the
-  last few n: the tensor transpose that gives each M_A and the subsets an
-  exact sum keeps, so the evaluations repeat no bipartition bookkeeping
+- the Gram matrices of the balanced bipartitions, streamed in gathered
+  stacks: the single evaluation core behind every potential, verdict, sweep
+  and anneal (integer Grams for sign vectors, so those stay exact)
+- a per-n map of where each balanced M_A reads the amplitudes, built once
+  for each of the last few n and gathered from by every Gram evaluation,
+  so none transposes a subset or repeats bipartition bookkeeping
 - the exact Gram sum of sign vectors, each complementary pair of balanced
   subsets counted once, and its C(n, n/2) N^2 normaliser: chunks of the
   M_A gathered in one step, their Gram entries summed in the narrowest
@@ -67,9 +67,9 @@ EIGEN_TOL = 1e-10
 # The XOR quadruple sums gather about this many amplitudes per block of terms.
 XOR_BLOCK = 4096
 
-# The exact sign Gram sum takes its kept subsets in chunks of about this many
-# bytes of working arrays, gather index included.
-SIGN_CHUNK_BYTES = 1 << 18
+# The dense Gram core and the exact sign Gram sum take their subsets in chunks
+# of about this many bytes of working arrays, gather index included.
+CHUNK_BYTES = 1 << 18
 
 # Up to this N_A the exact sign Gram sum runs its narrow-integer kernel, the
 # batch innermost; from the next N_A on, float32 BLAS matrix products.
@@ -177,24 +177,21 @@ def _matricize(amplitudes: np.ndarray, axes: tuple[int, ...], rows: int) -> np.n
     return t.reshape(amplitudes.shape[:-1] + (rows, -1))
 
 
-def _gram(amplitudes: np.ndarray, axes: tuple[int, ...], rows: int) -> np.ndarray:
-    """M M^H for the amplitudes reshaped to (sub-index of A) x (sub-index of Abar).
+def _gram(M: np.ndarray) -> np.ndarray:
+    """M M^H over the last two axes, for M = M_A (see _matricize).
 
-    Entry (l, l') is sum_m z at (l, m) times conj(z at (l', m)).  Keeps the
-    input dtype, so an int64 sign vector gives an exact integer matrix, and
-    any leading batch axes.
+    Entry (l, l') is sum_m M[l, m] conj(M[l', m]).  Keeps the input dtype, so
+    an int64 sign vector gives an exact integer matrix, and any leading axes.
     """
-    t = _matricize(amplitudes, axes, rows)
-    return t @ t.conj().swapaxes(-1, -2)
+    return M @ M.conj().swapaxes(-1, -2)
 
 
 class _Layout(NamedTuple):
     """Bookkeeping of the balanced bipartitions of n qubits, shared by every
     evaluation at that n."""
 
-    axes: tuple[tuple[int, ...], ...]  # _axes of each A, in balanced_bipartitions order
     rows: int  # N_A = 2^floor(n/2)
-    kept: tuple[tuple[int, ...], ...]  # _axes of the subsets an exact sum runs over
+    kept: tuple[tuple[int, ...], ...]  # _axes of the subsets the Gram sums gather
     weight: int  # how often each kept subset counts
 
 
@@ -207,20 +204,28 @@ def _layout(n: int) -> _Layout:
     keeps only the subsets containing qubit 1, each counting twice.
     """
     weight = 2 - n % 2
-    subsets = balanced_bipartitions(n)
-    axes = tuple(_axes(A.mask, n) for A in subsets)
-    kept = tuple(a for a, A in zip(axes, subsets) if weight == 1 or A.mask >> (n - 1))
-    return _Layout(axes, 1 << (n // 2), kept, weight)
+    kept = (A for A in balanced_bipartitions(n) if weight == 1 or A.mask >> (n - 1))
+    return _Layout(1 << (n // 2), tuple(_axes(A.mask, n) for A in kept), weight)
 
 
 def _balanced_grams(amplitudes: np.ndarray, n: int) -> Iterator[np.ndarray]:
-    """Gram matrices M_A M_A^H of every balanced A, in balanced_bipartitions order.
+    """Gram matrices M_A M_A^H of every balanced A, in (count, N_A, N_A) stacks.
 
-    Yielded one at a time.  For a normalized state these are the balanced
-    reduced density matrices, and each one's squared Frobenius norm is a purity.
+    A stack is a chunk of about CHUNK_BYTES: its M_A gathered by one take
+    from _sites, then one stacked matmul.  At even n the complements follow,
+    from the same map with rows and columns swapped (M_Abar = M_A^T).  Each
+    of the C(n, n/2) matrices comes once, in no promised order, as the BLAS
+    product a lone M_A gives, so order-free reductions (fsum, max) keep
+    their bits.  For a normalized state each is a reduced density matrix.
     """
-    layout = _layout(n)
-    return (_gram(amplitudes, axes, layout.rows) for axes in layout.axes)
+    rows, cols = _sites(n)
+    size = amplitudes.itemsize
+    step = max(1, CHUNK_BYTES // (((8 + size) << n) + rows.shape[1] ** 2 * size))  # index, M_A, G_A
+    for r, c in ((rows, cols), (cols, rows))[: _layout(n).weight]:
+        for lo in range(0, len(r), step):
+            # M_A is freed before the yield: held into the next chunk, a large
+            # one cost fresh pages every chunk (365 page faults per matrix at n = 16)
+            yield _gram(amplitudes.take(r[lo : lo + step, :, None] + c[lo : lo + step, None, :]))
 
 
 def _kept_count(n: int) -> int:
@@ -306,7 +311,7 @@ def _sign_gram_sum(signs: np.ndarray, n: int):
     """Exact T = sum over balanced A of ||M_A M_A^T||_F^2 for +-1 signs.
 
     Leading batch axes are kept, and each complementary pair is summed once
-    (see _layout).  The kept subsets go in chunks of about SIGN_CHUNK_BYTES,
+    (see _layout).  The kept subsets go in chunks of about CHUNK_BYTES,
     gather index included, each chunk's M_A gathered in one step (see
     _sites).  Up to N_A = PAIR_MAX_ROWS the chunk's Gram entries are summed
     in the narrow integer type of _sign_dtype, the batch innermost;
@@ -327,7 +332,7 @@ def _sign_gram_sum(signs: np.ndarray, n: int):
         kernel, sites = _blas_squares, _sites(n)
         data = flat.astype(np.float32)
         per_subset = N * (8 + 4 * batch) + 12 * n_a * n_a * batch
-    step = max(1, SIGN_CHUNK_BYTES // per_subset)
+    step = max(1, CHUNK_BYTES // per_subset)
     acc = np.int64 if _gram_sum_denominator(n) < 1 << 63 else object
     total = np.zeros(batch, dtype=acc)
     for lo in range(0, len(layout.kept), step):
@@ -344,7 +349,8 @@ def _xor_blocks(N: int, count: int) -> Iterator[slice]:
 def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> DensityMatrix:
     """Partial trace over the complement of A, as the Gram matrix of A."""
     m = _proper_mask(A, state.n)
-    return DensityMatrix(_gram(state.amplitudes, _axes(m.mask, state.n), 1 << m.size))
+    M = _matricize(state.amplitudes, _axes(m.mask, state.n), 1 << m.size)
+    return DensityMatrix(_gram(M))
 
 
 def purity_form1(state: PureState, A: Union[QubitMask, int]) -> float:

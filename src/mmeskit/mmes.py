@@ -25,7 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._catalog_data import SIGN_TARGETS
-from .bipartite import _balanced_grams
+from .bipartite import CHUNK_BYTES, _balanced_grams
 from .bitspace import QubitMask, _check_n, _frozen, as_mask, binomial
 from .potential import energy_uniform_exact, pi_me_form1
 from .states import PureState, SignVector, ghz, permute_qubits, uniform_from_signs
@@ -192,7 +192,8 @@ def marginal_uniformity_gap(P: PopulationVector) -> float:
     """Largest deviation of any small-subset marginal from uniform.
 
     Maximum over subsets A with 1 <= |A| <= n/2 and sub-labels l of
-    |P_A(l) - 2^(-|A|)|, summing the probability tensor over the complement.
+    |P_A(l) - 2^(-|A|)|, each marginal summed over the complement on its own
+    and compared with uniform in stacks of about CHUNK_BYTES per size.
     """
     n = P.n
     if n < 2:
@@ -201,8 +202,14 @@ def marginal_uniformity_gap(P: PopulationVector) -> float:
     gap = 0.0
     for size in range(1, n // 2 + 1):
         flat = 1.0 / (1 << size)
-        for drop in combinations(range(n), n - size):
-            gap = max(gap, np.abs(t.sum(axis=drop) - flat).max())
+        drops = list(combinations(range(n), n - size))
+        step = max(1, CHUNK_BYTES >> (size + 3))  # float64 marginals of 2^size entries
+        for lo in range(0, len(drops), step):
+            stack = np.empty((min(step, len(drops) - lo),) + (2,) * size)
+            for out, drop in zip(stack, drops[lo : lo + step]):
+                np.add.reduce(t, axis=drop, out=out)
+            stack -= flat
+            gap = max(gap, np.abs(stack, out=stack).max())
     return float(gap)
 
 
@@ -214,10 +221,11 @@ def _balanced_gaps(state: PureState) -> tuple[float, float]:
     """
     flat = 1.0 / (1 << (state.n // 2))
     purity_gap = phase_res = 0.0
-    for rho in _balanced_grams(state.amplitudes, state.n):
-        purity_gap = max(purity_gap, abs(np.vdot(rho, rho).real - flat))
-        off = np.abs(rho).ravel()
-        off[:: rho.shape[0] + 1] = 0.0  # the diagonal
+    for grams in _balanced_grams(state.amplitudes, state.n):
+        for rho in grams:
+            purity_gap = max(purity_gap, abs(np.vdot(rho, rho).real - flat))
+        off = np.abs(grams).reshape(len(grams), -1)
+        off[:, :: grams.shape[-1] + 1] = 0.0  # the diagonals
         phase_res = max(phase_res, off.max())
     return float(purity_gap), float(phase_res)
 

@@ -223,7 +223,7 @@ def pi_me_form1(state: PureState) -> float:
     Each purity is the squared Frobenius norm of the bipartition's Gram
     matrix M_A M_A^H.
     """
-    grams = _balanced_grams(state.amplitudes, state.n)
+    grams = (G for stack in _balanced_grams(state.amplitudes, state.n) for G in stack)
     return math.fsum(float(np.vdot(G, G).real) for G in grams) / binomial(state.n, state.n // 2)
 
 

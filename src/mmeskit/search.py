@@ -34,7 +34,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bipartite import (
-    _gram_sum_denominator, _kept_count, _layout, _matricize, _sign_dtype, _sign_gram_sum,
+    _gram_sum_denominator, _kept_count, _layout, _sign_dtype, _sign_gram_sum, _sites,
     _xor_blocks,
 )
 from .potential import energy_uniform_exact, pi_me_uniform
@@ -188,16 +188,15 @@ def _delta(S, old, new, weight: int, kept: int, n_a: int, n_b: int):
 class _GramState:
     """G_A = M_A M_A^H of every kept balanced A, one site at a time.
 
-    Amplitude j sits at entry (r_A(j), c_A(j)) of M_A; the layout is the
-    reshape of `bipartite._matricize` applied to the basis indices, for the
-    subsets that `bipartite._layout` keeps.  One row buffer of width N_A
-    holds every G_A row, then every M_A column (the rows of M_A^T), and
-    index[j] lists the buffer rows of r_A(j) in each G_A, then those of
-    c_A(j) in each M_A^T.  A proposal is one `take` of those 2 kept rows and
-    one dot; the accept writes the update back from the same rows.  T is
-    the weighted sum of ||G_A||_F^2, so the potential of the unnormalized
-    vector z is T / bipartite._gram_sum_denominator(n).  Integer z (signs)
-    keeps T exact.
+    Amplitude j sits at entry (r_A(j), c_A(j)) of M_A, as the site map
+    `bipartite._sites` of the subsets `bipartite._layout` keeps spells it.
+    One row buffer of width N_A holds every G_A row, then every M_A column
+    (the rows of M_A^T), and index[j] lists the buffer rows of r_A(j) in
+    each G_A, then those of c_A(j) in each M_A^T.  A proposal is one `take`
+    of those 2 kept rows and one dot; the accept writes the update back from
+    the same rows.  T is the weighted sum of ||G_A||_F^2, so the potential of
+    the unnormalized vector z is T / bipartite._gram_sum_denominator(n).
+    Integer z (signs) keeps T exact.
     """
 
     def __init__(self, n: int, z: np.ndarray) -> None:
@@ -216,9 +215,8 @@ class _GramState:
         self.pick = np.arange(kept)
         self.base = self.pick * n_a
         self.index = np.empty((N, 2 * kept), dtype=np.intp)
-        basis = np.arange(N)
-        for a, axes in enumerate(layout.kept):
-            sites = _matricize(basis, axes, n_a)
+        for a, (rows, cols) in enumerate(zip(*_sites(n))):
+            sites = rows[:, None] + cols
             self.index[sites, a] = a * n_a + np.arange(n_a)[:, None]
             self.index[sites, kept + a] = kept * n_a + a * n_b + np.arange(n_b)
             np.take(z, sites.T, out=Mt[a], mode="clip")  # in range; clip writes unbuffered

@@ -23,7 +23,8 @@ from mmeskit import (
     population_from_walsh,
     walsh_coefficients,
 )
-from mmeskit.bitspace import embed_table, submasks, weight
+from mmeskit.bipartite import _axes, _gram, _matricize
+from mmeskit.bitspace import balanced_bipartitions, embed_table, submasks, weight
 from mmeskit.potential import _g_hat_core
 
 
@@ -95,6 +96,37 @@ def all_bipartition_sign_sum(sv: SignVector) -> int:
         G = M @ M.T
         total += int(np.sum(G * G))
     return total
+
+
+def loop_balanced_grams(amplitudes: np.ndarray, n: int) -> list:
+    """Gram matrix M_A M_A^H of every balanced A, in balanced_bipartitions
+    order: one tensor transpose and one matrix product per subset, where the
+    library gathers chunks of subsets from its site map."""
+    rows = 1 << (n // 2)
+    subsets = balanced_bipartitions(n)
+    return [_gram(_matricize(amplitudes, _axes(A.mask, n), rows)) for A in subsets]
+
+
+def loop_balanced_gaps(state: PureState) -> tuple:
+    """Worst |pi_A - 1/N_A| and off-diagonal |rho_A[l, l']|, one balanced A at a time."""
+    flat = 1.0 / (1 << (state.n // 2))
+    purity_gap = phase_res = 0.0
+    for rho in loop_balanced_grams(state.amplitudes, state.n):
+        purity_gap = max(purity_gap, abs(np.vdot(rho, rho).real - flat))
+        off = np.abs(rho).ravel()
+        off[:: rho.shape[0] + 1] = 0.0  # the diagonal
+        phase_res = max(phase_res, off.max())
+    return float(purity_gap), float(phase_res)
+
+
+def loop_marginal_gap(P: PopulationVector) -> float:
+    """Worst small-subset marginal gap, one marginal and one comparison at a time."""
+    t = P.probabilities.reshape((2,) * P.n)
+    gap = 0.0
+    for size in range(1, P.n // 2 + 1):
+        for drop in combinations(range(P.n), P.n - size):
+            gap = max(gap, np.abs(t.sum(axis=drop) - 1.0 / (1 << size)).max())
+    return float(gap)
 
 
 def walsh_marginal_gap(P: PopulationVector) -> float:

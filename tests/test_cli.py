@@ -368,6 +368,8 @@ class TestErrorsAndFiles:
 # by the one-term-at-a-time XOR loops and the per-amplitude complex() reader,
 # which the blocked sums and the array reader must reproduce byte for byte:
 # (n, seed of random_state or "mixed", verify, potential, form 1, form 2).
+# The odd-n rows (N_A != N_Abar) and the n = 2 random row were printed by the
+# per-subset transposes the gathered Gram chunks replaced.
 PINNED = [
     (6, 0, '{"is_perfect":false,"n":6,"tolerance":1e-09,"worst_marginal_gap":0.12061578940769913,"worst_phase_residual":0.10037268435964274,"worst_purity_gap":0.16195678962677967}', '0.24496079629872325', '0.3152319483402246', '0.3152319483402248'),
     (6, 1, '{"is_perfect":false,"n":6,"tolerance":1e-09,"worst_marginal_gap":0.2170002074343914,"worst_phase_residual":0.12672336413939542,"worst_purity_gap":0.1679340670575118}', '0.26613692640501774', '0.3342233112759971', '0.334223311275997'),
@@ -375,9 +377,14 @@ PINNED = [
     (8, 1, '{"is_perfect":false,"n":8,"tolerance":1e-09,"worst_marginal_gap":0.08653944740402186,"worst_phase_residual":0.04546422741412737,"worst_purity_gap":0.07506013265997558}', '0.12747904464125007', '0.13659025667206104', '0.136590256672061'),
     (10, 0, '{"is_perfect":false,"n":10,"tolerance":1e-09,"worst_marginal_gap":0.03962764687643905,"worst_phase_residual":0.019306788181533995,"worst_purity_gap":0.034536594577497665}', '0.06201578707167371', '0.06064037024445109', '0.06064037024445109'),
     (10, 1, '{"is_perfect":false,"n":10,"tolerance":1e-09,"worst_marginal_gap":0.04192825665264699,"worst_phase_residual":0.021756880762487423,"worst_purity_gap":0.03391921717165487}', '0.06221116382567331', '0.06296742477503924', '0.06296742477503924'),
+    (2, 0, '{"is_perfect":false,"n":2,"tolerance":1e-09,"worst_marginal_gap":0.37002289998445237,"worst_phase_residual":0.33977981305532134,"worst_purity_gap":0.3074057124655344}', '0.8074057124655343', '0.8074057124655344', '0.8074057124655344'),
+    (3, 0, '{"is_perfect":false,"n":3,"tolerance":1e-09,"worst_marginal_gap":0.28211252190785296,"worst_phase_residual":0.38564141557402115,"worst_purity_gap":0.31464333514818654}', '0.7930551175248239', '0.8146433351481865', '0.8146433351481864'),
+    (5, 0, '{"is_perfect":false,"n":5,"tolerance":1e-09,"worst_marginal_gap":0.1697913878783876,"worst_phase_residual":0.16247395707620949,"worst_purity_gap":0.15278268003540002}', '0.3597005124954965', '0.31914289639060844', '0.3191428963906084'),
+    (7, 0, '{"is_perfect":false,"n":7,"tolerance":1e-09,"worst_marginal_gap":0.10754533183263815,"worst_phase_residual":0.08692042189815434,"worst_purity_gap":0.07948924557463044}', '0.186359211650345', '0.16865201276410283', '0.16865201276410283'),
+    (9, 0, '{"is_perfect":false,"n":9,"tolerance":1e-09,"worst_marginal_gap":0.06259691228899159,"worst_phase_residual":0.037655369760455186,"worst_purity_gap":0.040300056757102284}', '0.09443453028302994', '0.09425217036471599', '0.094252170364716'),
     (2, "mixed", '{"is_perfect":true,"n":2,"tolerance":1e-09,"worst_marginal_gap":0.0,"worst_phase_residual":0.0,"worst_purity_gap":0.0}', '0.5', '0.5', '0.5'),
 ]
-SUBSETS = {2: "2", 6: "1,3", 8: "2,3,5,8", 10: "1,4,5,9,10"}
+SUBSETS = {2: "2", 3: "2", 5: "1,4", 6: "1,3", 7: "2,3,6", 8: "2,3,5,8", 9: "1,3,4,8", 10: "1,4,5,9,10"}
 # integer components and -0.0 next to floats
 MIXED = {"n": 2, "format": "complex", "data": [[0.5, -0.0], [0.5, 0], [0, 0.5], [-0.0, -0.5]]}
 # stdout of seeded sign-flip anneals (n = 8, 9; two replicas; a negative beta)

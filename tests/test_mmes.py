@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import naive_wht, place_bits, unit_phases
+from helpers import loop_marginal_gap, naive_wht, place_bits, unit_phases
 from mmeskit import (
     PopulationVector,
     PureState,
@@ -36,6 +36,7 @@ from mmeskit import (
     walsh_coefficients,
     weight,
 )
+from mmeskit import mmes
 from mmeskit.mmes import CATALOG_NAMES
 
 
@@ -164,6 +165,15 @@ class TestGaps:
         for name in ("five_perfect", "six_perfect"):
             st = uniform_from_signs(catalog_sign_vector(name))
             assert marginal_uniformity_gap(population(st)) <= 1e-12
+
+    @pytest.mark.parametrize("budget", [None, 1, 1 << 40], ids=["default", "one-marginal", "one-stack"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_stacked_marginal_gap_is_the_per_subset_loop_bit_for_bit(self, n, budget, monkeypatch):
+        # budget 1 stacks one marginal at a time, 2^40 every marginal of a size
+        if budget is not None:
+            monkeypatch.setattr(mmes, "CHUNK_BYTES", budget)
+        P = population(random_state(n, 30 + n))
+        assert marginal_uniformity_gap(P) == loop_marginal_gap(P)
 
     def test_bell_pair_solves_the_phase_conditions(self):
         assert phase_equation_residual(ghz(2)) == pytest.approx(0.0, abs=1e-14)

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    all_bipartition_sign_sum, loop_pi_me_form2, loop_pi_me_form4, table_energy_exact, unit_phases
+    all_bipartition_sign_sum, loop_balanced_gaps, loop_balanced_grams, loop_pi_me_form2,
+    loop_pi_me_form4, table_energy_exact, unit_phases
 )
 from mmeskit import (
     CouplingTable,
@@ -51,7 +52,8 @@ from mmeskit import (
     weight,
 )
 from mmeskit import bipartite
-from mmeskit.bipartite import _sign_gram_sum
+from mmeskit.bipartite import _balanced_grams, _sign_gram_sum
+from mmeskit.mmes import _balanced_gaps
 from mmeskit.potential import MonomialCounts
 
 EXPECTED_TABLE_SIZES = {2: 2, 3: 12, 4: 42, 5: 170, 6: 500, 7: 1792, 8: 5082}
@@ -388,8 +390,9 @@ class TestStreamedGrams:
         st = random_state(12, 5)
         rng = np.random.default_rng(12)
         sv = SignVector(12, rng.choice((-1, 1), size=1 << 12).astype(np.int8))
-        # the first call builds the n=12 bipartition layout, and is traced too
+        # the first call builds the n=12 bipartition layout and site map, and is traced too
         bipartite._layout.cache_clear()
+        bipartite._sites.cache_clear()
         for fn, arg in ((pi_me_form1, st), (energy_uniform_exact, sv), (is_perfect_mmes, st)):
             tracemalloc.start()
             try:
@@ -398,6 +401,29 @@ class TestStreamedGrams:
             finally:
                 tracemalloc.stop()
             assert peak < 8 << 20, f"{fn.__name__} peaked at {peak} bytes"
+
+    @pytest.mark.parametrize("budget", [None, 1, 1 << 40], ids=["default", "one-subset", "one-chunk"])
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_gathered_chunks_give_the_per_subset_grams(self, n, budget, monkeypatch):
+        # budget 1 puts one subset in each chunk, 2^40 all the kept subsets in one
+        if budget is not None:
+            monkeypatch.setattr(bipartite, "CHUNK_BYTES", budget)
+        rng = np.random.default_rng(110 + n)
+        signs = SignVector(n, rng.choice((-1, 1), size=1 << n).astype(np.int8))
+        for state in (random_state(n, n), uniform_from_signs(signs)):
+            stacks = list(_balanced_grams(state.amplitudes, n))
+            if budget is not None:
+                kept = bipartite._kept_count(n)
+                want_sizes = [1] * kept if budget == 1 else [kept]
+                assert [len(grams) for grams in stacks] == want_sizes * (2 - n % 2)
+            got = [G for grams in stacks for G in grams]
+            want = loop_balanced_grams(state.amplitudes, n)
+            assert len(got) == math.comb(n, n // 2)
+            # the same matrices bit for bit, in another order
+            assert sorted(G.tobytes() for G in got) == sorted(G.tobytes() for G in want)
+            purities = [sorted(float(np.vdot(G, G).real) for G in grams) for grams in (got, want)]
+            assert purities[0] == purities[1]
+            assert _balanced_gaps(state) == loop_balanced_gaps(state)
 
 
 class TestAvgLinearEntropy:
