@@ -7,11 +7,12 @@ Features:
   changes one entry of every M_A, so each Gram matrix G_A = M_A M_A^H
   takes a rank-one update of one row and column; the G_A rows and the M_A
   columns share one row buffer, so a proposal gathers what it reads with
-  one take and an accept writes back from the same rows; sign flips stay
-  exact integers, and the state is refused before allocation when it
-  would exceed 1 GiB
+  one take and an accept updates the same rows and writes them back in one
+  assignment through a void view of the buffer (one element per row); sign
+  flips stay exact integers, and the state is refused before allocation
+  when it would exceed 1 GiB
 - single sign-flip energy changes without a Gram state, in
-  O(C(n, n/2) 2^n)
+  O(C(n, n/2) 2^n) (`flip_delta`; the annealer does not use it)
 - exhaustive Gray-code enumeration of all sign vectors in batched blocks
   of exact integer Gram sums, with exact minimum, exact tie counting and
   deterministic reports
@@ -20,10 +21,16 @@ Features:
   seek minima, negative ones maxima (fully factorized states); replicas
   run on deterministically derived seeds and every reported energy is
   re-verified by a full evaluation
+- annealer steps with no Generator call: each replica reads blocks of raw
+  draws from its PCG64 bit generator (numpy's default, which `anneal`
+  always builds) and forms from them, in order, what its Generator would
+  return for integers(2^n), uniform(-max_angle, max_angle) and random()
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 import numbers
 import time
@@ -65,6 +72,11 @@ SWEEP_BLOCK = 1024
 # The annealer's Gram state (see _state_bytes) is refused above this size
 # before it is allocated: n <= 13 runs, n = 14 is refused.
 MAX_ANNEAL_STATE_BYTES = 1 << 30
+
+# The annealer reads its bit generator's raw 64-bit draws this many at a
+# time; a raw draw r gives the double (r >> 11) * DOUBLE in [0, 1).
+DRAW_BLOCK = 1024
+DOUBLE = 2.0**-53
 
 
 @dataclass(eq=False, frozen=True)
@@ -178,7 +190,8 @@ def _delta(S, old, new, weight: int, kept: int, n_a: int, n_b: int):
     moves by u = d conj(v) off the diagonal, and column r by conj(u).
     Summed over A, the change is 2 (2 Re <G_A[r, :], u> + ||u||^2) =
     4 Re(d conj(S - N_Abar old)) + 2 (N_A - 1) |d|^2 per A.  Python ints
-    give the exact integer change, numpy complex scalars its float.
+    give the exact integer change, complex numbers its float; `_walk`
+    forms the same expression inline.
     """
     d = new - old
     shifted = S - kept * n_b * old
@@ -192,11 +205,10 @@ class _GramState:
     `bipartite._sites` of the subsets `bipartite._layout` keeps spells it.
     One row buffer of width N_A holds every G_A row, then every M_A column
     (the rows of M_A^T), and index[j] lists the buffer rows of r_A(j) in
-    each G_A, then those of c_A(j) in each M_A^T.  A proposal is one `take`
-    of those 2 kept rows and one dot; the accept writes the update back from
-    the same rows.  T is the weighted sum of ||G_A||_F^2, so the potential of
-    the unnormalized vector z is T / bipartite._gram_sum_denominator(n).
-    Integer z (signs) keeps T exact.
+    each G_A, then those of c_A(j) in each M_A^T; `_walk` moves one site at
+    a time through them.  T is the weighted sum of ||G_A||_F^2, so the
+    potential of the unnormalized vector z is T /
+    bipartite._gram_sum_denominator(n).  Integer z (signs) keeps T exact.
     """
 
     def __init__(self, n: int, z: np.ndarray) -> None:
@@ -208,7 +220,6 @@ class _GramState:
         self.exact = z.dtype.kind == "i"
         self.counts = (layout.weight, kept, n_a, n_b)
         self.buffer = np.empty((kept * (n_a + n_b), n_a), dtype=z.dtype)
-        self.flat = self.buffer.reshape(-1)
         G = self.buffer[: kept * n_a].reshape(kept, n_a, n_a)
         Mt = self.buffer[kept * n_a :].reshape(kept, n_b, n_a)
         self.columns = G.swapaxes(1, 2)  # columns[a, r] is column r of G_A
@@ -221,7 +232,6 @@ class _GramState:
             self.index[sites, kept + a] = kept * n_a + a * n_b + np.arange(n_b)
             np.take(z, sites.T, out=Mt[a], mode="clip")  # in range; clip writes unbuffered
         np.matmul(Mt.swapaxes(1, 2), Mt.conj(), out=G)
-        self.proposal = None
 
     def total(self):
         """T, the weighted sum of the squared Frobenius norms of the G_A."""
@@ -229,42 +239,92 @@ class _GramState:
         G = self.buffer[: kept * n_a]
         return weight * np.vdot(G, G).real
 
-    def delta(self, j: int, new):
-        """Change of T when z_j becomes `new`, with |new| = |z_j| (see _delta).
 
-        Keeps the gathered rows for an accept of site j.
-        """
-        kept = self.counts[1]
-        rows = self.buffer.take(self.index[j], axis=0)
-        self.proposal = j, rows
-        S = np.dot(rows[:kept].ravel(), rows[kept:].ravel())
-        old = self.z[j]
-        if self.exact:
-            S, old, new = int(S), int(old), int(new)
-        return _delta(S, old, new, *self.counts)
+def _raw_draws(bit_generator) -> tuple:
+    """(next raw 64-bit draw, pending high half or None) of a PCG64 bit
+    generator, read DRAW_BLOCK raw draws at a time.  A 32-bit draw returns
+    the pending half if there is one, else the low half of a raw draw, whose
+    high half is then pending."""
+    state = bit_generator.state
+    half = state["uinteger"] if state["has_uint32"] else None
+    blocks = (bit_generator.random_raw(DRAW_BLOCK).tolist() for _ in itertools.count())
+    return itertools.chain.from_iterable(blocks).__next__, half
 
-    def set(self, j: int, new) -> None:
-        """z_j = new, with the rank-one updates of every G_A and M_A, from
-        the rows that the last proposal, delta(j, ...), gathered."""
-        if self.proposal is None or self.proposal[0] != j:
-            raise ValueError(f"site {j} is not the last proposed site")
-        rows = self.proposal[1]
-        self.proposal = None
-        kept, n_a = self.counts[1], self.counts[2]
-        at = self.index[j]
-        g = at[:kept]
-        r = g - self.base
-        u = (new - self.z[j]) * rows[kept:].conj()
-        u.put(g, 0)  # g[a] = a N_A + r_A(j) is also the flat index of u[a, r_A(j)]
-        u += rows[:kept]
-        self.buffer[g] = u
-        self.columns[self.pick, r] = u.conj()  # G_A stays Hermitian
-        self.flat[at[kept:] * n_a + r] = new
-        self.z[j] = new
+
+def _walk(grams: _GramState, draw, half, config: AnnealConfig, better) -> np.ndarray:
+    """Run config's Metropolis stages on grams, moving grams.z; return the
+    best z met.
+
+    Each step is inline.  Its draws come from `draw` and `half` (see
+    _raw_draws), formed as the replica's Generator forms them: a site as
+    integers(N) does, from the top n bits of a 32-bit draw; an angle as
+    uniform(-max_angle, max_angle) does, low + (high - low) * double; an
+    acceptance draw as random() does, the double (raw >> 11) * 2^-53 itself.
+    A proposal is one `take` of the site's 2 kept buffer rows and one dot
+    for the S of _delta.  An accept updates those rows in place, writes
+    them back in one assignment through a void view of the buffer (one
+    element per row), then the Hermitian columns.
+    """
+    z = grams.z
+    N = z.size
+    n = N.bit_length() - 1
+    weight, kept, n_a, n_b = grams.counts
+    mass, pair = kept * n_b, 2 * kept * (n_a - 1)
+    denom = _gram_sum_denominator(n)
+    buffer, index, columns, pick, base = grams.buffer, grams.index, grams.columns, grams.pick, grams.base
+    whole = np.dtype((np.void, n_a * buffer.itemsize))
+    buffer_rows = buffer.view(whole)
+    rows = np.empty((2 * kept, n_a), dtype=buffer.dtype)  # the rows of the site in hand
+    G, M = rows.reshape(2, -1)  # its G_A rows and M_A columns, flat
+    G_rows, whole_rows = rows[:kept], rows.view(whole)
+    signs = grams.exact
+    shift = 32 - n  # a site is the top n bits of a 32-bit draw
+    low, span = -config.max_angle, 2 * config.max_angle  # span = high - low, exactly
+    values = z.tolist()  # z as Python numbers, for the scalar arithmetic of a step
+    # T orders states as the energy does, exactly for signs
+    current = grams.total().item()
+    best, best_z = current, z.copy()
+    for beta, sweeps in config.beta_schedule:
+        for _ in range(sweeps * N):
+            if half is None:
+                raw = draw()
+                j, half = (raw & 0xFFFFFFFF) >> shift, raw >> 32
+            else:
+                j, half = half >> shift, None
+            old = values[j]
+            if signs:
+                new = -old
+            else:
+                new = old * cmath.exp(1j * (low + span * ((draw() >> 11) * DOUBLE)))
+            at = index[j]
+            buffer.take(at, 0, rows, "clip")  # in range; clip writes unbuffered
+            d = new - old
+            shifted = np.dot(G, M).item() - mass * old
+            delta = weight * (4 * (d * shifted.conjugate()).real + pair * abs(d) ** 2)
+            # an integer delta and C N^2 convert to float exactly, so the
+            # energy change is the exact rational rounded once
+            x = -beta * (delta / denom)
+            if x >= 0 or (draw() >> 11) * DOUBLE < math.exp(x):
+                g = at[:kept]  # g[a] = a N_A + r_A(j), also the flat index of u[a, r_A(j)]
+                u = d * M.conj()  # conj() of an integer array is the array itself
+                u.put(g, 0)
+                G += u
+                M.put(g, new)
+                buffer_rows[at] = whole_rows
+                columns[pick, g - base] = G_rows.conj()  # G_A stays Hermitian
+                values[j] = z[j] = new
+                current += delta
+                if better(current, best):
+                    best, best_z = current, z.copy()
+    return best_z
 
 
 def flip_delta(signs: SignVector, flip_index: int) -> float:
     """Energy change from flipping one sign, without full re-evaluation.
+
+    A single-flip query that needs no Gram state.  The annealer does not
+    use it: once its Gram state is built, a proposal costs
+    O(C(n, n/2) 2^(n/2)).
 
     Forms only the S of _delta, in O(C(n, n/2) N): for each kept A, the sum
     over the sites s = (k, m) of M_A of z at (r, m), times z_s, times z at
@@ -371,30 +431,8 @@ def _anneal_replica(
         z = rng.integers(0, 2, N, dtype=np.int64) * 2 - 1
     else:
         z = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, N))
-    grams = _GramState(n, z)
-    denom = _gram_sum_denominator(n)
-    # T orders states as the energy does, exactly for signs
-    current = grams.total()
-    best, best_z = current, z.copy()
-    evals = 1
-    for beta, sweeps in config.beta_schedule:
-        for _ in range(sweeps):
-            for _ in range(N):
-                j = int(rng.integers(N))
-                if signs:
-                    new = -z[j]
-                else:
-                    new = z[j] * np.exp(1j * rng.uniform(-config.max_angle, config.max_angle))
-                delta = grams.delta(j, new)
-                evals += 1
-                # an integer delta and C N^2 convert to float exactly, so the
-                # energy change is the exact rational rounded once
-                x = -beta * (delta / denom)
-                if x >= 0 or rng.random() < math.exp(x):
-                    grams.set(j, new)
-                    current += delta
-                    if better(current, best):
-                        best, best_z = current, z.copy()
+    best_z = _walk(_GramState(n, z), *_raw_draws(rng.bit_generator), config, better)
+    evals = 1 + N * sum(sweeps for _, sweeps in config.beta_schedule)
     if signs:
         sv = SignVector(n, best_z.astype(np.int8))
         return energy_uniform_exact(sv), sv, evals

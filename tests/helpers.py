@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: explicit loops over basis labels,
 quadratic transforms, dictionary accumulation.  The point is independence
-from the library's vectorized code paths.
+from the library's vectorized code paths.  Paths the library has replaced
+stay here as oracles of their replacements.
 """
 
 from __future__ import annotations
@@ -14,18 +15,23 @@ from itertools import combinations
 import numpy as np
 
 from mmeskit import (
+    AnnealConfig,
+    PolarState,
     PopulationVector,
     PureState,
     QubitMask,
     SignVector,
     WalshCoefficients,
     build_coupling_table,
+    energy_uniform_exact,
+    pi_me_uniform,
     population_from_walsh,
     walsh_coefficients,
 )
-from mmeskit.bipartite import _axes, _gram, _matricize
+from mmeskit.bipartite import _axes, _gram, _gram_sum_denominator, _matricize
 from mmeskit.bitspace import balanced_bipartitions, embed_table, submasks, weight
 from mmeskit.potential import _g_hat_core
+from mmeskit.search import _delta, _GramState
 
 
 def place_bits(n: int, qubits, sub: int) -> int:
@@ -228,3 +234,92 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def unit_phases(rng: np.random.Generator, count: int) -> tuple[complex, ...]:
     return tuple(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count)))
+
+
+class LoopGramState(_GramState):
+    """The annealer's Gram state with one call per proposal (delta) and per
+    accept (set), as the stage loop ran them before `search._walk` inlined
+    both: set writes the G_A rows through a fancy index of the row buffer,
+    then the Hermitian columns, then the M_A entries through flat indices."""
+
+    def __init__(self, n: int, z: np.ndarray) -> None:
+        super().__init__(n, z)
+        self.flat = self.buffer.reshape(-1)
+        self.proposal = None
+
+    def delta(self, j: int, new):
+        """Change of T when z_j becomes `new`, with |new| = |z_j| (see _delta).
+
+        Keeps the gathered rows for an accept of site j.
+        """
+        kept = self.counts[1]
+        rows = self.buffer.take(self.index[j], axis=0)
+        self.proposal = j, rows
+        S = np.dot(rows[:kept].ravel(), rows[kept:].ravel())
+        old = self.z[j]
+        if self.exact:
+            S, old, new = int(S), int(old), int(new)
+        return _delta(S, old, new, *self.counts)
+
+    def set(self, j: int, new) -> None:
+        """z_j = new, with the rank-one updates of every G_A and M_A, from
+        the rows that the last proposal, delta(j, ...), gathered."""
+        if self.proposal is None or self.proposal[0] != j:
+            raise ValueError(f"site {j} is not the last proposed site")
+        rows = self.proposal[1]
+        self.proposal = None
+        kept, n_a = self.counts[1], self.counts[2]
+        at = self.index[j]
+        g = at[:kept]
+        r = g - self.base
+        u = (new - self.z[j]) * rows[kept:].conj()
+        u.put(g, 0)  # g[a] = a N_A + r_A(j) is also the flat index of u[a, r_A(j)]
+        u += rows[:kept]
+        self.buffer[g] = u
+        self.columns[self.pick, r] = u.conj()  # G_A stays Hermitian
+        self.flat[at[kept:] * n_a + r] = new
+        self.z[j] = new
+
+
+def loop_walk(grams: LoopGramState, rng, config: AnnealConfig, better) -> np.ndarray:
+    """The Metropolis stages of `search._walk` as a loop of Generator calls,
+    np.exp on numpy scalars, and delta and set per step; the best z met."""
+    z = grams.z
+    N = z.size
+    denom = _gram_sum_denominator(N.bit_length() - 1)
+    signs = config.move == "sign_flip"
+    current = grams.total()
+    best, best_z = current, z.copy()
+    for beta, sweeps in config.beta_schedule:
+        for _ in range(sweeps):
+            for _ in range(N):
+                j = int(rng.integers(N))
+                if signs:
+                    new = -z[j]
+                else:
+                    new = z[j] * np.exp(1j * rng.uniform(-config.max_angle, config.max_angle))
+                delta = grams.delta(j, new)
+                x = -beta * (delta / denom)
+                if x >= 0 or rng.random() < math.exp(x):
+                    grams.set(j, new)
+                    current += delta
+                    if better(current, best):
+                        best, best_z = current, z.copy()
+    return best_z
+
+
+def loop_anneal_replica(rng: np.random.Generator, config: AnnealConfig, n: int, better):
+    """`search._anneal_replica` on loop_walk, counting evaluations step by step."""
+    N = 1 << n
+    signs = config.move == "sign_flip"
+    if signs:
+        z = rng.integers(0, 2, N, dtype=np.int64) * 2 - 1
+    else:
+        z = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, N))
+    best_z = loop_walk(LoopGramState(n, z), rng, config, better)
+    evals = 1 + sum(N * sweeps for _, sweeps in config.beta_schedule)
+    if signs:
+        sv = SignVector(n, best_z.astype(np.int8))
+        return energy_uniform_exact(sv), sv, evals
+    state = PolarState(n, np.full(N, 1.0 / math.sqrt(N)), best_z)
+    return pi_me_uniform(state), state, evals

@@ -5,13 +5,18 @@ exact rational energies for every claimed optimum, and cross-seed
 determinism checks on whole reports.
 """
 
+import cmath
 import math
+import operator
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import LoopGramState, loop_anneal_replica, loop_walk
 from mmeskit import (
     AnnealConfig,
     PolarState,
@@ -24,8 +29,11 @@ from mmeskit import (
     flip_delta,
     pi_me_uniform,
 )
+from mmeskit import search
 from mmeskit.bipartite import _gram_sum_denominator, _kept_count, _layout
-from mmeskit.search import MAX_ANNEAL_STATE_BYTES, _GramState, _state_bytes
+from mmeskit.search import (
+    DOUBLE, MAX_ANNEAL_STATE_BYTES, _GramState, _raw_draws, _state_bytes, _walk,
+)
 
 
 def random_signs(n, seed):
@@ -94,7 +102,7 @@ class TestFlipDelta:
     def test_gram_walk_is_exact_at_every_step(self, n):
         rng = np.random.default_rng(200 + n)
         denom = _gram_sum_denominator(n)
-        state = _GramState(n, random_signs(n, n).signs.astype(np.int64))
+        state = LoopGramState(n, random_signs(n, n).signs.astype(np.int64))
         energy = energy_uniform_exact(SignVector(n, state.z.astype(np.int8)))
         assert Fraction(int(state.total()), denom) == energy
         for _ in range(40):
@@ -112,7 +120,7 @@ class TestFlipDelta:
         N = 1 << n
         moduli = np.full(N, 1.0 / np.sqrt(N))
         denom = _gram_sum_denominator(n)
-        state = _GramState(n, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N)))
+        state = LoopGramState(n, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N)))
         value = state.total() / denom
         for step in range(3000):
             j = int(rng.integers(N))
@@ -127,7 +135,7 @@ class TestFlipDelta:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_the_gram_state_proposal_exactly(self, n):
         sv = random_signs(n, 70 + n)
-        state = _GramState(n, sv.signs.astype(np.int64))
+        state = LoopGramState(n, sv.signs.astype(np.int64))
         denom = _gram_sum_denominator(n)
         for j in np.random.default_rng(n).integers(1 << n, size=5):
             j = int(j)
@@ -148,13 +156,14 @@ class TestFlipDelta:
 
 
 class TestGramState:
-    """Proposals (delta) that are rejected, mixed with accepted ones (set)."""
+    """Proposals (delta) that are rejected, mixed with accepted ones (set),
+    on the per-step oracle of the annealer's inline walk."""
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_sign_walk_with_rejected_proposals_is_exact_at_every_step(self, n):
         rng = np.random.default_rng(500 + n)
         denom = _gram_sum_denominator(n)
-        state = _GramState(n, random_signs(n, 60 + n).signs.astype(np.int64))
+        state = LoopGramState(n, random_signs(n, 60 + n).signs.astype(np.int64))
         energy = energy_uniform_exact(SignVector(n, state.z.astype(np.int8)))
         for _ in range(60):
             j = int(rng.integers(1 << n))
@@ -176,7 +185,7 @@ class TestGramState:
         N = 1 << n
         moduli = np.full(N, 1.0 / np.sqrt(N))
         denom = _gram_sum_denominator(n)
-        state = _GramState(n, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N)))
+        state = LoopGramState(n, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N)))
         value = state.total() / denom
         for _ in range(120):
             j = int(rng.integers(N))
@@ -190,7 +199,7 @@ class TestGramState:
 
     def test_only_the_last_proposed_site_can_be_accepted(self):
         n = 4
-        state = _GramState(n, random_signs(n, 4).signs.astype(np.int64))
+        state = LoopGramState(n, random_signs(n, 4).signs.astype(np.int64))
         with pytest.raises(ValueError, match="not the last proposed site"):
             state.set(3, -state.z[3])
         state.delta(3, -state.z[3])
@@ -220,6 +229,150 @@ class TestGramState:
             tracemalloc.stop()
         assert state.buffer.dtype == dtype
         assert peak <= _state_bytes(n, itemsize)
+
+
+SCHEDULES = ("10:3,1000:3", "1:2,-5:2", "inf:2", "-inf:1", "0:1,100:1")
+ANGLES = (0.1, math.pi / 2, math.pi)
+
+
+def report_fields(report):
+    best = report.best_state
+    state = best.signs if isinstance(best, SignVector) else best.phases
+    return (
+        report.min_value, report.min_value_exact, report.replica_best_values,
+        report.evaluations, report.objective, type(best), state.tobytes(),
+    )
+
+
+def replay(draw, half, kind, n, angle):
+    """One draw of `kind` from _raw_draws' stream, as _walk forms it."""
+    if kind == "site":
+        if half is None:
+            raw = draw()
+            return (raw & 0xFFFFFFFF) >> (32 - n), raw >> 32
+        return half >> (32 - n), None
+    double = (draw() >> 11) * DOUBLE
+    if kind == "angle":
+        return -angle + (angle - -angle) * double, half
+    return double, half
+
+
+class StubGenerator:
+    """Sites from a list, every angle 0, and a count of acceptance draws."""
+
+    def __init__(self, sites):
+        self.sites = iter(sites)
+        self.accept_draws = 0
+
+    def integers(self, N):
+        return next(self.sites)
+
+    def uniform(self, low, high):
+        return 0.0
+
+    def random(self):
+        self.accept_draws += 1
+        return 0.0
+
+
+class TestWalk:
+    """The inline walk against the per-step loop it replaced (helpers.loop_walk)."""
+
+    # every schedule up to n = 8, alternate ones at n = 9 and 10
+    @pytest.mark.parametrize("n, k", [
+        (n, k) for n in range(2, 11) for k in range(len(SCHEDULES)) if n <= 8 or (n + k) % 2
+    ])
+    @pytest.mark.parametrize("move", ["sign_flip", "phase_rotation"])
+    def test_anneal_matches_the_loop_oracle(self, monkeypatch, n, k, move):
+        schedule = SCHEDULES[k]
+        stages = tuple((float(b), int(s)) for b, s in (p.split(":") for p in schedule.split(",")))
+        config = AnnealConfig(
+            beta_schedule=stages, move=move, max_angle=ANGLES[(n + k) % 3],
+            replicas=1 + (n + k) % 3 if n <= 8 else 1, seed=10 * n + k,
+        )
+        got = anneal(n, config)
+        monkeypatch.setattr(search, "_anneal_replica", loop_anneal_replica)
+        assert report_fields(got) == report_fields(anneal(n, config))
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("move", ["sign_flip", "phase_rotation"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_walk_leaves_the_loop_state_bit_for_bit(self, n, move, pending):
+        N = 1 << n
+        start = np.random.default_rng(n)
+        if move == "sign_flip":
+            z = start.integers(0, 2, N) * 2 - 1
+        else:
+            z = np.exp(1j * start.uniform(0.0, 2.0 * np.pi, N))
+        config = AnnealConfig(
+            beta_schedule=((1.0, 2), (-3.0, 1), (math.inf, 1), (50.0, 2)), move=move, max_angle=1.0
+        )
+        ours, theirs = np.random.default_rng(99), np.random.default_rng(99)
+        if pending:  # an odd number of 32-bit draws leaves a high half pending
+            ours.integers(N), theirs.integers(N)
+        grams, loop = _GramState(n, z.copy()), LoopGramState(n, z.copy())
+        best = _walk(grams, *_raw_draws(ours.bit_generator), config, operator.lt)
+        assert best.tobytes() == loop_walk(loop, theirs, config, operator.lt).tobytes()
+        assert grams.z.tobytes() == loop.z.tobytes()
+        assert grams.buffer.tobytes() == loop.buffer.tobytes()
+        if move == "sign_flip":
+            assert np.array_equal(grams.buffer, _GramState(n, grams.z.copy()).buffer)
+
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf])
+    def test_a_zero_rotation_at_infinite_beta_takes_an_acceptance_draw_and_is_rejected(self, beta):
+        # -beta * 0 is NaN: `x >= 0` fails, so the step draws, and draw < exp(NaN) fails
+        n, N = 2, 4
+        z = np.exp(1j * np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, N))
+        config = AnnealConfig(beta_schedule=((beta, 1),), move="phase_rotation", max_angle=0.7)
+        grams = _GramState(n, z.copy())
+        buffer = grams.buffer.copy()
+        sites = (2, 1, 3, 0)
+        zero_angle, accept = 1 << 63, 0  # the double 1/2 puts the angle at -a + 2a / 2 = 0
+        raws = []
+        for s, t in zip(sites[::2], sites[1::2]):  # a low half, then the pending high half
+            raws += [t << 62 | s << 30, zero_angle, accept, zero_angle, accept]
+        stream = iter(raws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # Python floats: NaN arises without a warning
+            best = _walk(grams, stream.__next__, None, config, operator.lt)
+        assert list(stream) == []  # every step took its acceptance draw
+        assert grams.z.tobytes() == z.tobytes() == best.tobytes()
+        assert grams.buffer.tobytes() == buffer.tobytes()
+        stub = StubGenerator(sites)
+        loop = LoopGramState(n, z.copy())
+        with pytest.warns(RuntimeWarning, match="invalid value"):  # numpy scalars warn
+            loop_walk(loop, stub, config, operator.lt)
+        assert stub.accept_draws == N
+        assert loop.z.tobytes() == z.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(2, 13),
+        skip=st.integers(0, 3),
+        angle=st.sampled_from(ANGLES + (1.0, 1e-3)),
+        theta=st.floats(0.0, 2 * math.pi),
+        pattern=st.lists(st.sampled_from(["site", "angle", "accept"]), min_size=1, max_size=12),
+        length=st.integers(0, 2500),
+    )
+    def test_raw_draws_replay_the_generator(self, seed, n, skip, angle, theta, pattern, length):
+        N = 1 << n
+        generator, raw = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(skip):  # an odd skip leaves a high half pending
+            generator.integers(N), raw.integers(N)
+        draw, half = _raw_draws(raw.bit_generator)
+        z = np.exp(1j * theta)
+        for i in range(length):  # DRAW_BLOCK is 1024, so long runs cross blocks
+            kind = pattern[i % len(pattern)]
+            got, half = replay(draw, half, kind, n, angle)
+            if kind == "site":
+                assert got == generator.integers(N)
+            elif kind == "angle":
+                assert got == generator.uniform(-angle, angle)
+                want = z * np.exp(1j * got)
+                assert np.complex128(complex(z) * cmath.exp(1j * got)).tobytes() == want.tobytes()
+            else:
+                assert got == generator.random()
 
 
 class TestExhaustive:
