@@ -7,10 +7,10 @@ Features:
   changes one entry of every M_A, so each Gram matrix G_A = M_A M_A^H
   takes a rank-one update of one row and column; the G_A rows and the M_A
   columns share one row buffer, so a proposal gathers what it reads with
-  one take and an accept updates the same rows and writes them back in one
-  assignment through a void view of the buffer (one element per row); sign
-  flips stay exact integers, and the state is refused before allocation
-  when it would exceed 1 GiB
+  one take and an accept updates the same rows and puts them back through
+  a void view of the buffer (one element per row); sign rows are float64
+  and hold exact integers, all below 2^53 for every n the annealer runs,
+  and the state is refused before allocation when it would exceed 1 GiB
 - single sign-flip energy changes without a Gram state, in
   O(C(n, n/2) 2^n) (`flip_delta`; the annealer does not use it)
 - exhaustive Gray-code enumeration of all sign vectors in batched blocks
@@ -189,9 +189,9 @@ def _delta(S, old, new, weight: int, kept: int, n_a: int, n_b: int):
     and v is the column c_A(j) of M_A.  With d = new - old, row r of G_A
     moves by u = d conj(v) off the diagonal, and column r by conj(u).
     Summed over A, the change is 2 (2 Re <G_A[r, :], u> + ||u||^2) =
-    4 Re(d conj(S - N_Abar old)) + 2 (N_A - 1) |d|^2 per A.  Python ints
-    give the exact integer change, complex numbers its float; `_walk`
-    forms the same expression inline.
+    4 Re(d conj(S - N_Abar old)) + 2 (N_A - 1) |d|^2 per A.  Python ints,
+    or floats that hold integers below 2^53, give the exact integer change,
+    complex numbers its float; `_walk` forms the same expression inline.
     """
     d = new - old
     shifted = S - kept * n_b * old
@@ -208,7 +208,10 @@ class _GramState:
     each G_A, then those of c_A(j) in each M_A^T; `_walk` moves one site at
     a time through them.  T is the weighted sum of ||G_A||_F^2, so the
     potential of the unnormalized vector z is T /
-    bipartite._gram_sum_denominator(n).  Integer z (signs) keeps T exact.
+    bipartite._gram_sum_denominator(n).  Signs keep T exact in float64 as
+    in integers: every entry and the S of every move is at most kept N in
+    size, and T and its every change at most C(n, n/2) N^2, all below 2^53
+    for n <= 13.
     """
 
     def __init__(self, n: int, z: np.ndarray) -> None:
@@ -217,7 +220,6 @@ class _GramState:
         N = 1 << n
         n_b = N // n_a
         self.z = z
-        self.exact = z.dtype.kind == "i"
         self.counts = (layout.weight, kept, n_a, n_b)
         self.buffer = np.empty((kept * (n_a + n_b), n_a), dtype=z.dtype)
         G = self.buffer[: kept * n_a].reshape(kept, n_a, n_a)
@@ -237,7 +239,11 @@ class _GramState:
         """T, the weighted sum of the squared Frobenius norms of the G_A."""
         weight, kept, n_a, _ = self.counts
         G = self.buffer[: kept * n_a]
-        return weight * np.vdot(G, G).real
+        if G.dtype.kind == "c":
+            return weight * np.vdot(G, G).real
+        # integers, exact in any order; einsum stays off BLAS, whose threaded
+        # dot of a long vector leaves its threads spinning into the walk
+        return weight * np.einsum("ij,ij->", G, G)
 
 
 def _raw_draws(bit_generator) -> tuple:
@@ -261,9 +267,12 @@ def _walk(grams: _GramState, draw, half, config: AnnealConfig, better) -> np.nda
     uniform(-max_angle, max_angle) does, low + (high - low) * double; an
     acceptance draw as random() does, the double (raw >> 11) * 2^-53 itself.
     A proposal is one `take` of the site's 2 kept buffer rows and one dot
-    for the S of _delta.  An accept updates those rows in place, writes
-    them back in one assignment through a void view of the buffer (one
-    element per row), then the Hermitian columns.
+    for the S of _delta.  An accept forms u in an array allocated once,
+    updates the gathered rows in place, puts them back through a void view
+    of the buffer (one element per row), then writes the Hermitian columns.
+    Float64 sign rows hold integers below 2^53 (see _GramState), so every
+    sum, delta and T is the exact integer whatever order BLAS adds in, and
+    delta / denom is the exact rational rounded once.
     """
     z = grams.z
     N = z.size
@@ -273,11 +282,13 @@ def _walk(grams: _GramState, draw, half, config: AnnealConfig, better) -> np.nda
     denom = _gram_sum_denominator(n)
     buffer, index, columns, pick, base = grams.buffer, grams.index, grams.columns, grams.pick, grams.base
     whole = np.dtype((np.void, n_a * buffer.itemsize))
-    buffer_rows = buffer.view(whole)
+    buffer_rows = buffer.view(whole).reshape(-1)
     rows = np.empty((2 * kept, n_a), dtype=buffer.dtype)  # the rows of the site in hand
     G, M = rows.reshape(2, -1)  # its G_A rows and M_A columns, flat
-    G_rows, whole_rows = rows[:kept], rows.view(whole)
-    signs = grams.exact
+    G_rows, whole_rows = rows[:kept], rows.view(whole).reshape(-1)
+    signs = config.move == "sign_flip"
+    u = np.empty_like(M)  # the change of the G_A rows
+    conj_rows = None if signs else np.empty_like(G_rows)  # the new G_A columns
     shift = 32 - n  # a site is the top n bits of a 32-bit draw
     low, span = -config.max_angle, 2 * config.max_angle  # span = high - low, exactly
     values = z.tolist()  # z as Python numbers, for the scalar arithmetic of a step
@@ -299,19 +310,19 @@ def _walk(grams: _GramState, draw, half, config: AnnealConfig, better) -> np.nda
             at = index[j]
             buffer.take(at, 0, rows, "clip")  # in range; clip writes unbuffered
             d = new - old
-            shifted = np.dot(G, M).item() - mass * old
+            shifted = G.dot(M).item() - mass * old
             delta = weight * (4 * (d * shifted.conjugate()).real + pair * abs(d) ** 2)
-            # an integer delta and C N^2 convert to float exactly, so the
-            # energy change is the exact rational rounded once
             x = -beta * (delta / denom)
             if x >= 0 or (draw() >> 11) * DOUBLE < math.exp(x):
                 g = at[:kept]  # g[a] = a N_A + r_A(j), also the flat index of u[a, r_A(j)]
-                u = d * M.conj()  # conj() of an integer array is the array itself
+                # d first: complex products with FMA are not commutative
+                np.multiply(d, M if signs else np.conjugate(M, out=u), out=u)
                 u.put(g, 0)
                 G += u
                 M.put(g, new)
-                buffer_rows[at] = whole_rows
-                columns[pick, g - base] = G_rows.conj()  # G_A stays Hermitian
+                buffer_rows.put(at, whole_rows)
+                # G_A stays Hermitian
+                columns[pick, g - base] = G_rows if signs else np.conjugate(G_rows, out=conj_rows)
                 values[j] = z[j] = new
                 current += delta
                 if better(current, best):
@@ -428,7 +439,7 @@ def _anneal_replica(
     N = 1 << n
     signs = config.move == "sign_flip"
     if signs:
-        z = rng.integers(0, 2, N, dtype=np.int64) * 2 - 1
+        z = (rng.integers(0, 2, N, dtype=np.int64) * 2 - 1).astype(np.float64)
     else:
         z = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, N))
     best_z = _walk(_GramState(n, z), *_raw_draws(rng.bit_generator), config, better)

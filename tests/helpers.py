@@ -257,7 +257,7 @@ class LoopGramState(_GramState):
         self.proposal = j, rows
         S = np.dot(rows[:kept].ravel(), rows[kept:].ravel())
         old = self.z[j]
-        if self.exact:
+        if self.z.dtype.kind == "i":
             S, old, new = int(S), int(old), int(new)
         return _delta(S, old, new, *self.counts)
 

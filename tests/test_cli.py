@@ -4,6 +4,7 @@ Each command runs in-process through run(argv); one smoke test exercises the
 installed console script.  Output determinism is asserted byte for byte.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -401,6 +402,20 @@ PINNED_ANNEAL = [
 ]
 
 
+# Phase walks print every phase, so their stdout is pinned by its SHA-256
+# (with the reported values, for a readable failure).  From n = 9 the starting
+# Gram sum is a complex dot that OpenBLAS splits over its threads, so its last
+# bits follow the thread count; the n = 9 digest assumes that this rounding
+# flips no near-tie of the best state.  It read the same with 1, 2, 3, 4 and
+# 8 OpenBLAS threads on 2 vCPUs, though the starting sum differed between 1
+# and 2 threads.
+PINNED_PHASE_ANNEAL = [
+    ('--n 8 --schedule 10:3,1000:3 --move phase_rotation --seed 0', [0.1144486627115323], 'e1200677244dd687f9f88ea320182b80abcc1c929eba27a5385e393dd1d90bec'),
+    ('--n 9 --schedule 10:3,1000:3 --move phase_rotation --seed 0', [0.08975983859159162], 'e6feea0faa0f16eb6e9bddba98ce93b7a25169c565283297dd35bb1c1de98090'),
+    ('--n 8 --schedule 10:3,1000:3 --move phase_rotation --max-angle 0.3 --replicas 2 --seed 4', [0.11800569785648911, 0.11807986931322197], '587f2418f4b004c85add2cebaac3677302915188ca5ab85437cce6e91a0b82f6'),
+    ('--n 8 --schedule=-1:2,-10:2 --move phase_rotation --seed 3', [0.12748263009067146], '3428f387efe062334f724c10e13f21520c1807dc32f348d1b0612a30427f8d57'),
+]
+
 PINNED_SEARCH = [
     ('--n 2 --mode full', '{"evaluations":16,"min_value":0.5,"min_value_exact":"1/2","minimizer_count":8,"mode":"exhaustive","n":2,"sample_minimizers":["-+++","+-++","---+","++-+","-+--","+---","--+-","+++-"]}'),
     ('--n 2 --mode fix_global_sign', '{"evaluations":8,"min_value":0.5,"min_value_exact":"1/2","minimizer_count":4,"mode":"exhaustive","n":2,"sample_minimizers":["+-++","++-+","+---","+++-"]}'),
@@ -431,6 +446,15 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("argv, stdout", PINNED_ANNEAL, ids=[a for a, _ in PINNED_ANNEAL])
     def test_seeded_sign_anneals_are_unchanged(self, capture, argv, stdout):
         assert capture(["anneal", *argv.split()]) == (0, stdout + "\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, values, digest", PINNED_PHASE_ANNEAL, ids=[a for a, _, _ in PINNED_PHASE_ANNEAL]
+    )
+    def test_seeded_phase_anneals_are_unchanged(self, capture, argv, values, digest):
+        code, out, err = capture(["anneal", *argv.split()])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["replica_best_values"] == values
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv, stdout", PINNED_SEARCH, ids=[a for a, _ in PINNED_SEARCH])
     def test_exhaustive_searches_are_unchanged(self, capture, argv, stdout):

@@ -217,7 +217,9 @@ class TestGramState:
         assert np.array_equal(state.buffer, fresh.buffer)
 
     @pytest.mark.parametrize("n", range(8, 12))
-    @pytest.mark.parametrize("dtype, itemsize", [(np.int64, 8), (np.complex128, 16)])
+    @pytest.mark.parametrize(
+        "dtype, itemsize", [(np.int64, 8), (np.float64, 8), (np.complex128, 16)]
+    )
     def test_build_peak_is_within_the_gate(self, n, dtype, itemsize):
         z = np.ones(1 << n, dtype=dtype)
         _layout(n)  # cached per n and shared with every evaluation, so built first
@@ -275,6 +277,14 @@ class StubGenerator:
         return 0.0
 
 
+def _sign_gate_sizes() -> range:
+    """Every n the sign annealer's size gate admits, then the first it refuses."""
+    n = 2
+    while _state_bytes(n, 8) <= MAX_ANNEAL_STATE_BYTES:
+        n += 1
+    return range(2, n + 1)
+
+
 class TestWalk:
     """The inline walk against the per-step loop it replaced (helpers.loop_walk)."""
 
@@ -317,6 +327,33 @@ class TestWalk:
         assert grams.buffer.tobytes() == loop.buffer.tobytes()
         if move == "sign_flip":
             assert np.array_equal(grams.buffer, _GramState(n, grams.z.copy()).buffer)
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_float_sign_walk_equals_the_integer_loop(self, n, pending):
+        N = 1 << n
+        z = np.random.default_rng(200 + n).integers(0, 2, N) * 2 - 1
+        stages = ((1.0, 2), (-math.inf, 1), (-3.0, 1), (math.inf, 1), (20.0, 2))
+        config = AnnealConfig(beta_schedule=stages)
+        ours, theirs = np.random.default_rng(300 + n), np.random.default_rng(300 + n)
+        if pending:
+            ours.integers(N), theirs.integers(N)
+        grams, loop = _GramState(n, z.astype(np.float64)), LoopGramState(n, z.copy())
+        best = _walk(grams, *_raw_draws(ours.bit_generator), config, operator.lt)
+        loop_best = loop_walk(loop, theirs, config, operator.lt)
+        assert grams.buffer.dtype == best.dtype == np.float64
+        assert loop.buffer.dtype == loop_best.dtype == np.int64
+        assert np.array_equal(grams.buffer, loop.buffer)
+        assert np.array_equal(grams.z, loop.z)
+        assert np.array_equal(best, loop_best)
+        assert grams.total() == loop.total() == _GramState(n, loop.z.copy()).total()
+
+    @pytest.mark.parametrize("n", _sign_gate_sizes())
+    def test_float_sign_sums_stay_below_two_to_the_53(self, n):
+        # every Gram entry and S is at most kept N in size, T and every delta at most C(n, n/2) N^2
+        N = 1 << n
+        assert _kept_count(n) * N < 2**53
+        assert math.comb(n, n // 2) * N * N == _gram_sum_denominator(n) < 2**53
 
     @pytest.mark.parametrize("beta", [math.inf, -math.inf])
     def test_a_zero_rotation_at_infinite_beta_takes_an_acceptance_draw_and_is_rejected(self, beta):
