@@ -7,9 +7,11 @@ Features:
 - the Gram matrices of the balanced bipartitions, streamed in gathered
   stacks: the single evaluation core behind every potential, verdict, sweep
   and anneal (integer Grams for sign vectors, so those stay exact)
-- a per-n map of where each balanced M_A reads the amplitudes, built once
-  for each of the last few n and gathered from by every Gram evaluation,
-  so none transposes a subset or repeats bipartition bookkeeping
+- one record per n of the balanced subsets (`_sites`): where each kept
+  M_A reads the amplitudes, how often it counts, and for small N_A the
+  narrow kernel's row-pair sites; built once for each of the last few n
+  and read by every Gram evaluation and the annealer, so none transposes
+  a subset or repeats bipartition bookkeeping
 - the exact Gram sum of sign vectors, each complementary pair of balanced
   subsets counted once, and its C(n, n/2) N^2 normaliser: chunks of the
   M_A gathered in one step, their Gram entries summed in the narrowest
@@ -34,12 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Union
+from itertools import combinations, islice
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .bitspace import (
-    QubitMask, _check_split, _frozen, as_mask, balanced_bipartitions, binomial, submasks
+    QubitMask, _check_balanced, _check_split, _frozen, as_mask, binomial, submasks
 )
 from .states import PolarState, PureState
 
@@ -186,26 +189,57 @@ def _gram(M: np.ndarray) -> np.ndarray:
     return M @ M.conj().swapaxes(-1, -2)
 
 
-class _Layout(NamedTuple):
-    """Bookkeeping of the balanced bipartitions of n qubits, shared by every
-    evaluation at that n."""
+def _kept_count(n: int) -> int:
+    """Number of subsets _sites(n) keeps, without listing them."""
+    return binomial(n, n // 2) // (2 - n % 2)
 
-    rows: int  # N_A = 2^floor(n/2)
-    kept: tuple[tuple[int, ...], ...]  # _axes of the subsets the Gram sums gather
+
+class _Sites(NamedTuple):
+    """Where the M_A of the balanced subsets of n qubits read the amplitudes.
+
+    Entry (i, j) of the a-th kept M_A is amplitude rows[a, i] + cols[a, j]:
+    rows[a, i] is the basis index whose A-bits spell i and whose Abar-bits
+    are 0, so rows[a, -1] is A's mask, and cols[a, j] the one whose
+    Abar-bits spell j.  Their sums are the map _matricize(arange(2^n),
+    _axes(A's mask, n), N_A) gives, built without a transpose.
+    """
+
+    rows: np.ndarray  # (kept, N_A)
+    cols: np.ndarray  # (kept, N_Abar)
     weight: int  # how often each kept subset counts
+    pairs: Optional[tuple[np.ndarray, np.ndarray]]  # the narrow kernel's sites
 
 
 @lru_cache(maxsize=8)
-def _layout(n: int) -> _Layout:
-    """The balanced layout of n qubits, built once for each of the last few n.
+def _sites(n: int) -> _Sites:
+    """The site map of n qubits, built once for each of the last few n.
 
-    At even n, A and its complement are both balanced, and their Gram
-    matrices M M^H and M^H M have the same Frobenius norm, so an exact sum
-    keeps only the subsets containing qubit 1, each counting twice.
+    The subsets come in balanced_bipartitions order.  At even n, A and its
+    complement are both balanced, and their Gram matrices M M^H and M^H M
+    have the same Frobenius norm, so only the subsets holding qubit 1 are
+    kept, each counting twice.  Up to N_A = PAIR_MAX_ROWS, pairs holds the
+    sites of rows i and m of each kept M_A for every row pair i < m, as two
+    (kept, pairs, N_Abar) arrays; beyond it None, since at n = 12 they
+    would take about 950 MB.
     """
-    weight = 2 - n % 2
-    kept = (A for A in balanced_bipartitions(n) if weight == 1 or A.mask >> (n - 1))
-    return _Layout(1 << (n // 2), tuple(_axes(A.mask, n) for A in kept), weight)
+    _check_balanced(n)
+    kept = _kept_count(n)
+    inside = np.zeros((kept, n), dtype=bool)
+    qubits = np.array(list(islice(combinations(range(n), n // 2), kept)))  # A's, from 0
+    np.put_along_axis(inside, qubits, True, axis=1)
+    weights = np.broadcast_to(1 << np.arange(n - 1, -1, -1), inside.shape)
+
+    def spell(w: np.ndarray) -> np.ndarray:
+        m = w.shape[1]
+        bits = np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1) & 1
+        return _frozen(w @ bits.T)
+
+    rows, cols = (spell(weights[side].reshape(kept, -1)) for side in (inside, ~inside))
+    pairs = None
+    if rows.shape[1] <= PAIR_MAX_ROWS:
+        upper, lower = np.triu_indices(rows.shape[1], 1)
+        pairs = tuple(_frozen(rows[:, pick, None] + cols[:, None, :]) for pick in (upper, lower))
+    return _Sites(rows, cols, 2 - n % 2, pairs)
 
 
 def _balanced_grams(amplitudes: np.ndarray, n: int) -> Iterator[np.ndarray]:
@@ -218,19 +252,15 @@ def _balanced_grams(amplitudes: np.ndarray, n: int) -> Iterator[np.ndarray]:
     product a lone M_A gives, so order-free reductions (fsum, max) keep
     their bits.  For a normalized state each is a reduced density matrix.
     """
-    rows, cols = _sites(n)
+    sites = _sites(n)
+    rows, cols = sites.rows, sites.cols
     size = amplitudes.itemsize
     step = max(1, CHUNK_BYTES // (((8 + size) << n) + rows.shape[1] ** 2 * size))  # index, M_A, G_A
-    for r, c in ((rows, cols), (cols, rows))[: _layout(n).weight]:
+    for r, c in ((rows, cols), (cols, rows))[: sites.weight]:
         for lo in range(0, len(r), step):
             # M_A is freed before the yield: held into the next chunk, a large
             # one cost fresh pages every chunk (365 page faults per matrix at n = 16)
             yield _gram(amplitudes.take(r[lo : lo + step, :, None] + c[lo : lo + step, None, :]))
-
-
-def _kept_count(n: int) -> int:
-    """Number of subsets _layout(n) keeps, without listing them."""
-    return binomial(n, n // 2) // (2 - n % 2)
 
 
 def _gram_sum_denominator(n: int) -> int:
@@ -248,41 +278,10 @@ def _sign_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(-1 - (1 << (n - n // 2)))
 
 
-@lru_cache(maxsize=8)
-def _sites(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each kept M_A reads the amplitudes, as (rows, cols).
-
-    Entry (i, j) of the a-th kept M_A is amplitude rows[a, i] + cols[a, j]:
-    rows[a, i] is the basis index whose A-bits spell i and whose Abar-bits
-    are 0, cols[a, j] the one whose Abar-bits spell j.  Their sums are the
-    map _matricize(arange(2^n), axes, N_A) gives, built without a transpose.
-    """
-    qubits = np.array(_layout(n).kept)[:, 1:]  # A's qubits, then Abar's
-    weights = 1 << (n - qubits)
-
-    def spell(w: np.ndarray) -> np.ndarray:
-        m = w.shape[1]
-        bits = np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1) & 1
-        return _frozen(w @ bits.T)
-
-    return spell(weights[:, : n // 2]), spell(weights[:, n // 2 :])
-
-
-@lru_cache(maxsize=8)
-def _pair_sites(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sites of rows i and m of each kept M_A, for every row pair i < m.
-
-    Two (kept, pairs, N_Abar) arrays, built from _sites for the narrow kernel.
-    """
-    rows, cols = _sites(n)
-    upper, lower = np.triu_indices(rows.shape[1], 1)
-    return tuple(_frozen(rows[:, pick, None] + cols[:, None, :]) for pick in (upper, lower))
-
-
 def _pair_squares(columns: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Sum of the squared Gram entries of a chunk of M_A, for (N, B) signs.
 
-    first and second are a chunk of _pair_sites.  The batch is the innermost
+    first and second are a chunk of _sites(n).pairs.  The batch is the innermost
     axis, so every step is one vectorised pass over B-long rows of the
     narrow sign type.  Only the entries above the diagonal are formed, once
     each: a sign Gram matrix has N_Abar on its diagonal.
@@ -311,33 +310,33 @@ def _sign_gram_sum(signs: np.ndarray, n: int):
     """Exact T = sum over balanced A of ||M_A M_A^T||_F^2 for +-1 signs.
 
     Leading batch axes are kept, and each complementary pair is summed once
-    (see _layout).  The kept subsets go in chunks of about CHUNK_BYTES,
-    gather index included, each chunk's M_A gathered in one step (see
-    _sites).  Up to N_A = PAIR_MAX_ROWS the chunk's Gram entries are summed
-    in the narrow integer type of _sign_dtype, the batch innermost;
-    beyond it float32 BLAS forms them.  One bipartition's sum is at most
-    N^2 <= 2^48, so int64 holds it; the total, up to C(n, n/2) N^2,
-    overflows int64 from n = 22 on, and there it is added in Python ints.
+    (see _sites).  The kept subsets go in chunks of about CHUNK_BYTES,
+    gather index included, each chunk's M_A gathered in one step.  Up to
+    N_A = PAIR_MAX_ROWS the chunk's Gram entries are summed in the narrow
+    integer type of _sign_dtype, the batch innermost; beyond it float32
+    BLAS forms them.  One bipartition's sum is at most N^2 <= 2^48, so
+    int64 holds it; the total, up to C(n, n/2) N^2, overflows int64 from
+    n = 22 on, and there it is added in Python ints.
     """
-    layout = _layout(n)
+    sites = _sites(n)
     N = 1 << n
-    n_a, n_b = layout.rows, N // layout.rows
+    n_a = sites.rows.shape[1]
     flat = signs.reshape(-1, N)
     batch = len(flat)
-    if n_a <= PAIR_MAX_ROWS:
-        kernel, sites = _pair_squares, _pair_sites(n)
+    if sites.pairs is not None:
+        kernel, arrays = _pair_squares, sites.pairs
         data = np.ascontiguousarray(flat.T, dtype=_sign_dtype(n))
-        per_subset = 2 * sites[0][0].size * (8 + batch * data.itemsize)
+        per_subset = 2 * arrays[0][0].size * (8 + batch * data.itemsize)
     else:
-        kernel, sites = _blas_squares, _sites(n)
+        kernel, arrays = _blas_squares, (sites.rows, sites.cols)
         data = flat.astype(np.float32)
         per_subset = N * (8 + 4 * batch) + 12 * n_a * n_a * batch
     step = max(1, CHUNK_BYTES // per_subset)
     acc = np.int64 if _gram_sum_denominator(n) < 1 << 63 else object
     total = np.zeros(batch, dtype=acc)
-    for lo in range(0, len(layout.kept), step):
-        total += kernel(data, *(a[lo : lo + step] for a in sites)).astype(acc)
-    return (layout.weight * total).reshape(signs.shape[:-1])[()]
+    for lo in range(0, len(sites.rows), step):
+        total += kernel(data, *(a[lo : lo + step] for a in arrays)).astype(acc)
+    return (sites.weight * total).reshape(signs.shape[:-1])[()]
 
 
 def _xor_blocks(N: int, count: int) -> Iterator[slice]:

@@ -6,7 +6,7 @@ Features:
   k_1 k_2 ... k_n reads literally as the numeral of the integer
 - subsystem masks (QubitMask) with canonicalizing bipartition constructor
 - enumeration of balanced bipartitions in deterministic ascending order
-  (`bipartite` builds its per-n evaluation layout from it once per n)
+  (`bipartite`'s per-n site map lists its subsets in the same order)
 - extraction / embedding of sub-indices between X^A and X^n
 - exact binomial / multinomial coefficients with the zero-stipulation
   convention for out-of-range arguments
@@ -61,6 +61,13 @@ Rational = Union[int, Fraction]
 def _check_n(n: int, limit: int = MAX_COUNT_QUBITS, low: int = 1) -> None:
     if not low <= n <= limit:
         raise ValueError(f"qubit count must be in [{low}, {limit}], got {n}")
+
+
+def _check_balanced(n: int) -> None:
+    """A qubit count with balanced bipartitions: n >= 2."""
+    if n < 2:
+        raise ValueError(f"balanced bipartitions require n >= 2, got {n}")
+    _check_n(n)
 
 
 def _check_split(n: int, n_a: int) -> None:
@@ -171,9 +178,7 @@ def balanced_bipartitions(n: int) -> list[QubitMask]:
     Ascending label order ({1,2} before {1,3} before {2,3}) is the
     deterministic enumeration order used by every averaging loop.
     """
-    if n < 2:
-        raise ValueError(f"balanced bipartitions require n >= 2, got {n}")
-    _check_n(n)
+    _check_balanced(n)
     half = n // 2
     return [QubitMask.from_qubits(c, n) for c in combinations(range(1, n + 1), half)]
 

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -202,14 +202,6 @@ def coupling_row_sum(l: int, n: int, n_a: int) -> Fraction:
     return total
 
 
-def _resolve_table(n: int, table: Optional[CouplingTable]) -> CouplingTable:
-    if table is None:
-        return build_coupling_table(n)
-    if table.n != n:
-        raise ValueError(f"coupling table is for n={table.n}, state has n={n}")
-    return table
-
-
 @lru_cache(maxsize=4)
 def _entry_arrays(table: CouplingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The table's l and m as column index arrays and its weights as floats."""
@@ -227,7 +219,7 @@ def pi_me_form1(state: PureState) -> float:
     return math.fsum(float(np.vdot(G, G).real) for G in grams) / binomial(state.n, state.n // 2)
 
 
-def pi_me_form2(state: PureState, table: Optional[CouplingTable] = None) -> float:
+def pi_me_form2(state: PureState) -> float:
     """Potential as the XOR-coupled quadruple sum.
 
     Evaluated in the three-group split: the sum of |z_k|^4, the pair group
@@ -235,7 +227,7 @@ def pi_me_form2(state: PureState, table: Optional[CouplingTable] = None) -> floa
     table-driven interference group sum g(l, m) Re(z_k z_{k xor l xor m}
     conj(z_{k xor l}) conj(z_{k xor m})).
     """
-    table = _resolve_table(state.n, table)
+    table = build_coupling_table(state.n)
     n = state.n
     N = 1 << n
     z = state.amplitudes
@@ -256,7 +248,7 @@ def pi_me_form2(state: PureState, table: Optional[CouplingTable] = None) -> floa
     return math.fsum(parts)
 
 
-def pi_me_form4(state: PureState, table: Optional[CouplingTable] = None) -> float:
+def pi_me_form4(state: PureState) -> float:
     """Potential as one minus half the weighted cross-difference sum.
 
     pi_ME = 1 - (1/2) sum g(l, m) sum_k |z_k z_{k xor l xor m} -
@@ -264,7 +256,7 @@ def pi_me_form4(state: PureState, table: Optional[CouplingTable] = None) -> floa
     identically, so only table entries contribute; the subtracted sum is
     nonnegative, making the distance from 1 explicit.
     """
-    table = _resolve_table(state.n, table)
+    table = build_coupling_table(state.n)
     N = 1 << state.n
     z = state.amplitudes
     ks = np.arange(N, dtype=np.intp)

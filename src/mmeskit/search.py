@@ -41,8 +41,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bipartite import (
-    _gram_sum_denominator, _kept_count, _layout, _sign_dtype, _sign_gram_sum, _sites,
-    _xor_blocks,
+    _gram_sum_denominator, _kept_count, _sign_dtype, _sign_gram_sum, _sites, _xor_blocks
 )
 from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
@@ -202,7 +201,7 @@ class _GramState:
     """G_A = M_A M_A^H of every kept balanced A, one site at a time.
 
     Amplitude j sits at entry (r_A(j), c_A(j)) of M_A, as the site map
-    `bipartite._sites` of the subsets `bipartite._layout` keeps spells it.
+    `bipartite._sites` spells it for each subset it keeps.
     One row buffer of width N_A holds every G_A row, then every M_A column
     (the rows of M_A^T), and index[j] lists the buffer rows of r_A(j) in
     each G_A, then those of c_A(j) in each M_A^T; `_walk` moves one site at
@@ -215,12 +214,12 @@ class _GramState:
     """
 
     def __init__(self, n: int, z: np.ndarray) -> None:
-        layout = _layout(n)
-        kept, n_a = len(layout.kept), layout.rows
+        sites = _sites(n)
+        kept, n_a = sites.rows.shape
+        n_b = sites.cols.shape[1]
         N = 1 << n
-        n_b = N // n_a
         self.z = z
-        self.counts = (layout.weight, kept, n_a, n_b)
+        self.counts = (sites.weight, kept, n_a, n_b)
         self.buffer = np.empty((kept * (n_a + n_b), n_a), dtype=z.dtype)
         G = self.buffer[: kept * n_a].reshape(kept, n_a, n_a)
         Mt = self.buffer[kept * n_a :].reshape(kept, n_b, n_a)
@@ -228,11 +227,11 @@ class _GramState:
         self.pick = np.arange(kept)
         self.base = self.pick * n_a
         self.index = np.empty((N, 2 * kept), dtype=np.intp)
-        for a, (rows, cols) in enumerate(zip(*_sites(n))):
-            sites = rows[:, None] + cols
-            self.index[sites, a] = a * n_a + np.arange(n_a)[:, None]
-            self.index[sites, kept + a] = kept * n_a + a * n_b + np.arange(n_b)
-            np.take(z, sites.T, out=Mt[a], mode="clip")  # in range; clip writes unbuffered
+        for a, (rows, cols) in enumerate(zip(sites.rows, sites.cols)):
+            cells = rows[:, None] + cols  # the sites of M_A
+            self.index[cells, a] = a * n_a + np.arange(n_a)[:, None]
+            self.index[cells, kept + a] = kept * n_a + a * n_b + np.arange(n_b)
+            np.take(z, cells.T, out=Mt[a], mode="clip")  # in range; clip writes unbuffered
         np.matmul(Mt.swapaxes(1, 2), Mt.conj(), out=G)
 
     def total(self):
@@ -345,12 +344,11 @@ def flip_delta(signs: SignVector, flip_index: int) -> float:
     """
     n = signs.n
     N = 1 << n
-    j = flip_index
+    j = _whole(flip_index, "flip index")
     if not 0 <= j < N:
         raise ValueError(f"flip index {j} out of range for {N} sites")
-    layout = _layout(n)
-    qubits = np.array(layout.kept)[:, 1 : 1 + n // 2]  # the qubits of each kept A
-    masks = (1 << (n - qubits)).sum(axis=1)[:, None]
+    sites = _sites(n)
+    masks = sites.rows[:, -1:]  # the mask of each kept A
     z = signs.signs.astype(np.int64)
     s = np.arange(N)
     S = 0
@@ -358,7 +356,8 @@ def flip_delta(signs: SignVector, flip_index: int) -> float:
         moved = (s ^ j) & masks[b]
         S += int(((z[s ^ moved] * z[j ^ moved]) @ z).sum())
     old = int(z[j])
-    delta = _delta(S, old, -old, layout.weight, masks.size, layout.rows, N // layout.rows)
+    n_a, n_b = sites.rows.shape[1], sites.cols.shape[1]
+    delta = _delta(S, old, -old, sites.weight, masks.size, n_a, n_b)
     return delta / _gram_sum_denominator(n)
 
 

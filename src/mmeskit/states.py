@@ -138,12 +138,13 @@ class SignVector:
 
     def __post_init__(self) -> None:
         _check_n(self.n, MAX_QUBITS)
-        s = np.array(self.signs, dtype=np.int8, order="C")
-        if s.shape != (1 << self.n,):
+        raw = np.asarray(self.signs)
+        if raw.shape != (1 << self.n,):
             raise ValueError(f"sign vector must have length {1 << self.n} for n={self.n}")
-        if not np.all(np.abs(s) == 1):
+        # before the cast, which would truncate 1.5 and wrap 257 to 1
+        if not np.all((raw == 1) | (raw == -1)):
             raise ValueError("sign entries must be exactly +1 or -1")
-        object.__setattr__(self, "signs", _frozen(s))
+        object.__setattr__(self, "signs", _frozen(np.array(raw, dtype=np.int8, order="C")))
 
     @classmethod
     def from_string(cls, text: str) -> "SignVector":

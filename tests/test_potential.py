@@ -33,6 +33,7 @@ from mmeskit import (
     coupling_delta,
     coupling_row_sum,
     energy_uniform_exact,
+    flip_delta,
     fully_factorized,
     g,
     g_hat,
@@ -40,6 +41,7 @@ from mmeskit import (
     ghz,
     is_perfect_mmes,
     monomial_counts,
+    phase_equation_residual,
     pi_me_form1,
     pi_me_form2,
     pi_me_form4,
@@ -51,7 +53,7 @@ from mmeskit import (
     uniform_from_signs,
     weight,
 )
-from mmeskit import bipartite
+from mmeskit import bipartite, potential
 from mmeskit.bipartite import _balanced_grams, _sign_gram_sum
 from mmeskit.mmes import _balanced_gaps
 from mmeskit.potential import MonomialCounts
@@ -284,15 +286,16 @@ class TestBlockedXorSums:
             assert pi_me_form4(st) == loop_pi_me_form4(st)
 
     @pytest.mark.parametrize("n", range(2, 10))
-    def test_each_table_entry_keeps_its_own_sum(self, n):
+    def test_each_table_entry_keeps_its_own_sum(self, n, monkeypatch):
         # one entry scaled by 2^40 dominates the result, so a change in the
         # last bit of that entry's sum changes the potential
         st = random_state(n, 5500 + n)
         table = build_coupling_table(n)
         for l, m, w in table.entries[:: max(1, len(table.entries) // 8)]:
             one = CouplingTable(n, table.n_a, ((l, m, w * (1 << 40)),), table.constant)
-            assert pi_me_form2(st, one) == loop_pi_me_form2(st, one)
-            assert pi_me_form4(st, one) == loop_pi_me_form4(st, one)
+            monkeypatch.setattr(potential, "build_coupling_table", lambda n: one)
+            assert pi_me_form2(st) == loop_pi_me_form2(st, one)
+            assert pi_me_form4(st) == loop_pi_me_form4(st, one)
 
 
 class TestUniformPotential:
@@ -343,7 +346,9 @@ class TestUniformPotential:
         assert dtype == (np.int8 if n == 12 else np.int16)
         assert energy_uniform_exact(SignVector(n, np.ones(1 << n, dtype=np.int8))) == 1
         # the narrow kernel on one kept subset: N_A^2 entries of N_Abar squared
-        rows, cols = bipartite._sites(n)
+        sites = bipartite._sites(n)
+        rows, cols = sites.rows, sites.cols
+        assert sites.pairs is None  # N_A = 64: the narrow kernel's sites are not built
         upper, lower = np.triu_indices(rows.shape[1], 1)
         first = rows[:1, upper, None] + cols[:1, None, :]
         second = rows[:1, lower, None] + cols[:1, None, :]
@@ -352,12 +357,29 @@ class TestUniformPotential:
 
     def test_sites_spell_the_matricized_basis_of_each_kept_subset(self):
         for n in range(2, 10):
-            layout = bipartite._layout(n)
-            rows, cols = bipartite._sites(n)
+            sites = bipartite._sites(n)
+            weight = 2 - n % 2
+            kept = [A.mask for A in balanced_bipartitions(n) if weight == 1 or A.mask >> (n - 1)]
+            assert sites.weight == weight and len(sites.rows) == len(sites.cols) == len(kept)
+            assert sites.rows[:, -1].tolist() == kept  # each kept A's mask
             basis = np.arange(1 << n)
-            for a, axes in enumerate(layout.kept):
-                want = bipartite._matricize(basis, axes, layout.rows)
-                assert np.array_equal(rows[a][:, None] + cols[a], want)
+            for a, mask in enumerate(kept):
+                want = bipartite._matricize(basis, bipartite._axes(mask, n), 1 << (n // 2))
+                assert np.array_equal(sites.rows[a][:, None] + sites.cols[a], want)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_pair_sites_are_the_row_pairs_of_each_kept_subset(self, n):
+        sites = bipartite._sites(n)
+        n_a = sites.rows.shape[1]
+        if n_a > bipartite.PAIR_MAX_ROWS:
+            assert sites.pairs is None
+            return
+        first, second = sites.pairs
+        pairs = [(i, m) for i in range(n_a) for m in range(i + 1, n_a)]
+        assert first.shape == second.shape == (len(sites.rows), len(pairs), sites.cols.shape[1])
+        for p, (i, m) in enumerate(pairs):
+            assert np.array_equal(first[:, p], sites.rows[:, i, None] + sites.cols)
+            assert np.array_equal(second[:, p], sites.rows[:, m, None] + sites.cols)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_python_int_sums_equal_the_int64_sums(self, n, monkeypatch):
@@ -385,13 +407,32 @@ class TestUniformPotential:
                 assert float(energy_uniform_exact(sv)) == pytest.approx(want, abs=1e-12)
 
 
+class TestOneQubit:
+    ONE = SignVector(1, [1, -1])
+
+    @pytest.mark.parametrize(
+        "evaluate, arg",
+        [
+            (pi_me_form1, random_state(1, 0)),
+            (energy_uniform_exact, ONE),
+            (pi_me_uniform, ONE),
+            (pi_me_uniform, random_phases(1, 0)),
+            (phase_equation_residual, random_state(1, 0)),
+            (lambda sv: flip_delta(sv, 0), ONE),
+        ],
+        ids=["form1", "exact", "uniform-signs", "uniform-phases", "residual", "flip_delta"],
+    )
+    def test_balanced_evaluators_refuse_one_qubit(self, evaluate, arg):
+        with pytest.raises(ValueError, match=r"^balanced bipartitions require n >= 2, got 1$"):
+            evaluate(arg)
+
+
 class TestStreamedGrams:
     def test_twelve_qubit_evaluations_hold_one_gram_at_a_time(self):
         st = random_state(12, 5)
         rng = np.random.default_rng(12)
         sv = SignVector(12, rng.choice((-1, 1), size=1 << 12).astype(np.int8))
-        # the first call builds the n=12 bipartition layout and site map, and is traced too
-        bipartite._layout.cache_clear()
+        # the first call builds the n=12 site map, and is traced too
         bipartite._sites.cache_clear()
         for fn, arg in ((pi_me_form1, st), (energy_uniform_exact, sv), (is_perfect_mmes, st)):
             tracemalloc.start()

@@ -30,7 +30,7 @@ from mmeskit import (
     pi_me_uniform,
 )
 from mmeskit import search
-from mmeskit.bipartite import _gram_sum_denominator, _kept_count, _layout
+from mmeskit.bipartite import _gram_sum_denominator, _kept_count, _sites
 from mmeskit.search import (
     DOUBLE, MAX_ANNEAL_STATE_BYTES, _GramState, _raw_draws, _state_bytes, _walk,
 )
@@ -86,6 +86,15 @@ class TestFlipDelta:
         sv = SignVector.from_string("++++")
         assert flip_delta(sv, 3) == pytest.approx(-0.5)
         assert pi_me_uniform(flipped(sv, 3)) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("index", [1.0, True, False, 1.5, "1", None, -1, 16])
+    def test_index_must_be_an_integer_in_range(self, index):
+        with pytest.raises(ValueError, match="flip index"):
+            flip_delta(random_signs(4, 3), index)
+
+    def test_numpy_integer_index_is_the_int_index(self):
+        sv = random_signs(4, 3)
+        assert flip_delta(sv, np.int64(5)) == flip_delta(sv, 5)
 
     def test_long_incremental_walk_stays_exact(self):
         rng = np.random.default_rng(44)
@@ -144,7 +153,7 @@ class TestFlipDelta:
     def test_builds_no_gram_state(self):
         n = 12
         sv = random_signs(n, 12)
-        _layout(n)
+        _sites(n)
         tracemalloc.start()
         try:
             delta = flip_delta(sv, 1234)
@@ -222,7 +231,7 @@ class TestGramState:
     )
     def test_build_peak_is_within_the_gate(self, n, dtype, itemsize):
         z = np.ones(1 << n, dtype=dtype)
-        _layout(n)  # cached per n and shared with every evaluation, so built first
+        _sites(n)  # cached per n and shared with every evaluation, so built first
         tracemalloc.start()
         try:
             state = _GramState(n, z)
@@ -578,7 +587,7 @@ class TestAnneal:
 
     @pytest.mark.parametrize("move, itemsize", [("sign_flip", 8), ("phase_rotation", 16)])
     def test_gram_state_is_refused_before_allocation(self, move, itemsize):
-        assert all(_kept_count(n) == len(_layout(n).kept) for n in range(2, 13))
+        assert all(_kept_count(n) == len(_sites(n).rows) for n in range(2, 13))
         assert _state_bytes(13, itemsize) <= MAX_ANNEAL_STATE_BYTES < _state_bytes(14, itemsize)
         cfg = AnnealConfig(beta_schedule=[(1.0, 1)], move=move, seed=0)
         tracemalloc.start()

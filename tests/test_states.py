@@ -97,6 +97,26 @@ class TestPolarAndSigns:
         with pytest.raises(ValueError):
             SignVector.from_string("+-x+")
 
+    @pytest.mark.parametrize(
+        "entries", [[1.5, -1.0], [1.0, -1.9], [0, 1], [-0.5, 1], [2, -1], [1, float("nan")]]
+    )
+    def test_sign_vector_refuses_entries_other_than_one_before_the_cast(self, entries):
+        with pytest.raises(ValueError, match=r"exactly \+1 or -1"):
+            SignVector(1, entries)
+        with pytest.raises(ValueError, match=r"exactly \+1 or -1"):
+            SignVector(1, np.array(entries))
+
+    def test_sign_vector_refuses_integers_that_wrap_to_one(self):
+        # int8 keeps the low byte: 257 would read as +1, -255 as +1, 255 as -1
+        for entries in ([257, -1], [-255, 1], [255, 1]):
+            with pytest.raises(ValueError, match=r"exactly \+1 or -1"):
+                SignVector(1, np.array(entries, dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32, np.float64, None])
+    def test_sign_vector_accepts_integer_and_float_signs(self, dtype):
+        sv = SignVector(2, np.array([1, -1, -1, 1], dtype=dtype))
+        assert sv.signs.dtype == np.int8 and sv.to_string() == "+--+"
+
     def test_uniform_from_signs(self):
         st = uniform_from_signs(SignVector.from_string("+--+"))
         assert np.allclose(st.amplitudes, np.array([1, -1, -1, 1]) / 2.0)
