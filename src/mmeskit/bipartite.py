@@ -12,15 +12,18 @@ Features:
   narrow kernel's row-pair sites; built once for each of the last few n
   and read by every Gram evaluation and the annealer, so none transposes
   a subset or repeats bipartition bookkeeping
+- one blocking rule (`_chunks`): every loop over subsets, marginals or
+  quadruple-sum terms takes them in slices of about CHUNK_BYTES, and one
+  gathered Gram product (`_grams`) serves the dense core and the sign sum
 - the exact Gram sum of sign vectors, each complementary pair of balanced
   subsets counted once, and its C(n, n/2) N^2 normaliser: chunks of the
-  M_A gathered in one step, their Gram entries summed in the narrowest
-  integer type that holds them (|G| <= N_Abar) for small N_A, or formed
-  by float32 BLAS products, exact as well, for larger N_A
+  M_A gathered in one step, their Gram entries summed in int8 (|G| <=
+  N_Abar) for small N_A, or formed by float32 BLAS products, exact as
+  well, for larger N_A
 - purity in two algebraically equivalent forms: Frobenius norm of the
   reduced density matrix (Form 1) and the XOR-indexed amplitude quadruple
   sum (Form 2, the paper's expansion, kept as an independent cross-check),
-  its values of h gathered in blocks of about XOR_BLOCK amplitudes
+  its values of h gathered in chunks
 - Schmidt spectrum with explicit bookkeeping of numerical zeros
 - normalized entanglement measures: spectral E_A and linear entropy L_A
 - exact counts of the three purity monomial classes
@@ -67,12 +70,13 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGEN_TOL = 1e-10
 
-# The XOR quadruple sums gather about this many amplitudes per block of terms.
-XOR_BLOCK = 4096
-
-# The dense Gram core and the exact sign Gram sum take their subsets in chunks
-# of about this many bytes of working arrays, gather index included.
+# Every blocked loop takes its items in chunks of about this many bytes of
+# working arrays, gather index included (see _chunks).
 CHUNK_BYTES = 1 << 18
+
+# A site map, like the annealer's Gram state, is refused above this size
+# before it is allocated: n <= 18 builds, n = 19 is refused.
+MAX_TABLE_BYTES = 1 << 30
 
 # Up to this N_A the exact sign Gram sum runs its narrow-integer kernel, the
 # batch innermost; from the next N_A on, float32 BLAS matrix products.
@@ -189,6 +193,12 @@ def _gram(M: np.ndarray) -> np.ndarray:
     return M @ M.conj().swapaxes(-1, -2)
 
 
+def _chunks(count: int, item_bytes: int) -> Iterator[slice]:
+    """Slices of `count` items of item_bytes each, about CHUNK_BYTES per slice."""
+    step = max(1, CHUNK_BYTES // item_bytes)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
 def _kept_count(n: int) -> int:
     """Number of subsets _sites(n) keeps, without listing them."""
     return binomial(n, n // 2) // (2 - n % 2)
@@ -220,10 +230,17 @@ def _sites(n: int) -> _Sites:
     kept, each counting twice.  Up to N_A = PAIR_MAX_ROWS, pairs holds the
     sites of rows i and m of each kept M_A for every row pair i < m, as two
     (kept, pairs, N_Abar) arrays; beyond it None, since at n = 12 they
-    would take about 950 MB.
+    would take about 950 MB.  A map over MAX_TABLE_BYTES is refused before
+    it is built.
     """
     _check_balanced(n)
     kept = _kept_count(n)
+    size = kept * ((1 << n // 2) + (1 << n - n // 2)) * 8
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"the balanced site map for n={n} would take {size / 1e9:.1f} GB, "
+            f"over the {MAX_TABLE_BYTES >> 30} GiB limit"
+        )
     inside = np.zeros((kept, n), dtype=bool)
     qubits = np.array(list(islice(combinations(range(n), n // 2), kept)))  # A's, from 0
     np.put_along_axis(inside, qubits, True, axis=1)
@@ -242,40 +259,37 @@ def _sites(n: int) -> _Sites:
     return _Sites(rows, cols, 2 - n % 2, pairs)
 
 
+def _grams(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Gram matrices of the M_A that a chunk of _sites(n) (rows and cols,
+    swapped for the complements) spells from the last axis of values: one
+    take, then one stacked _gram, leading axes kept.  The M_A is freed on
+    return: held into the next chunk, a large one cost fresh pages every
+    chunk (365 page faults per matrix at n = 16)."""
+    return _gram(np.take(values, rows[:, :, None] + cols[:, None, :], axis=-1))
+
+
 def _balanced_grams(amplitudes: np.ndarray, n: int) -> Iterator[np.ndarray]:
     """Gram matrices M_A M_A^H of every balanced A, in (count, N_A, N_A) stacks.
 
-    A stack is a chunk of about CHUNK_BYTES: its M_A gathered by one take
-    from _sites, then one stacked matmul.  At even n the complements follow,
-    from the same map with rows and columns swapped (M_Abar = M_A^T).  Each
-    of the C(n, n/2) matrices comes once, in no promised order, as the BLAS
-    product a lone M_A gives, so order-free reductions (fsum, max) keep
-    their bits.  For a normalized state each is a reduced density matrix.
+    A stack is a chunk of _sites(n) through _grams.  At even n the
+    complements follow, from the same map with rows and columns swapped
+    (M_Abar = M_A^T).  Each of the C(n, n/2) matrices comes once, in no
+    promised order, as the BLAS product a lone M_A gives, so order-free
+    reductions (fsum, max) keep their bits.  For a normalized state each is
+    a reduced density matrix.
     """
     sites = _sites(n)
-    rows, cols = sites.rows, sites.cols
     size = amplitudes.itemsize
-    step = max(1, CHUNK_BYTES // (((8 + size) << n) + rows.shape[1] ** 2 * size))  # index, M_A, G_A
-    for r, c in ((rows, cols), (cols, rows))[: sites.weight]:
-        for lo in range(0, len(r), step):
-            # M_A is freed before the yield: held into the next chunk, a large
-            # one cost fresh pages every chunk (365 page faults per matrix at n = 16)
-            yield _gram(amplitudes.take(r[lo : lo + step, :, None] + c[lo : lo + step, None, :]))
+    item = ((8 + size) << n) + sites.rows.shape[1] ** 2 * size  # index, M_A, G_A
+    for r, c in ((sites.rows, sites.cols), (sites.cols, sites.rows))[: sites.weight]:
+        for chunk in _chunks(len(r), item):
+            yield _grams(amplitudes, r[chunk], c[chunk])
 
 
 def _gram_sum_denominator(n: int) -> int:
     """C(n, floor(n/2)) N^2: the potential of a unimodular vector z (every
     |z_k| = 1) is its Gram sum T divided by this."""
     return binomial(n, n // 2) << (2 * n)
-
-
-def _sign_dtype(n: int) -> np.dtype:
-    """Narrowest signed integer type that holds every sign Gram entry at n.
-
-    An entry of M_A M_A^T is a sum of N_Abar products of +-1, so |G| <= N_Abar:
-    int8 up to n = 12, int16 from n = 13.
-    """
-    return np.min_scalar_type(-1 - (1 << (n - n // 2)))
 
 
 def _pair_squares(columns: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -296,53 +310,35 @@ def _pair_squares(columns: np.ndarray, first: np.ndarray, second: np.ndarray) ->
     return 2 * G.sum(axis=0, dtype=np.int32) + kept * len(columns) * n_b
 
 
-def _blas_squares(signs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sum of the squared Gram entries of a chunk of M_A, for float32 (B, N) signs.
-
-    float32 BLAS forms each M_A M_A^T exactly, since |G| <= N_Abar <= 2^24.
-    """
-    M = np.take(signs, rows[:, :, None] + cols[:, None, :], axis=1)
-    G = (M @ M.swapaxes(-1, -2)).astype(np.int64)
-    return np.einsum("bkij,bkij->b", G, G)
-
-
 def _sign_gram_sum(signs: np.ndarray, n: int):
     """Exact T = sum over balanced A of ||M_A M_A^T||_F^2 for +-1 signs.
 
     Leading batch axes are kept, and each complementary pair is summed once
-    (see _sites).  The kept subsets go in chunks of about CHUNK_BYTES,
-    gather index included, each chunk's M_A gathered in one step.  Up to
-    N_A = PAIR_MAX_ROWS the chunk's Gram entries are summed in the narrow
-    integer type of _sign_dtype, the batch innermost; beyond it float32
-    BLAS forms them.  One bipartition's sum is at most N^2 <= 2^48, so
-    int64 holds it; the total, up to C(n, n/2) N^2, overflows int64 from
-    n = 22 on, and there it is added in Python ints.
+    (see _sites).  The kept subsets go in chunks, each chunk's M_A gathered
+    in one step.  Up to N_A = PAIR_MAX_ROWS (n <= 5) the chunk's Gram
+    entries are summed in int8, which holds |G| <= N_Abar, the batch
+    innermost; beyond it float32 BLAS forms them through _grams, exactly,
+    since |G| <= N_Abar <= 2^24.  The total, at most C(n, n/2) N^2, fits
+    int64 for every n whose site map is admitted.
     """
     sites = _sites(n)
     N = 1 << n
     n_a = sites.rows.shape[1]
     flat = signs.reshape(-1, N)
     batch = len(flat)
+    total = np.zeros(batch, dtype=np.int64)
     if sites.pairs is not None:
-        kernel, arrays = _pair_squares, sites.pairs
-        data = np.ascontiguousarray(flat.T, dtype=_sign_dtype(n))
-        per_subset = 2 * arrays[0][0].size * (8 + batch * data.itemsize)
+        first, second = sites.pairs
+        columns = np.ascontiguousarray(flat.T, dtype=np.int8)
+        for chunk in _chunks(len(first), 2 * first[0].size * (8 + batch)):
+            total += _pair_squares(columns, first[chunk], second[chunk])
     else:
-        kernel, arrays = _blas_squares, (sites.rows, sites.cols)
         data = flat.astype(np.float32)
-        per_subset = N * (8 + 4 * batch) + 12 * n_a * n_a * batch
-    step = max(1, CHUNK_BYTES // per_subset)
-    acc = np.int64 if _gram_sum_denominator(n) < 1 << 63 else object
-    total = np.zeros(batch, dtype=acc)
-    for lo in range(0, len(sites.rows), step):
-        total += kernel(data, *(a[lo : lo + step] for a in arrays)).astype(acc)
+        # index, M_A, then each G_A in float32 and its int64 copy
+        for chunk in _chunks(len(sites.rows), N * (8 + 4 * batch) + 12 * n_a * n_a * batch):
+            G = _grams(data, sites.rows[chunk], sites.cols[chunk]).astype(np.int64)
+            total += np.einsum("bkij,bkij->b", G, G)
     return (sites.weight * total).reshape(signs.shape[:-1])[()]
-
-
-def _xor_blocks(N: int, count: int) -> Iterator[slice]:
-    """Slices of `count` terms of N amplitudes each, about XOR_BLOCK amplitudes per slice."""
-    step = max(1, XOR_BLOCK // N)
-    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> DensityMatrix:
@@ -373,7 +369,7 @@ def purity_form2(state: PureState, A: Union[QubitMask, int]) -> float:
     h_a = h & m.mask
     h_b = h ^ h_a
     parts = []
-    for b in _xor_blocks(N, N):
+    for b in _chunks(N, 64 * N):  # four complex gathers of N per h
         term = z * z[ks ^ h[b]] * zc[ks ^ h_a[b]] * zc[ks ^ h_b[b]]
         parts.extend(term.sum(axis=1).real.tolist())
     return math.fsum(parts)
@@ -451,7 +447,7 @@ def purity_uniform(p: PolarState, A: Union[QubitMask, int]) -> float:
     l = np.repeat(ls, ms.size)[:, None]
     mm = np.tile(ms, ls.size)[:, None]
     parts = []
-    for b in _xor_blocks(N, l.size):
+    for b in _chunks(l.size, 64 * N):  # four complex gathers of N per (l, m)
         term = zeta * zc[ks ^ l[b]] * zeta[ks ^ l[b] ^ mm[b]] * zc[ks ^ mm[b]]
         parts.extend(term.sum(axis=1).real.tolist())
     return (n_a_dim + n_b_dim - 1) / N + math.fsum(parts) / (N * N)

@@ -81,13 +81,23 @@ def _parse_subset(text: str, n: int) -> QubitMask:
 
 
 def _parse_schedule(text: str) -> tuple[tuple[float, int], ...]:
-    """Parse 'beta:sweeps,beta:sweeps,...' into schedule stages."""
+    """Parse 'beta:sweeps,beta:sweeps,...' into schedule stages; sweeps are
+    whole numbers, which may be written as floats (2.0), as AnnealConfig
+    takes them."""
     stages = []
     for part in text.split(","):
         beta, sep, sweeps = part.partition(":")
         if not sep:
             raise ValueError(f"schedule stage {part!r} is not of the form beta:sweeps")
-        stages.append((float(beta), int(sweeps)))
+        try:
+            beta, sweeps = float(beta), float(sweeps)
+            if not sweeps.is_integer():
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"schedule stage {part!r} needs a number beta and whole sweeps"
+            ) from None
+        stages.append((beta, int(sweeps)))
     return tuple(stages)
 
 

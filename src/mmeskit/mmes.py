@@ -25,7 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._catalog_data import SIGN_TARGETS
-from .bipartite import CHUNK_BYTES, _balanced_grams
+from .bipartite import _balanced_grams, _chunks
 from .bitspace import QubitMask, _check_n, _frozen, as_mask, binomial
 from .potential import energy_uniform_exact, pi_me_form1
 from .states import PureState, SignVector, ghz, permute_qubits, uniform_from_signs
@@ -193,7 +193,8 @@ def marginal_uniformity_gap(P: PopulationVector) -> float:
 
     Maximum over subsets A with 1 <= |A| <= n/2 and sub-labels l of
     |P_A(l) - 2^(-|A|)|, each marginal summed over the complement on its own
-    and compared with uniform in stacks of about CHUNK_BYTES per size.
+    and compared with uniform in stacks of about `bipartite.CHUNK_BYTES`
+    per size.
     """
     n = P.n
     if n < 2:
@@ -203,10 +204,9 @@ def marginal_uniformity_gap(P: PopulationVector) -> float:
     for size in range(1, n // 2 + 1):
         flat = 1.0 / (1 << size)
         drops = list(combinations(range(n), n - size))
-        step = max(1, CHUNK_BYTES >> (size + 3))  # float64 marginals of 2^size entries
-        for lo in range(0, len(drops), step):
-            stack = np.empty((min(step, len(drops) - lo),) + (2,) * size)
-            for out, drop in zip(stack, drops[lo : lo + step]):
+        for chunk in _chunks(len(drops), 8 << size):  # float64 marginals of 2^size entries
+            stack = np.empty((len(drops[chunk]),) + (2,) * size)
+            for out, drop in zip(stack, drops[chunk]):
                 np.add.reduce(t, axis=drop, out=out)
             stack -= flat
             gap = max(gap, np.abs(stack, out=stack).max())

@@ -14,7 +14,7 @@ Features:
   of Gram-matrix purities (form 1, what every other evaluator uses), and
   the paper's XOR-coupled quadruple sum (form 2) and deficit form
   (form 4), kept as independent cross-checks; their table entries are
-  gathered in blocks of about `bipartite.XOR_BLOCK` amplitudes
+  gathered in chunks of about `bipartite.CHUNK_BYTES`
 - uniform-modulus and exact rational sign-vector evaluators on the same
   Gram core
 - exact monomial counts in closed form
@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .bitspace import MAX_QUBITS, _check_n, _check_split, binomial, multinomial, submasks, weight
-from .bipartite import _balanced_grams, _gram_sum_denominator, _sign_gram_sum, _xor_blocks
+from .bipartite import _balanced_grams, _chunks, _gram_sum_denominator, _sign_gram_sum
 from .states import PolarState, PureState, SignVector, assemble
 
 __all__ = [
@@ -242,7 +242,7 @@ def pi_me_form2(state: PureState) -> float:
             parts.append(2.0 * float(w) * float(np.dot(p, p[ks ^ l])))
 
     l, m, w = _entry_arrays(table)
-    for b in _xor_blocks(N, w.size):
+    for b in _chunks(w.size, 64 * N):  # four complex gathers of N per entry
         term = z * z[ks ^ (l[b] ^ m[b])] * zc[ks ^ l[b]] * zc[ks ^ m[b]]
         parts.extend((w[b] * term.sum(axis=1).real).tolist())
     return math.fsum(parts)
@@ -263,7 +263,7 @@ def pi_me_form4(state: PureState) -> float:
 
     l, m, w = _entry_arrays(table)
     deficit = []
-    for b in _xor_blocks(N, w.size):
+    for b in _chunks(w.size, 64 * N):  # four complex gathers of N per entry
         d = z * z[ks ^ (l[b] ^ m[b])] - z[ks ^ l[b]] * z[ks ^ m[b]]
         deficit.extend((w[b] * (d.real * d.real + d.imag * d.imag).sum(axis=1)).tolist())
     return 1.0 - 0.5 * math.fsum(deficit)

@@ -11,8 +11,8 @@ Features:
   a void view of the buffer (one element per row); sign rows are float64
   and hold exact integers, all below 2^53 for every n the annealer runs,
   and the state is refused before allocation when it would exceed 1 GiB
-- single sign-flip energy changes without a Gram state, in
-  O(C(n, n/2) 2^n) (`flip_delta`; the annealer does not use it)
+- single sign-flip energy changes without a Gram state, as the difference
+  of two exact Gram sums (`flip_delta`; the annealer does not use it)
 - exhaustive Gray-code enumeration of all sign vectors in batched blocks
   of exact integer Gram sums, with exact minimum, exact tie counting and
   deterministic reports
@@ -41,7 +41,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bipartite import (
-    _gram_sum_denominator, _kept_count, _sign_dtype, _sign_gram_sum, _sites, _xor_blocks
+    MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
 )
 from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
@@ -67,10 +67,6 @@ MAX_GATED_N = 5
 # enough to amortize the per-block calls, small enough to keep its arrays
 # near 1 MB.
 SWEEP_BLOCK = 1024
-
-# The annealer's Gram state (see _state_bytes) is refused above this size
-# before it is allocated: n <= 13 runs, n = 14 is refused.
-MAX_ANNEAL_STATE_BYTES = 1 << 30
 
 # The annealer reads its bit generator's raw 64-bit draws this many at a
 # time; a raw draw r gives the double (r >> 11) * DOUBLE in [0, 1).
@@ -181,22 +177,6 @@ def _state_bytes(n: int, itemsize: int) -> int:
     return kept * (2 * N + n_a * n_a) * itemsize + 3 * kept * N * 8
 
 
-def _delta(S, old, new, weight: int, kept: int, n_a: int, n_b: int):
-    """Change of T when z_j goes from `old` to `new`, with |new| = |old|.
-
-    S is the sum over the kept A of sum_k G_A[r, k] v_k, where r = r_A(j)
-    and v is the column c_A(j) of M_A.  With d = new - old, row r of G_A
-    moves by u = d conj(v) off the diagonal, and column r by conj(u).
-    Summed over A, the change is 2 (2 Re <G_A[r, :], u> + ||u||^2) =
-    4 Re(d conj(S - N_Abar old)) + 2 (N_A - 1) |d|^2 per A.  Python ints,
-    or floats that hold integers below 2^53, give the exact integer change,
-    complex numbers its float; `_walk` forms the same expression inline.
-    """
-    d = new - old
-    shifted = S - kept * n_b * old
-    return weight * (4 * (d * shifted.conjugate()).real + 2 * kept * (n_a - 1) * abs(d) ** 2)
-
-
 class _GramState:
     """G_A = M_A M_A^H of every kept balanced A, one site at a time.
 
@@ -266,9 +246,15 @@ def _walk(grams: _GramState, draw, half, config: AnnealConfig, better) -> np.nda
     uniform(-max_angle, max_angle) does, low + (high - low) * double; an
     acceptance draw as random() does, the double (raw >> 11) * 2^-53 itself.
     A proposal is one `take` of the site's 2 kept buffer rows and one dot
-    for the S of _delta.  An accept forms u in an array allocated once,
-    updates the gathered rows in place, puts them back through a void view
-    of the buffer (one element per row), then writes the Hermitian columns.
+    for S, the sum over the kept A of sum_k G_A[r, k] v_k, where r = r_A(j)
+    and v is the column c_A(j) of M_A.  With d = new - old, row r of G_A
+    moves by u = d conj(v) off the diagonal, and column r by conj(u), so
+    ||G_A||_F^2 changes by 2 (2 Re <G_A[r, :], u> + ||u||^2); over the kept
+    A, each counting weight times, T changes by weight (4 Re(d conj(S -
+    kept N_Abar old)) + 2 kept (N_A - 1) |d|^2).  An accept forms u in an
+    array allocated once, updates the gathered rows in place, puts them
+    back through a void view of the buffer (one element per row), then
+    writes the Hermitian columns.
     Float64 sign rows hold integers below 2^53 (see _GramState), so every
     sum, delta and T is the exact integer whatever order BLAS adds in, and
     delta / denom is the exact rational rounded once.
@@ -332,33 +318,19 @@ def _walk(grams: _GramState, draw, half, config: AnnealConfig, better) -> np.nda
 def flip_delta(signs: SignVector, flip_index: int) -> float:
     """Energy change from flipping one sign, without full re-evaluation.
 
-    A single-flip query that needs no Gram state.  The annealer does not
-    use it: once its Gram state is built, a proposal costs
-    O(C(n, n/2) 2^(n/2)).
-
-    Forms only the S of _delta, in O(C(n, n/2) N): for each kept A, the sum
-    over the sites s = (k, m) of M_A of z at (r, m), times z_s, times z at
-    (k, c), with (r, c) the entry of the flipped site j.  The site at (r, m)
-    takes its A-bits from j and its Abar-bits from s, the one at (k, c) the
-    other way round.
+    A single-flip query that needs no Gram state: the exact difference of
+    the Gram sums of the vector and its flip, evaluated as one batch of
+    two, rounded once.  The annealer does not use it: once its Gram state
+    is built, a proposal costs O(C(n, n/2) 2^(n/2)).
     """
-    n = signs.n
-    N = 1 << n
+    N = 1 << signs.n
     j = _whole(flip_index, "flip index")
     if not 0 <= j < N:
         raise ValueError(f"flip index {j} out of range for {N} sites")
-    sites = _sites(n)
-    masks = sites.rows[:, -1:]  # the mask of each kept A
-    z = signs.signs.astype(np.int64)
-    s = np.arange(N)
-    S = 0
-    for b in _xor_blocks(N, masks.size):
-        moved = (s ^ j) & masks[b]
-        S += int(((z[s ^ moved] * z[j ^ moved]) @ z).sum())
-    old = int(z[j])
-    n_a, n_b = sites.rows.shape[1], sites.cols.shape[1]
-    delta = _delta(S, old, -old, sites.weight, masks.size, n_a, n_b)
-    return delta / _gram_sum_denominator(n)
+    pair = np.stack((signs.signs, signs.signs))
+    pair[1, j] *= -1
+    before, after = _sign_gram_sum(pair, signs.n).tolist()
+    return (after - before) / _gram_sum_denominator(signs.n)
 
 
 def exhaustive_search(
@@ -394,7 +366,7 @@ def exhaustive_search(
     w = min(total, SWEEP_BLOCK).bit_length() - 1
     t = np.arange(1 << w)
     gray = t ^ t >> 1
-    pattern = np.ones((N - offset, 1 << w), dtype=_sign_dtype(n))
+    pattern = np.ones((N - offset, 1 << w), dtype=np.int8)
     for b in range(w):  # Gray bit b is site b + offset
         pattern[b] -= 2 * (gray >> b & 1).astype(pattern.dtype)
     bits = np.arange(N - offset)
@@ -460,15 +432,15 @@ def anneal(n: int, config: AnnealConfig) -> SearchReport:
     deterministically from config.seed and run sequentially; the reported
     best is re-verified by a full evaluation of the best state.  Raises
     ValueError before allocating when the Gram state would exceed
-    MAX_ANNEAL_STATE_BYTES.
+    bipartite.MAX_TABLE_BYTES, the site map's own limit: n <= 13 runs.
     """
     if n < 2:
         raise ValueError("annealing requires n >= 2")
     size = _state_bytes(n, 8 if config.move == "sign_flip" else 16)
-    if size > MAX_ANNEAL_STATE_BYTES:
+    if size > MAX_TABLE_BYTES:
         raise ValueError(
             f"the {config.move} annealer's Gram state for n={n} would take "
-            f"{size / 1e9:.1f} GB, over the {MAX_ANNEAL_STATE_BYTES >> 30} GiB limit"
+            f"{size / 1e9:.1f} GB, over the {MAX_TABLE_BYTES >> 30} GiB limit"
         )
     start = time.perf_counter()
     objective = config.objective

@@ -31,7 +31,7 @@ from mmeskit import (
 from mmeskit.bipartite import _axes, _gram, _gram_sum_denominator, _matricize
 from mmeskit.bitspace import balanced_bipartitions, embed_table, submasks, weight
 from mmeskit.potential import _g_hat_core
-from mmeskit.search import _delta, _GramState
+from mmeskit.search import _GramState
 
 
 def place_bits(n: int, qubits, sub: int) -> int:
@@ -234,6 +234,20 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def unit_phases(rng: np.random.Generator, count: int) -> tuple[complex, ...]:
     return tuple(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count)))
+
+
+def _delta(S, old, new, weight: int, kept: int, n_a: int, n_b: int):
+    """Change of T when z_j goes from `old` to `new`, with |new| = |old|, as
+    `search._walk` forms it inline (its docstring derives it).
+
+    S is the sum over the kept A of sum_k G_A[r, k] v_k, where r = r_A(j)
+    and v is the column c_A(j) of M_A.  Python ints, or floats that hold
+    integers below 2^53, give the exact integer change, complex numbers its
+    float.
+    """
+    d = new - old
+    shifted = S - kept * n_b * old
+    return weight * (4 * (d * shifted.conjugate()).real + 2 * kept * (n_a - 1) * abs(d) ** 2)
 
 
 class LoopGramState(_GramState):

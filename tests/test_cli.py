@@ -14,6 +14,7 @@ import pytest
 
 from mmeskit import (
     QubitMask,
+    SignVector,
     catalog,
     catalog_sign_vector,
     equation_variable_counts,
@@ -279,11 +280,32 @@ class TestAnneal:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_whole_float_sweeps_print_the_int_bytes(self, capture):
+        argv = ["anneal", "--n", "3", "--seed", "0", "--schedule"]
+        code, out, err = capture(argv + ["10:2.0"])
+        assert (code, err) == (0, "") and json.loads(out)["evaluations"] == 1 + 2 * 8
+        assert capture(argv + ["10:2"]) == (code, out, err)
+
+    @pytest.mark.parametrize("stage", ["10:1.5", "10:inf", "10:x", "x:10"])
+    def test_malformed_stage_is_named(self, capture, stage):
+        code, out, err = capture(["anneal", "--n", "3", "--schedule", f"1:2,{stage}"])
+        assert (code, out) == (1, "")
+        assert err == f"error: schedule stage {stage!r} needs a number beta and whole sweeps\n"
+
 
 class TestErrorsAndFiles:
     def test_no_arguments_exits_two(self, capture):
         code, _, _ = capture([])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["potential", "--form", "uniform", "--file"], ["potential", "--file"], ["verify"]]
+    )
+    def test_nineteen_qubit_site_map_is_refused(self, capture, state_file, argv):
+        path = state_file(SignVector(19, np.ones(1 << 19, dtype=np.int8)))
+        code, out, err = capture(argv + [path])
+        assert (code, out) == (1, "")
+        assert err == "error: the balanced site map for n=19 would take 1.1 GB, over the 1 GiB limit\n"
 
     def test_missing_file_exits_one(self, capture):
         code, _, err = capture(["verify", "/nonexistent/state.json"])

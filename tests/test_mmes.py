@@ -36,7 +36,7 @@ from mmeskit import (
     walsh_coefficients,
     weight,
 )
-from mmeskit import mmes
+from mmeskit import bipartite
 from mmeskit.mmes import CATALOG_NAMES
 
 
@@ -171,7 +171,7 @@ class TestGaps:
     def test_stacked_marginal_gap_is_the_per_subset_loop_bit_for_bit(self, n, budget, monkeypatch):
         # budget 1 stacks one marginal at a time, 2^40 every marginal of a size
         if budget is not None:
-            monkeypatch.setattr(mmes, "CHUNK_BYTES", budget)
+            monkeypatch.setattr(bipartite, "CHUNK_BYTES", budget)
         P = population(random_state(n, 30 + n))
         assert marginal_uniformity_gap(P) == loop_marginal_gap(P)
 

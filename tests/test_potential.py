@@ -7,6 +7,7 @@ Oracles:
   - the averaged-purity definition itself for the expansion forms.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 
 from helpers import (
-    all_bipartition_sign_sum, loop_balanced_gaps, loop_balanced_grams, loop_pi_me_form2,
-    loop_pi_me_form4, table_energy_exact, unit_phases
+    LoopGramState, all_bipartition_sign_sum, loop_balanced_gaps, loop_balanced_grams,
+    loop_pi_me_form2, loop_pi_me_form4, loop_purity_form2, loop_purity_uniform,
+    table_energy_exact, unit_phases
 )
 from mmeskit import (
     CouplingTable,
@@ -48,6 +50,7 @@ from mmeskit import (
     pi_me_uniform,
     polar,
     purity_form2,
+    purity_uniform,
     random_phases,
     random_state,
     uniform_from_signs,
@@ -55,8 +58,10 @@ from mmeskit import (
 )
 from mmeskit import bipartite, potential
 from mmeskit.bipartite import _balanced_grams, _sign_gram_sum
+from mmeskit.bitspace import MAX_QUBITS
 from mmeskit.mmes import _balanced_gaps
 from mmeskit.potential import MonomialCounts
+from mmeskit.search import SWEEP_BLOCK
 
 EXPECTED_TABLE_SIZES = {2: 2, 3: 12, 4: 42, 5: 170, 6: 500, 7: 1792, 8: 5082}
 
@@ -342,8 +347,7 @@ class TestUniformPotential:
     def test_all_plus_gram_entries_fill_the_narrow_type_exactly(self, n):
         # every Gram entry is N_Abar: 64 at n = 12, in int8; 128 at n = 13,
         # one past int8, so int16
-        dtype = bipartite._sign_dtype(n)
-        assert dtype == (np.int8 if n == 12 else np.int16)
+        dtype = np.int8 if n == 12 else np.int16
         assert energy_uniform_exact(SignVector(n, np.ones(1 << n, dtype=np.int8))) == 1
         # the narrow kernel on one kept subset: N_A^2 entries of N_Abar squared
         sites = bipartite._sites(n)
@@ -381,21 +385,25 @@ class TestUniformPotential:
             assert np.array_equal(first[:, p], sites.rows[:, i, None] + sites.cols)
             assert np.array_equal(second[:, p], sites.rows[:, m, None] + sites.cols)
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_python_int_sums_equal_the_int64_sums(self, n, monkeypatch):
-        rng = np.random.default_rng(90 + n)
-        signs = rng.choice((-1, 1), size=(3, 1 << n)).astype(np.int64)
-        batched = _sign_gram_sum(signs, n)
-        single = [_sign_gram_sum(s, n) for s in signs]
-        # a normaliser of 2^63 or more selects the Python-int accumulator, as from n = 22
-        monkeypatch.setattr(bipartite, "_gram_sum_denominator", lambda n: 1 << 63)
-        wide = _sign_gram_sum(signs, n)
-        assert batched.dtype == np.int64 and wide.dtype == object
-        assert all(type(x) is int for x in wide)
-        assert wide.tolist() == batched.tolist()
-        for s, want in zip(signs, single):
-            got = _sign_gram_sum(s, n)
-            assert type(got) is int and got == want
+    @pytest.mark.parametrize("n", range(19, 25))
+    def test_site_map_is_refused_before_allocation(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"site map for n={n} would take .* GB, over the 1 GiB"):
+                bipartite._sites(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the map itself would take 1.1 GB at n = 19
+
+    def test_every_admitted_gram_sum_fits_int64(self):
+        # the site map holds kept (N_A + N_Abar) int64 sites
+        def site_bytes(n):
+            return bipartite._kept_count(n) * ((1 << n // 2) + (1 << n - n // 2)) * 8
+
+        admitted = [n for n in range(2, MAX_QUBITS + 1) if site_bytes(n) <= bipartite.MAX_TABLE_BYTES]
+        assert admitted == list(range(2, 19))
+        assert all(bipartite._gram_sum_denominator(n) < 1 << 63 for n in admitted)
 
     def test_sign_energy_matches_float_pipeline(self):
         rng = np.random.default_rng(4)
@@ -465,6 +473,54 @@ class TestStreamedGrams:
             purities = [sorted(float(np.vdot(G, G).real) for G in grams) for grams in (got, want)]
             assert purities[0] == purities[1]
             assert _balanced_gaps(state) == loop_balanced_gaps(state)
+
+
+@functools.cache
+def sweep_batch(n):
+    """A sweep-sized batch of random n-qubit signs and its unpaired Gram sums."""
+    signs = np.random.default_rng(140 + n).choice((-1, 1), size=(SWEEP_BLOCK, 1 << n))
+    signs = signs.astype(np.int8)
+    return signs, [all_bipartition_sign_sum(SignVector(n, s)) for s in signs]
+
+
+@pytest.mark.parametrize("budget", [1, None, 1 << 40], ids=["one-item", "default", "one-chunk"])
+class TestOneBlockingRule:
+    """Every blocked loop takes its slices from bipartite._chunks, so one
+    CHUNK_BYTES moves all of them; no result may move with it."""
+
+    @pytest.fixture(autouse=True)
+    def blocking(self, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(bipartite, "CHUNK_BYTES", budget)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_quadruple_sums_are_the_loops_bit_for_bit(self, n):
+        st = random_state(n, 6000 + n)
+        p = random_phases(n, 6100 + n)
+        for A in (QubitMask.from_qubits((1,), n), balanced_bipartitions(n)[-1]):
+            assert purity_form2(st, A) == loop_purity_form2(st, A)
+            assert purity_uniform(p, A) == loop_purity_uniform(p.phases, n, A)
+        assert pi_me_form2(st) == loop_pi_me_form2(st)
+        assert pi_me_form4(st) == loop_pi_me_form4(st)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_sign_gram_sums_are_the_unpaired_sums(self, n):
+        if n <= 5:  # the sweep sizes, in sweep-sized batches
+            signs, want = sweep_batch(n)
+            assert _sign_gram_sum(signs, n).tolist() == want
+            return
+        rng = np.random.default_rng(150 + n)
+        for _ in range(2):
+            sv = SignVector(n, rng.choice((-1, 1), size=1 << n).astype(np.int8))
+            assert _sign_gram_sum(sv.signs, n) == all_bipartition_sign_sum(sv)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_flip_deltas_are_the_gram_state_deltas(self, n):
+        sv = SignVector(n, np.random.default_rng(160 + n).choice((-1, 1), size=1 << n))
+        state = LoopGramState(n, sv.signs.astype(np.int64))
+        denom = bipartite._gram_sum_denominator(n)
+        for j in range(0, 1 << n, max(1, (1 << n) // 8)):
+            assert flip_delta(sv, j) == state.delta(j, -state.z[j]) / denom
 
 
 class TestAvgLinearEntropy:

@@ -30,10 +30,8 @@ from mmeskit import (
     pi_me_uniform,
 )
 from mmeskit import search
-from mmeskit.bipartite import _gram_sum_denominator, _kept_count, _sites
-from mmeskit.search import (
-    DOUBLE, MAX_ANNEAL_STATE_BYTES, _GramState, _raw_draws, _state_bytes, _walk,
-)
+from mmeskit.bipartite import MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sites
+from mmeskit.search import DOUBLE, _GramState, _raw_draws, _state_bytes, _walk
 
 
 def random_signs(n, seed):
@@ -289,7 +287,7 @@ class StubGenerator:
 def _sign_gate_sizes() -> range:
     """Every n the sign annealer's size gate admits, then the first it refuses."""
     n = 2
-    while _state_bytes(n, 8) <= MAX_ANNEAL_STATE_BYTES:
+    while _state_bytes(n, 8) <= MAX_TABLE_BYTES:
         n += 1
     return range(2, n + 1)
 
@@ -588,7 +586,7 @@ class TestAnneal:
     @pytest.mark.parametrize("move, itemsize", [("sign_flip", 8), ("phase_rotation", 16)])
     def test_gram_state_is_refused_before_allocation(self, move, itemsize):
         assert all(_kept_count(n) == len(_sites(n).rows) for n in range(2, 13))
-        assert _state_bytes(13, itemsize) <= MAX_ANNEAL_STATE_BYTES < _state_bytes(14, itemsize)
+        assert _state_bytes(13, itemsize) <= MAX_TABLE_BYTES < _state_bytes(14, itemsize)
         cfg = AnnealConfig(beta_schedule=[(1.0, 1)], move=move, seed=0)
         tracemalloc.start()
         try:
