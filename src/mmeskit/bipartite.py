@@ -1,9 +1,9 @@
 """Reduced density matrices, Schmidt spectra, and bipartite purity.
 
 Features:
-- reduced density matrix of any proper qubit subset by tensor reshape:
-  the amplitudes reshaped to an N_A x N_Abar matrix M_A give rho_A as the
-  Gram matrix M_A M_A^H
+- reduced density matrix of any proper qubit subset: the amplitudes
+  gathered into the N_A x N_Abar matrix M_A through its spelled basis
+  (`bitspace._spell`) give rho_A as the Gram matrix M_A M_A^H
 - the Gram matrices of the balanced bipartitions, streamed in gathered
   stacks: the single evaluation core behind every potential, verdict, sweep
   and anneal (integer Grams for sign vectors, so those stay exact)
@@ -45,7 +45,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from .bitspace import (
-    QubitMask, _check_balanced, _check_split, _frozen, as_mask, binomial, submasks
+    QubitMask, _check_balanced, _check_split, _frozen, _spell, as_mask, binomial, submasks
 )
 from .states import PolarState, PureState
 
@@ -99,10 +99,10 @@ class DensityMatrix:
         m = np.array(self.entries, dtype=np.complex128, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_TOL:
+        if not float(np.max(np.abs(m - m.conj().T))) <= HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
         object.__setattr__(self, "entries", _frozen(m))
 
@@ -121,7 +121,7 @@ class DensityMatrix:
     def validate(self) -> None:
         """Raise if any eigenvalue is below -1e-10."""
         w = float(np.min(np.linalg.eigvalsh(self.entries)))
-        if w < -EIGEN_TOL:
+        if not w >= -EIGEN_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {w:.3e}")
 
 
@@ -147,7 +147,7 @@ class SchmidtSpectrum:
             raise ValueError("nonzero Schmidt values must lie in (cutoff, 1]")
         if self.zeros and self.zeros[0] > SCHMIDT_CUTOFF:
             raise ValueError("zero-part entries must not exceed the cutoff")
-        if abs(math.fsum(combined) - 1.0) > EIGEN_TOL:
+        if not abs(math.fsum(combined) - 1.0) <= EIGEN_TOL:
             raise ValueError("Schmidt values must sum to 1")
 
     @property
@@ -166,26 +166,8 @@ def _proper_mask(A: Union[QubitMask, int], n: int) -> QubitMask:
     return QubitMask(mask, n)
 
 
-def _axes(mask: int, n: int) -> tuple[int, ...]:
-    """Transpose of a (batch, 2, ..., 2) amplitude tensor that gives M_A:
-    the batch axis, then the qubits of A, then those of Abar, ascending."""
-    inside = tuple(i for i in range(1, n + 1) if mask >> (n - i) & 1)
-    return (0,) + inside + tuple(i for i in range(1, n + 1) if i not in inside)
-
-
-def _matricize(amplitudes: np.ndarray, axes: tuple[int, ...], rows: int) -> np.ndarray:
-    """The amplitudes reshaped to M_A: (sub-index of A) x (sub-index of Abar).
-
-    `axes` comes from _axes and `rows` is N_A.  Leading axes are kept, so a
-    (..., 2^n) batch gives (..., N_A, N_Abar).  Applied to arange(2^n) it
-    gives the basis index at each entry of M_A.
-    """
-    t = amplitudes.reshape((-1,) + (2,) * (len(axes) - 1)).transpose(axes)
-    return t.reshape(amplitudes.shape[:-1] + (rows, -1))
-
-
 def _gram(M: np.ndarray) -> np.ndarray:
-    """M M^H over the last two axes, for M = M_A (see _matricize).
+    """M M^H over the last two axes, for M = M_A.
 
     Entry (l, l') is sum_m M[l, m] conj(M[l', m]).  Keeps the input dtype, so
     an int64 sign vector gives an exact integer matrix, and any leading axes.
@@ -210,8 +192,8 @@ class _Sites(NamedTuple):
     Entry (i, j) of the a-th kept M_A is amplitude rows[a, i] + cols[a, j]:
     rows[a, i] is the basis index whose A-bits spell i and whose Abar-bits
     are 0, so rows[a, -1] is A's mask, and cols[a, j] the one whose
-    Abar-bits spell j.  Their sums are the map _matricize(arange(2^n),
-    _axes(A's mask, n), N_A) gives, built without a transpose.
+    Abar-bits spell j: each is bitspace._spell of that side's qubit
+    weights, so their sums are M_A's basis, the embed tables of A and Abar.
     """
 
     rows: np.ndarray  # (kept, N_A)
@@ -245,13 +227,7 @@ def _sites(n: int) -> _Sites:
     qubits = np.array(list(islice(combinations(range(n), n // 2), kept)))  # A's, from 0
     np.put_along_axis(inside, qubits, True, axis=1)
     weights = np.broadcast_to(1 << np.arange(n - 1, -1, -1), inside.shape)
-
-    def spell(w: np.ndarray) -> np.ndarray:
-        m = w.shape[1]
-        bits = np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1) & 1
-        return _frozen(w @ bits.T)
-
-    rows, cols = (spell(weights[side].reshape(kept, -1)) for side in (inside, ~inside))
+    rows, cols = (_frozen(_spell(weights[side].reshape(kept, -1))) for side in (inside, ~inside))
     pairs = None
     if rows.shape[1] <= PAIR_MAX_ROWS:
         upper, lower = np.triu_indices(rows.shape[1], 1)
@@ -342,10 +318,11 @@ def _sign_gram_sum(signs: np.ndarray, n: int):
 
 
 def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> DensityMatrix:
-    """Partial trace over the complement of A, as the Gram matrix of A."""
+    """Partial trace over the complement of A, as the Gram matrix of M_A,
+    gathered through the labels that A's qubits, then Abar's, spell."""
     m = _proper_mask(A, state.n)
-    M = _matricize(state.amplitudes, _axes(m.mask, state.n), 1 << m.size)
-    return DensityMatrix(_gram(M))
+    weights = sorted((1 << b for b in range(state.n - 1, -1, -1)), key=lambda w: not m.mask & w)
+    return DensityMatrix(_gram(state.amplitudes[_spell(weights).reshape(1 << m.size, -1)]))
 
 
 def purity_form1(state: PureState, A: Union[QubitMask, int]) -> float:
@@ -383,7 +360,7 @@ def schmidt_spectrum(state: PureState, A: Union[QubitMask, int]) -> SchmidtSpect
     """
     rho = reduced_density_matrix(state, A)
     w = np.linalg.eigvalsh(rho.entries)
-    if float(w[0]) < -EIGEN_TOL:
+    if not float(w[0]) >= -EIGEN_TOL:
         raise ValueError(f"reduced density matrix has negative eigenvalue {float(w[0]):.3e}")
     w = w[::-1]
     values = tuple(float(x) for x in w if x > SCHMIDT_CUTOFF)

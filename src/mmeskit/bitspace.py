@@ -7,7 +7,9 @@ Features:
 - subsystem masks (QubitMask) with canonicalizing bipartition constructor
 - enumeration of balanced bipartitions in deterministic ascending order
   (`bipartite`'s per-n site map lists its subsets in the same order)
-- extraction / embedding of sub-indices between X^A and X^n
+- extraction / embedding of sub-indices between X^A and X^n, and one
+  function (`_spell`) that spells every sub-index map in bulk: embed
+  tables, the balanced site maps, M_A's basis and qubit relabelings
 - exact binomial / multinomial coefficients with the zero-stipulation
   convention for out-of-range arguments
 
@@ -92,7 +94,7 @@ def weight(k: BasisIndex) -> int:
 def complement(mask: int, n: int) -> int:
     """All-qubits mask with the bits of `mask` cleared."""
     _check_n(n)
-    return ((1 << n) - 1) ^ mask
+    return ((1 << n) - 1) ^ as_mask(mask, n)
 
 
 @dataclass(frozen=True)
@@ -160,14 +162,17 @@ class QubitMask:
         return f"QubitMask(qubits={self.qubits()}, n={self.n})"
 
 
-def as_mask(A: Union[QubitMask, int], n: int) -> int:
-    """Normalize a QubitMask or raw integer mask to a validated integer."""
+def as_mask(A: Union[QubitMask, int], n: int | None = None) -> int:
+    """Normalize a QubitMask or raw integer mask to a validated integer.
+
+    Without n a raw mask is only checked to be nonnegative.
+    """
     if isinstance(A, QubitMask):
-        if A.n != n:
+        if n is not None and A.n != n:
             raise ValueError(f"mask is for n={A.n}, expected n={n}")
         return A.mask
-    if not 0 <= A < (1 << n):
-        raise ValueError(f"mask {A:#b} out of range for n={n}")
+    if A < 0 or n is not None and A >> n:
+        raise ValueError(f"mask {A:#b} out of range" + ("" if n is None else f" for n={n}"))
     return A
 
 
@@ -191,7 +196,7 @@ def extract(k: BasisIndex, A: Union[QubitMask, int], n: int | None = None) -> Ba
     left to right).  Inverse of `embed` on its image.  When n is given the
     mask and k are checked against the n-bit range.
     """
-    mask = as_mask(A, n) if n is not None else (A.mask if isinstance(A, QubitMask) else A)
+    mask = as_mask(A, n)
     if n is not None and not 0 <= k < (1 << n):
         raise ValueError(f"basis index {k} out of range for n={n}")
     out = 0
@@ -212,7 +217,7 @@ def embed(l: BasisIndex, A: Union[QubitMask, int], n: int | None = None) -> Basi
     the result are zero.  Satisfies extract(embed(l, A), A) == l.  When n
     is given the mask is checked against the n-bit range.
     """
-    mask = as_mask(A, n) if n is not None else (A.mask if isinstance(A, QubitMask) else A)
+    mask = as_mask(A, n)
     if l < 0 or l >= (1 << mask.bit_count()):
         raise ValueError(f"sub-index {l} out of range for a {mask.bit_count()}-qubit subset")
     out = 0
@@ -225,25 +230,31 @@ def embed(l: BasisIndex, A: Union[QubitMask, int], n: int | None = None) -> Basi
     return out
 
 
+def _spell(weights) -> np.ndarray:
+    """The basis label each sub-index spells, for qubits of the given weights.
+
+    weights[..., j] is the bit weight of the j-th qubit of a subset, labels
+    ascending; entry i of the result sums the weights of the qubits whose
+    bit is set in i, the first qubit most significant, so A's weights give
+    embed(i, A).  Leading axes are kept.  Built by doubling, the entries
+    for one more qubit spelled from those before, in O(2^m) memory.
+    """
+    w = np.asarray(weights, dtype=np.intp)
+    out = np.zeros(w.shape[:-1] + (1 << w.shape[-1],), dtype=np.intp)
+    for j in range(w.shape[-1]):
+        np.add(out[..., : 1 << j], w[..., -1 - j, None], out=out[..., 1 << j : 2 << j])
+    return out
+
+
 def embed_table(A: Union[QubitMask, int]) -> np.ndarray:
     """Vector of embed(l, A) for all l in X^A, as an index array."""
-    mask = A.mask if isinstance(A, QubitMask) else A
-    bits = []
-    m = mask
-    while m:
-        bits.append(m & -m)
-        m &= m - 1
-    size = 1 << len(bits)
-    idx = np.arange(size, dtype=np.intp)
-    out = np.zeros(size, dtype=np.intp)
-    for j, low in enumerate(bits):
-        out += ((idx >> j) & 1) * low
-    return out
+    mask = as_mask(A)
+    return _spell([1 << b for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1])
 
 
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of `mask`, including 0 and `mask` itself, descending."""
-    sub = mask
+    sub = as_mask(mask)
     while True:
         yield sub
         if sub == 0:

@@ -68,9 +68,9 @@ class PopulationVector:
         p = np.array(self.probabilities, dtype=np.float64, order="C")
         if p.shape != (1 << self.n,):
             raise ValueError(f"population vector must have length {1 << self.n}")
-        if float(np.min(p)) < -POPULATION_TOL:
+        if not float(np.min(p)) >= -POPULATION_TOL:
             raise ValueError(f"population has negative entry {float(np.min(p)):.3e}")
-        if abs(math.fsum(p.tolist()) - 1.0) > 1e-10:
+        if not abs(math.fsum(p.tolist()) - 1.0) <= 1e-10:
             raise ValueError("population does not sum to 1")
         p = np.where(p < 0.0, 0.0, p)
         object.__setattr__(self, "probabilities", _frozen(p))
@@ -94,7 +94,7 @@ class WalshCoefficients:
         v = np.array(self.values, dtype=np.float64, order="C")
         if v.shape != (1 << self.n,):
             raise ValueError(f"coefficient vector must have length {1 << self.n}")
-        if abs(float(v[0]) - 1.0 / (1 << self.n)) > POPULATION_TOL:
+        if not abs(float(v[0]) - 1.0 / (1 << self.n)) <= POPULATION_TOL:
             raise ValueError("constant coefficient must equal 2^(-n)")
         object.__setattr__(self, "values", _frozen(v))
 
@@ -183,7 +183,7 @@ def population_from_walsh(c: WalshCoefficients) -> PopulationVector:
     """
     p = _fwht(_parity(c.n) * c.values)
     lo, hi = float(np.min(p)), float(np.max(p))
-    if lo < -POPULATION_TOL or hi > 1.0 + POPULATION_TOL:
+    if not -POPULATION_TOL <= lo <= hi <= 1.0 + POPULATION_TOL:
         raise ValueError(f"coefficients reconstruct probabilities in [{lo:.3e}, {hi:.3e}]")
     return PopulationVector(c.n, p)
 
@@ -303,7 +303,7 @@ _C3 = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 def _unit(value: complex, name: str) -> complex:
     z = complex(value)
-    if abs(abs(z) - 1.0) > PHASE_UNIT_TOL:
+    if not abs(abs(z) - 1.0) <= PHASE_UNIT_TOL:
         raise ValueError(f"{name} must have unit modulus, got |{name}| = {abs(z)!r}")
     return z
 

@@ -102,7 +102,7 @@ class SearchReport:
         if self.objective not in ("minimize", "maximize"):
             raise ValueError(f"unknown objective {self.objective!r}")
         floor = 1.0 / (1 << (self.n // 2))
-        if self.min_value < floor - ENERGY_TOL or self.min_value > 1.0 + ENERGY_TOL:
+        if not floor - ENERGY_TOL <= self.min_value <= 1.0 + ENERGY_TOL:
             raise ValueError(
                 f"reported value {self.min_value!r} violates the [{floor}, 1] energy bounds"
             )

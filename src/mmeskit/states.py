@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bitspace import MAX_QUBITS, QubitMask, _check_n, _frozen, embed_table
+from .bitspace import MAX_QUBITS, QubitMask, _check_n, _frozen, _spell, embed_table
 
 __all__ = [
     "NORM_TOL",
@@ -88,7 +88,7 @@ class PureState:
                 f"amplitude vector must have length {1 << self.n} for n={self.n}, got {amp.shape}"
             )
         norm_sq = float(np.vdot(amp, amp).real)
-        if abs(norm_sq - 1.0) > 3 * NORM_TOL:
+        if not abs(norm_sq - 1.0) <= 3 * NORM_TOL:
             raise ValueError(f"state is not normalized: sum |z_k|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", _frozen(amp))
 
@@ -115,11 +115,11 @@ class PolarState:
         zeta = np.array(self.phases, dtype=np.complex128, order="C")
         if r.shape != (1 << self.n,) or zeta.shape != (1 << self.n,):
             raise ValueError(f"moduli and phases must have length {1 << self.n}")
-        if np.any(r < 0):
+        if not np.all(r >= 0):
             raise ValueError("moduli must be nonnegative")
-        if abs(float(np.dot(r, r)) - 1.0) > 3 * NORM_TOL:
+        if not abs(float(np.dot(r, r)) - 1.0) <= 3 * NORM_TOL:
             raise ValueError("moduli are not normalized")
-        if float(np.max(np.abs(np.abs(zeta) - 1.0))) > 1e-9:
+        if not float(np.max(np.abs(np.abs(zeta) - 1.0))) <= 1e-9:
             raise ValueError("phases must have unit modulus")
         object.__setattr__(self, "moduli", _frozen(r))
         object.__setattr__(self, "phases", _frozen(zeta))
@@ -199,7 +199,7 @@ def fully_factorized(pairs: Sequence[Sequence[complex]]) -> PureState:
         v = np.ascontiguousarray(pair, dtype=np.complex128)
         if v.shape != (2,):
             raise ValueError(f"qubit {i}: expected an amplitude pair, got shape {v.shape}")
-        if abs(float(np.vdot(v, v).real) - 1.0) > NORM_TOL:
+        if not abs(float(np.vdot(v, v).real) - 1.0) <= NORM_TOL:
             raise ValueError(f"qubit {i}: amplitude pair is not normalized")
         vectors.append(v)
     amp = reduce(np.kron, vectors)
@@ -211,7 +211,7 @@ def _check_unitary(U: np.ndarray, dim: int, name: str) -> np.ndarray:
     if U.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got {U.shape}")
     dev = float(np.max(np.abs(U.conj().T @ U - np.eye(dim))))
-    if dev > UNITARY_TOL:
+    if not dev <= UNITARY_TOL:
         raise ValueError(f"{name} is not unitary (deviation {dev:.3e})")
     return U
 
@@ -309,11 +309,7 @@ def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
     n = state.n
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm must be a permutation of 1..{n}, got {perm!r}")
-    ks = np.arange(1 << n, dtype=np.intp)
-    src = np.zeros(1 << n, dtype=np.intp)
-    for i, p_i in enumerate(perm, start=1):
-        src |= ((ks >> (n - i)) & 1) << (n - p_i)
-    return PureState(n, state.amplitudes[src])
+    return PureState(n, state.amplitudes[_spell([1 << (n - p) for p in perm])])
 
 
 def apply_single_qubit_unitary(state: PureState, qubit: int, U: np.ndarray) -> PureState:

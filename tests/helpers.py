@@ -28,7 +28,7 @@ from mmeskit import (
     population_from_walsh,
     walsh_coefficients,
 )
-from mmeskit.bipartite import _axes, _gram, _gram_sum_denominator, _matricize
+from mmeskit.bipartite import _gram, _gram_sum_denominator
 from mmeskit.bitspace import balanced_bipartitions, embed_table, submasks, weight
 from mmeskit.potential import _g_hat_core
 from mmeskit.search import _GramState
@@ -104,13 +104,37 @@ def all_bipartition_sign_sum(sv: SignVector) -> int:
     return total
 
 
+def matricize(amplitudes: np.ndarray, mask: int, n: int) -> np.ndarray:
+    """The amplitudes transposed and reshaped to M_A: (sub-index of A) x
+    (sub-index of Abar), both sides' qubits ascending.
+
+    The tensor-transpose oracle of the library's spelled gathers: leading
+    axes are kept, so a (..., 2^n) batch gives (..., N_A, N_Abar), and
+    applied to arange(2^n) it gives the basis index at each entry of M_A.
+    """
+    inside = tuple(i for i in range(1, n + 1) if mask >> (n - i) & 1)
+    axes = (0,) + inside + tuple(i for i in range(1, n + 1) if i not in inside)
+    t = amplitudes.reshape((-1,) + (2,) * n).transpose(axes)
+    return t.reshape(amplitudes.shape[:-1] + (1 << len(inside), -1))
+
+
 def loop_balanced_grams(amplitudes: np.ndarray, n: int) -> list:
     """Gram matrix M_A M_A^H of every balanced A, in balanced_bipartitions
     order: one tensor transpose and one matrix product per subset, where the
     library gathers chunks of subsets from its site map."""
-    rows = 1 << (n // 2)
-    subsets = balanced_bipartitions(n)
-    return [_gram(_matricize(amplitudes, _axes(A.mask, n), rows)) for A in subsets]
+    return [_gram(matricize(amplitudes, A.mask, n)) for A in balanced_bipartitions(n)]
+
+
+def loop_permute_qubits(state: PureState, perm) -> PureState:
+    """Relabel qubits one qubit at a time: bit n - perm[i-1] of the source
+    label is bit n - i of the target's, where the library spells the whole
+    source map at once."""
+    n = state.n
+    ks = np.arange(1 << n, dtype=np.intp)
+    src = np.zeros(1 << n, dtype=np.intp)
+    for i, p_i in enumerate(perm, start=1):
+        src |= ((ks >> (n - i)) & 1) << (n - p_i)
+    return PureState(n, state.amplitudes[src])
 
 
 def loop_balanced_gaps(state: PureState) -> tuple:

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from helpers import (
-    haar_unitary, loop_purity_form2, loop_purity_uniform, naive_purity, naive_reduced_density
+    haar_unitary, loop_purity_form2, loop_purity_uniform, matricize, naive_purity,
+    naive_reduced_density
 )
 from mmeskit import (
     DensityMatrix,
+    SchmidtSpectrum,
     QubitMask,
     SignVector,
     apply_single_qubit_unitary,
@@ -55,6 +57,13 @@ class TestDensityMatrix:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(2, dtype=complex))
+
+    def test_refuses_nan_entries(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.full((2, 2), np.nan, dtype=complex))
+        # one NaN on the diagonal, though m - m^H is zero everywhere else
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.diag([np.nan, 1.0]).astype(complex))
 
     def test_purity_and_eigenvalues(self):
         rho = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
@@ -168,6 +177,10 @@ class TestSchmidt:
     def test_bell_spectrum(self):
         spec = schmidt_spectrum(bell_pair(), QubitMask.from_qubits((1,), 2))
         assert np.allclose(spec.values, [0.5, 0.5])
+
+    def test_spectrum_refuses_nan_values(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            SchmidtSpectrum((0.5, float("nan")))
 
     def test_product_state_has_single_coefficient(self):
         st = fully_factorized([(1, 0), (0, 1), (1, 0)])

@@ -113,6 +113,25 @@ class TestQubitMask:
         with pytest.raises(ValueError):
             as_mask(m, 4)
 
+    def test_as_mask_without_n_checks_only_the_sign(self):
+        assert as_mask(QubitMask.from_qubits((2,), 3)) == 0b010
+        assert as_mask(1 << 70) == 1 << 70
+        with pytest.raises(ValueError, match="out of range$"):
+            as_mask(-1)
+
+    def test_negative_and_out_of_range_raw_masks_are_refused(self):
+        # a negative int has endless set bits, so a bit loop over it never ends
+        with pytest.raises(ValueError):
+            extract(5, -1)
+        with pytest.raises(ValueError):
+            embed(1, -1)
+        with pytest.raises(ValueError):
+            embed_table(-1)
+        with pytest.raises(ValueError):
+            list(submasks(-1))
+        with pytest.raises(ValueError, match="out of range for n=2"):
+            complement(5, 2)
+
 
 class TestBalancedBipartitions:
     def test_three_qubits_lists_singletons(self):
@@ -174,9 +193,14 @@ class TestExtractEmbed:
         with pytest.raises(ValueError):
             extract(0b110, 0b101, 2)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_embed_table_agrees_with_embed(self, n):
-        for qubits in all_label_subsets(n):
+        subsets = list(all_label_subsets(n))
+        if n > 6:  # a seeded sample of the 2^n subsets, the full set included
+            rng = np.random.default_rng(n)
+            subsets = [subsets[i] for i in rng.choice(len(subsets), 12, replace=False)]
+            subsets.append(tuple(range(1, n + 1)))
+        for qubits in subsets:
             A = QubitMask.from_qubits(qubits, n)
             table = embed_table(A)
             assert table.dtype == np.intp

@@ -70,6 +70,12 @@ class TestPopulation:
         with pytest.raises(ValueError):
             PopulationVector(1, np.array([0.6, 0.6]))
 
+    def test_refuses_nan_entries(self):
+        with pytest.raises(ValueError, match="negative entry nan"):
+            PopulationVector(1, np.array([np.nan, np.nan]))
+        with pytest.raises(ValueError, match="negative entry nan"):
+            PopulationVector(1, np.array([1.0, np.nan]))
+
     def test_clamps_rounding_noise(self):
         P = PopulationVector(1, np.array([1.0 + 5e-13, -5e-13]))
         assert P.probabilities[1] == 0.0
@@ -144,6 +150,13 @@ class TestWalsh:
         P = random_population(n, 20 + n)
         back = population_from_walsh(walsh_coefficients(P))
         assert np.allclose(back.probabilities, P.probabilities, atol=1e-12)
+
+    def test_refuses_nan_coefficients(self):
+        with pytest.raises(ValueError, match="constant coefficient"):
+            WalshCoefficients(2, np.full(4, np.nan))
+        values = np.array([0.25, np.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="reconstruct probabilities"):
+            population_from_walsh(WalshCoefficients(2, values))
 
     def test_rejects_coefficients_outside_probability_range(self):
         values = np.zeros(4)
@@ -277,6 +290,8 @@ class TestCatalog:
     def test_non_unit_phases_rejected(self):
         with pytest.raises(ValueError):
             catalog("bell_family", phases=(1.0, 0.5, 1.0))
+        with pytest.raises(ValueError, match="unit modulus"):
+            catalog("bell_family", phases=(1.0, complex(float("nan"), 0.0), 1.0))
 
     def test_bell_family_closure(self):
         rng = np.random.default_rng(17)

@@ -19,7 +19,7 @@ import pytest
 from helpers import (
     LoopGramState, all_bipartition_sign_sum, loop_balanced_gaps, loop_balanced_grams,
     loop_pi_me_form2, loop_pi_me_form4, loop_purity_form2, loop_purity_uniform,
-    table_energy_exact, unit_phases
+    matricize, table_energy_exact, unit_phases
 )
 from mmeskit import (
     CouplingTable,
@@ -368,7 +368,7 @@ class TestUniformPotential:
             assert sites.rows[:, -1].tolist() == kept  # each kept A's mask
             basis = np.arange(1 << n)
             for a, mask in enumerate(kept):
-                want = bipartite._matricize(basis, bipartite._axes(mask, n), 1 << (n // 2))
+                want = matricize(basis, mask, n)
                 assert np.array_equal(sites.rows[a][:, None] + sites.cols[a], want)
 
     @pytest.mark.parametrize("n", range(2, 13))

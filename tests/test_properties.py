@@ -2,9 +2,11 @@
 
 Every evaluation path of the potential agrees on arbitrary normalized
 states, the direct marginal gap agrees with its Walsh reconstruction, the
-potential is invariant under local unitaries and qubit relabelings, and
-the JSON state format round-trips.  Examples are
-derandomized, so every run checks the same states.
+potential is invariant under local unitaries and qubit relabelings, the
+spelled gathers of reduced density matrices and relabelings equal their
+transpose and per-qubit loop oracles bit for bit, and the JSON state
+format round-trips.  Examples are derandomized, so every run checks the
+same states.
 """
 
 import json
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import haar_unitary, walsh_marginal_gap
+from helpers import haar_unitary, loop_permute_qubits, matricize, walsh_marginal_gap
 from mmeskit import (
     PureState,
     SignVector,
@@ -31,9 +33,12 @@ from mmeskit import (
     pi_me_form4,
     population,
     purity_form2,
+    random_state,
+    reduced_density_matrix,
     state_from_json,
     state_to_json,
 )
+from mmeskit.bipartite import _gram
 from mmeskit.mmes import CATALOG_NAMES
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -92,6 +97,24 @@ def test_potential_is_invariant_under_qubit_permutations(state, data):
     perm = data.draw(st.permutations(range(1, state.n + 1)))
     relabeled = permute_qubits(state, perm)
     assert abs(pi_me_form1(relabeled) - pi_me_form1(state)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(st.data())
+def test_reduced_density_matrix_is_the_transpose_oracle_bit_for_bit(n, data):
+    state = data.draw(states(n, n))
+    for mask in range(1, (1 << n) - 1):
+        want = _gram(matricize(state.amplitudes, mask, n))
+        assert np.array_equal(reduced_density_matrix(state, mask).entries, want)
+
+
+@PROPERTY
+@given(st.integers(1, 10).flatmap(lambda n: st.permutations(range(1, n + 1))), st.data())
+def test_permute_qubits_is_the_per_qubit_loop(perm, data):
+    state = random_state(len(perm), data.draw(st.integers(0, 2**32 - 1)))
+    got = permute_qubits(state, perm).amplitudes
+    assert np.array_equal(got, loop_permute_qubits(state, perm).amplitudes)
 
 
 @PROPERTY

@@ -617,6 +617,13 @@ class TestSearchReport:
                 sample_minimizers=(), evaluations=1, wall_time=0.0,
             )
 
+    def test_rejects_a_nan_value(self):
+        with pytest.raises(ValueError, match="bounds"):
+            SearchReport(
+                n=3, mode="exhaustive", min_value=float("nan"), minimizer_count=1,
+                sample_minimizers=(), evaluations=1, wall_time=0.0,
+            )
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             SearchReport(

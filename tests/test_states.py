@@ -70,6 +70,19 @@ class TestPureState:
         with pytest.raises(ValueError):
             from_amplitudes(2, [0.0] * 4)
 
+    def test_nan_amplitudes_are_refused(self):
+        # a NaN norm compares false with every tolerance, so the checks are
+        # written to fail on it
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(2, [float("nan")] * 4)
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(2, [1.0, float("nan"), 0.0, 0.0])
+
+    def test_from_amplitudes_refuses_nan(self):
+        for raw in ([float("nan")] * 4, [1.0, 0.0, float("nan"), 0.0]):
+            with pytest.raises(ValueError, match="not normalized"):
+                from_amplitudes(2, raw)
+
 
 class TestPolarAndSigns:
     def test_polar_assemble_roundtrip(self):
@@ -80,6 +93,15 @@ class TestPolarAndSigns:
     def test_polar_rejects_negative_moduli(self):
         with pytest.raises(ValueError):
             PolarState(1, np.array([-0.5, 0.5]), np.zeros(2))
+
+    def test_polar_refuses_nan_moduli_and_phases(self):
+        r = np.full(4, 0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            PolarState(2, np.full(4, np.nan), np.ones(4))
+        with pytest.raises(ValueError, match="unit modulus"):
+            PolarState(2, r, np.full(4, np.nan))
+        with pytest.raises(ValueError, match="unit modulus"):
+            PolarState(2, r, [1, 1, 1, complex(1, np.nan)])
 
     def test_is_uniform(self):
         assert random_phases(3, 0).is_uniform()
@@ -132,6 +154,12 @@ class TestFactorizedAndGhz:
     def test_first_pair_is_most_significant(self):
         st = fully_factorized([(0, 1), (1, 0), (1, 0)])
         assert st.amplitudes[0b100] == pytest.approx(1.0)
+
+    def test_refuses_nan_pairs_and_unitaries(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            fully_factorized([[1.0, 0.0], [float("nan"), 0.0]])
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_single_qubit_unitary(ghz(2), 1, np.full((2, 2), np.nan))
 
     def test_rejects_unnormalized_pair(self):
         with pytest.raises(ValueError):
