@@ -193,12 +193,13 @@ def extract(k: BasisIndex, A: Union[QubitMask, int], n: int | None = None) -> Ba
 
     The lowest set bit of the mask maps to bit 0 of the result, so the
     qubit order of the binary string is preserved (qubit labels ascending
-    left to right).  Inverse of `embed` on its image.  When n is given the
-    mask and k are checked against the n-bit range.
+    left to right).  Inverse of `embed` on its image.  k must be
+    nonnegative; when n is given the mask and k are checked against the
+    n-bit range.
     """
     mask = as_mask(A, n)
-    if n is not None and not 0 <= k < (1 << n):
-        raise ValueError(f"basis index {k} out of range for n={n}")
+    if k < 0 or n is not None and k >> n:
+        raise ValueError(f"basis index {k} out of range" + ("" if n is None else f" for n={n}"))
     out = 0
     out_bit = 0
     while mask:
@@ -237,9 +238,14 @@ def _spell(weights) -> np.ndarray:
     ascending; entry i of the result sums the weights of the qubits whose
     bit is set in i, the first qubit most significant, so A's weights give
     embed(i, A).  Leading axes are kept.  Built by doubling, the entries
-    for one more qubit spelled from those before, in O(2^m) memory.
+    for one more qubit spelled from those before, in O(2^m) memory.  A
+    weight that does not fit an index array is a ValueError, raised before
+    anything is allocated.
     """
-    w = np.asarray(weights, dtype=np.intp)
+    try:
+        w = np.asarray(weights, dtype=np.intp)
+    except OverflowError:
+        raise ValueError(f"qubit weights must be below 2^{np.iinfo(np.intp).bits - 1}") from None
     out = np.zeros(w.shape[:-1] + (1 << w.shape[-1],), dtype=np.intp)
     for j in range(w.shape[-1]):
         np.add(out[..., : 1 << j], w[..., -1 - j, None], out=out[..., 1 << j : 2 << j])

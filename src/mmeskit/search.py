@@ -15,7 +15,8 @@ Features:
   of two exact Gram sums (`flip_delta`; the annealer does not use it)
 - exhaustive Gray-code enumeration of all sign vectors in batched blocks
   of exact integer Gram sums, with exact minimum, exact tie counting and
-  deterministic reports
+  deterministic reports; full mode scores the lower half of the positions
+  and mirrors them onto the upper half, which holds their negations
 - Metropolis annealer over sign flips or single-site phase rotations at a
   fictitious inverse temperature, both signs supported: positive schedules
   seek minima, negative ones maxima (fully factorized states); replicas
@@ -57,9 +58,10 @@ __all__ = [
 ENERGY_TOL = 1e-12
 MAX_SAMPLES = 16
 
-# Full sweeps cost 2^(2^n) evaluations: instantaneous through n=4, about
-# 20 minutes on one core at n=5 (gated behind allow_long_run), out of reach
-# beyond.
+# Sweeps score 2^(2^n - 1) Gray positions in either mode, full mode mirroring
+# them by the global sign: instantaneous through n=4; at n=5 2^21 blocks of
+# SWEEP_BLOCK positions, about 4,100 blocks/s on one core of a 2-vCPU Xeon,
+# so 8.5 minutes (gated behind allow_long_run); out of reach beyond.
 MAX_EXHAUSTIVE_N = 4
 MAX_GATED_N = 5
 
@@ -342,10 +344,14 @@ def exhaustive_search(
     signs of g = i xor (i >> 1), and evaluates blocks of positions at once
     as exact integer Gram sums, so the minimum, the tie count, and up to
     16 sample minimizers (in enumeration order) are exact.  `full` mode
-    visits all 2^(2^n) vectors, so counts include global-sign duplicates;
-    `fix_global_sign` freezes site 0 at +1 and visits half as many.  n=5
-    costs billions of evaluations and must be enabled with allow_long_run;
-    larger n is refused.
+    covers all 2^(2^n) vectors, so counts include global-sign duplicates,
+    but it scores only the lower half of the positions: position i xor K,
+    where K is the position of the all-ones Gray code, holds the negation
+    of position i and the same potential, so the upper half's minimizers
+    are the lower half's mirrored.  `fix_global_sign` freezes site 0 at +1
+    and covers half as many.  Either mode scores 2^(2^n - 1) positions.
+    n=5 costs billions of evaluations and must be enabled with
+    allow_long_run; larger n is refused.
     """
     if symmetry_mode not in ("full", "fix_global_sign"):
         raise ValueError(f"unknown symmetry mode {symmetry_mode!r}")
@@ -358,12 +364,16 @@ def exhaustive_search(
         )
     start = time.perf_counter()
     N = 1 << n
-    offset = 0 if symmetry_mode == "full" else 1
+    full = symmetry_mode == "full"
+    offset = 0 if full else 1
     total = 1 << (N - offset)
+    # Both modes score positions i < 2^(N-1): all of them with site 0 frozen,
+    # or, in full mode, the lower half, whose Gray codes leave site N-1 at +1.
+    scored = 1 << (N - 1)
     # A block starts at a multiple lo of its power-of-two size 2^w, so
     # position lo + t has Gray code gray(lo) xor gray(t), t < 2^w: each block
     # is one sign pattern of the Gray bits of t, times the signs of gray(lo).
-    w = min(total, SWEEP_BLOCK).bit_length() - 1
+    w = min(scored, SWEEP_BLOCK).bit_length() - 1
     t = np.arange(1 << w)
     gray = t ^ t >> 1
     pattern = np.ones((N - offset, 1 << w), dtype=np.int8)
@@ -372,8 +382,8 @@ def exhaustive_search(
     bits = np.arange(N - offset)
     best: Optional[int] = None
     count = 0
-    found: list[np.ndarray] = []
-    for lo in range(0, total, 1 << w):
+    found: list[tuple[int, np.ndarray]] = []  # (position, signs) of the samples
+    for lo in range(0, scored, 1 << w):
         # column t holds the signs of position lo + t
         s = np.ones((N, 1 << w), dtype=pattern.dtype)
         high = (1 - 2 * ((lo ^ lo >> 1) >> bits & 1)).astype(pattern.dtype)
@@ -386,8 +396,17 @@ def exhaustive_search(
             hits = np.flatnonzero(T == best)
             count += hits.size
             # copies, so that a sample does not keep its whole block alive
-            found.extend(s[:, h].copy() for h in hits[: MAX_SAMPLES - len(found)])
-    samples = [SignVector(n, v) for v in found]
+            room = hits[: MAX_SAMPLES - len(found)].tolist()
+            found.extend((lo + h, s[:, h].copy()) for h in room)
+    if full:
+        # gray(K) is all ones, and K's top bit sends the lower half onto the
+        # upper one, in ascending order of p xor K; found holds every lower
+        # hit whenever room is left for a mirrored one
+        K = sum(1 << k for k in range(N - 1, -1, -2))
+        mirrored = sorted(found, key=lambda hit: hit[0] ^ K)[: MAX_SAMPLES - len(found)]
+        found += [(p ^ K, -v) for p, v in mirrored]
+        count *= 2
+    samples = [SignVector(n, v) for _, v in found]
     exact = Fraction(best, _gram_sum_denominator(n))
     return SearchReport(
         n=n,

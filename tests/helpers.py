@@ -28,10 +28,10 @@ from mmeskit import (
     population_from_walsh,
     walsh_coefficients,
 )
-from mmeskit.bipartite import _gram, _gram_sum_denominator
+from mmeskit.bipartite import _gram, _gram_sum_denominator, _sign_gram_sum
 from mmeskit.bitspace import balanced_bipartitions, embed_table, submasks, weight
 from mmeskit.potential import _g_hat_core
-from mmeskit.search import _GramState
+from mmeskit.search import MAX_SAMPLES, _GramState
 
 
 def place_bits(n: int, qubits, sub: int) -> int:
@@ -361,3 +361,29 @@ def loop_anneal_replica(rng: np.random.Generator, config: AnnealConfig, n: int, 
         return energy_uniform_exact(sv), sv, evals
     state = PolarState(n, np.full(N, 1.0 / math.sqrt(N)), best_z)
     return pi_me_uniform(state), state, evals
+
+
+def gray_signs(n: int, positions, symmetry_mode: str = "full") -> np.ndarray:
+    """Row r: the signs of Gray position positions[r] of `exhaustive_search`,
+    bit b of i xor (i >> 1) negating site b, or site b + 1 with site 0
+    frozen at +1 in fix_global_sign mode."""
+    N = 1 << n
+    offset = 0 if symmetry_mode == "full" else 1
+    i = np.asarray(positions, dtype=np.int64)
+    signs = np.ones((i.size, N), dtype=np.int8)
+    signs[:, offset:] = 1 - 2 * ((i ^ i >> 1)[:, None] >> np.arange(N - offset) & 1)
+    return signs
+
+
+def unmirrored_search(n: int, symmetry_mode: str = "full"):
+    """`exhaustive_search` without the global-sign mirror: every Gray
+    position, as one explicit matrix, scored through `_sign_gram_sum`;
+    (exact minimum, minimizer count, evaluations, the first MAX_SAMPLES
+    minimizers in position order)."""
+    total = 1 << ((1 << n) - (symmetry_mode != "full"))
+    signs = gray_signs(n, np.arange(total), symmetry_mode)
+    T = _sign_gram_sum(signs, n)
+    best = int(T.min())
+    hits = np.flatnonzero(T == best)
+    samples = [SignVector(n, signs[h]) for h in hits[:MAX_SAMPLES]]
+    return Fraction(best, _gram_sum_denominator(n)), hits.size, total, samples

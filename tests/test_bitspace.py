@@ -193,6 +193,21 @@ class TestExtractEmbed:
         with pytest.raises(ValueError):
             extract(0b110, 0b101, 2)
 
+    @pytest.mark.parametrize("n", (None, 3))
+    def test_negative_basis_indices_are_refused(self, n):
+        # unchecked, their two's-complement bits would spell a label
+        for k, mask in ((-1, 0b101), (-6, 0b111), (-8, 0b001)):
+            with pytest.raises(ValueError, match="basis index"):
+                extract(k, mask, n)
+
+    def test_embed_table_refuses_weights_beyond_an_index_array(self):
+        bits = np.iinfo(np.intp).bits
+        top = QubitMask(1 << (MAX_COUNT_QUBITS - 1), MAX_COUNT_QUBITS)
+        for A in (top, QubitMask(0b1 | top.mask, MAX_COUNT_QUBITS), 1 << (bits - 1), 1 << 100):
+            with pytest.raises(ValueError, match="qubit weights"):
+                embed_table(A)
+        assert embed_table(1 << (bits - 2)).tolist() == [0, 1 << (bits - 2)]
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_embed_table_agrees_with_embed(self, n):
         subsets = list(all_label_subsets(n))

@@ -24,6 +24,7 @@ from mmeskit import (
     apply_single_qubit_unitary,
     balanced_bipartitions,
     catalog,
+    energy_uniform_exact,
     fully_factorized,
     ghz,
     marginal_uniformity_gap,
@@ -115,6 +116,23 @@ def test_permute_qubits_is_the_per_qubit_loop(perm, data):
     state = random_state(len(perm), data.draw(st.integers(0, 2**32 - 1)))
     got = permute_qubits(state, perm).amplitudes
     assert np.array_equal(got, loop_permute_qubits(state, perm).amplitudes)
+
+
+@PROPERTY
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    arrays(np.int8, 1 << n, elements=st.sampled_from((-1, 1))),
+    st.integers(0, (1 << n) - 1),
+    st.integers(0, 1),
+)))
+def test_sign_potential_is_invariant_under_local_z_and_the_global_sign(twist):
+    # s_x -> (-1)^(c + a.x) s_x is Z on the qubits of a, times the global
+    # sign (-1)^c: local unitaries, so the exact potential does not move
+    signs, a, c = twist
+    N = signs.size
+    parity = np.array([(a & x).bit_count() + c for x in range(N)]) & 1
+    twisted = (signs * (1 - 2 * parity)).astype(np.int8)
+    n = N.bit_length() - 1
+    assert energy_uniform_exact(SignVector(n, twisted)) == energy_uniform_exact(SignVector(n, signs))
 
 
 @PROPERTY

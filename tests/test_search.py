@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import LoopGramState, loop_anneal_replica, loop_walk
+from helpers import LoopGramState, gray_signs, loop_anneal_replica, loop_walk, unmirrored_search
 from mmeskit import (
     AnnealConfig,
     PolarState,
@@ -462,6 +462,33 @@ class TestExhaustive:
             "++++-++-+--+++++", "++--+--+-+-+++++", "+--+++---+-+++++", "++---++--+-+++++",
             "+-+-+--+++--++++", "+--+-+-+++--++++", "+-+--++-++--++++", "+--+--+++-+-++++",
         ]
+
+    @pytest.mark.parametrize("mode", ("full", "fix_global_sign"))
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_the_sweep_is_the_unmirrored_sweep(self, n, mode):
+        exact, count, evaluations, samples = unmirrored_search(n, mode)
+        report = exhaustive_search(n, mode)
+        assert report.min_value_exact == exact
+        assert report.minimizer_count == count
+        assert report.evaluations == evaluations
+        assert [sv.to_string() for sv in report.sample_minimizers] == [
+            sv.to_string() for sv in samples
+        ]
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(2, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << ((1 << n) - 1)) - 1))
+    ))
+    def test_mirrored_positions_hold_negated_vectors(self, position):
+        n, i = position
+        N = 1 << n
+        K, g = 0, (1 << N) - 1  # K: the position of the all-ones Gray code
+        while g:
+            K, g = K ^ g, g >> 1
+        assert i < 1 << (N - 1) <= i ^ K
+        lower, upper = gray_signs(n, [i, i ^ K])
+        assert (upper == -lower).all()
+        assert energy_uniform_exact(SignVector(n, upper)) == energy_uniform_exact(SignVector(n, lower))
 
     def test_minimizers_come_in_sign_pairs(self):
         report = exhaustive_search(3)
