@@ -8,18 +8,16 @@ Features:
   stacks: the single evaluation core behind every potential, verdict, sweep
   and anneal (integer Grams for sign vectors, so those stay exact)
 - one record per n of the balanced subsets (`_sites`): where each kept
-  M_A reads the amplitudes, how often it counts, and for small N_A the
-  narrow kernel's row-pair sites; built once for each of the last few n
-  and read by every Gram evaluation and the annealer, so none transposes
-  a subset or repeats bipartition bookkeeping
+  M_A reads the amplitudes and how often it counts; built once for each
+  of the last few n and read by every Gram evaluation, the sweep and the
+  annealer, so none transposes a subset or repeats bipartition bookkeeping
 - one blocking rule (`_chunks`): every loop over subsets, marginals or
   quadruple-sum terms takes them in slices of about CHUNK_BYTES, and one
   gathered Gram product (`_grams`) serves the dense core and the sign sum
 - the exact Gram sum of sign vectors, each complementary pair of balanced
   subsets counted once, and its C(n, n/2) N^2 normaliser: chunks of the
-  M_A gathered in one step, their Gram entries summed in int8 (|G| <=
-  N_Abar) for small N_A, or formed by float32 BLAS products, exact as
-  well, for larger N_A
+  M_A gathered in one step and their Gram matrices formed by float32 BLAS
+  products, exact since |G| <= N_Abar
 - purity in two algebraically equivalent forms: Frobenius norm of the
   reduced density matrix (Form 1) and the XOR-indexed amplitude quadruple
   sum (Form 2, the paper's expansion, kept as an independent cross-check),
@@ -40,7 +38,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -77,10 +75,6 @@ CHUNK_BYTES = 1 << 18
 # A site map, like the annealer's Gram state, is refused above this size
 # before it is allocated: n <= 18 builds, n = 19 is refused.
 MAX_TABLE_BYTES = 1 << 30
-
-# Up to this N_A the exact sign Gram sum runs its narrow-integer kernel, the
-# batch innermost; from the next N_A on, float32 BLAS matrix products.
-PAIR_MAX_ROWS = 4
 
 
 @dataclass(eq=False, frozen=True)
@@ -199,7 +193,6 @@ class _Sites(NamedTuple):
     rows: np.ndarray  # (kept, N_A)
     cols: np.ndarray  # (kept, N_Abar)
     weight: int  # how often each kept subset counts
-    pairs: Optional[tuple[np.ndarray, np.ndarray]]  # the narrow kernel's sites
 
 
 @lru_cache(maxsize=8)
@@ -209,11 +202,8 @@ def _sites(n: int) -> _Sites:
     The subsets come in balanced_bipartitions order.  At even n, A and its
     complement are both balanced, and their Gram matrices M M^H and M^H M
     have the same Frobenius norm, so only the subsets holding qubit 1 are
-    kept, each counting twice.  Up to N_A = PAIR_MAX_ROWS, pairs holds the
-    sites of rows i and m of each kept M_A for every row pair i < m, as two
-    (kept, pairs, N_Abar) arrays; beyond it None, since at n = 12 they
-    would take about 950 MB.  A map over MAX_TABLE_BYTES is refused before
-    it is built.
+    kept, each counting twice.  A map over MAX_TABLE_BYTES is refused
+    before it is built.
     """
     _check_balanced(n)
     kept = _kept_count(n)
@@ -228,11 +218,7 @@ def _sites(n: int) -> _Sites:
     np.put_along_axis(inside, qubits, True, axis=1)
     weights = np.broadcast_to(1 << np.arange(n - 1, -1, -1), inside.shape)
     rows, cols = (_frozen(_spell(weights[side].reshape(kept, -1))) for side in (inside, ~inside))
-    pairs = None
-    if rows.shape[1] <= PAIR_MAX_ROWS:
-        upper, lower = np.triu_indices(rows.shape[1], 1)
-        pairs = tuple(_frozen(rows[:, pick, None] + cols[:, None, :]) for pick in (upper, lower))
-    return _Sites(rows, cols, 2 - n % 2, pairs)
+    return _Sites(rows, cols, 2 - n % 2)
 
 
 def _grams(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -268,52 +254,24 @@ def _gram_sum_denominator(n: int) -> int:
     return binomial(n, n // 2) << (2 * n)
 
 
-def _pair_squares(columns: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Sum of the squared Gram entries of a chunk of M_A, for (N, B) signs.
-
-    first and second are a chunk of _sites(n).pairs.  The batch is the innermost
-    axis, so every step is one vectorised pass over B-long rows of the
-    narrow sign type.  Only the entries above the diagonal are formed, once
-    each: a sign Gram matrix has N_Abar on its diagonal.
-    """
-    terms = np.take(columns, first, axis=0)
-    terms *= np.take(columns, second, axis=0)
-    G = terms.sum(axis=2, dtype=columns.dtype).reshape(-1, columns.shape[1]).astype(np.int32)
-    G *= G
-    kept, _, n_b = first.shape
-    # int32 holds the total, at most N^2 per M_A: 10 * 2^10 at N_A = 4;
-    # each diagonal adds N_A entries of N_Abar squared, N N_Abar
-    return 2 * G.sum(axis=0, dtype=np.int32) + kept * len(columns) * n_b
-
-
 def _sign_gram_sum(signs: np.ndarray, n: int):
     """Exact T = sum over balanced A of ||M_A M_A^T||_F^2 for +-1 signs.
 
     Leading batch axes are kept, and each complementary pair is summed once
-    (see _sites).  The kept subsets go in chunks, each chunk's M_A gathered
-    in one step.  Up to N_A = PAIR_MAX_ROWS (n <= 5) the chunk's Gram
-    entries are summed in int8, which holds |G| <= N_Abar, the batch
-    innermost; beyond it float32 BLAS forms them through _grams, exactly,
-    since |G| <= N_Abar <= 2^24.  The total, at most C(n, n/2) N^2, fits
-    int64 for every n whose site map is admitted.
+    (see _sites).  The kept subsets go in chunks through _grams, whose
+    float32 BLAS products are exact, since |G| <= N_Abar <= 2^24.  The
+    total, at most C(n, n/2) N^2, fits int64 for every n whose site map is
+    admitted.  The sweep has a kernel of its own (`search._block_scorer`).
     """
     sites = _sites(n)
-    N = 1 << n
     n_a = sites.rows.shape[1]
-    flat = signs.reshape(-1, N)
-    batch = len(flat)
+    data = signs.reshape(-1, 1 << n).astype(np.float32)
+    batch, N = data.shape
     total = np.zeros(batch, dtype=np.int64)
-    if sites.pairs is not None:
-        first, second = sites.pairs
-        columns = np.ascontiguousarray(flat.T, dtype=np.int8)
-        for chunk in _chunks(len(first), 2 * first[0].size * (8 + batch)):
-            total += _pair_squares(columns, first[chunk], second[chunk])
-    else:
-        data = flat.astype(np.float32)
-        # index, M_A, then each G_A in float32 and its int64 copy
-        for chunk in _chunks(len(sites.rows), N * (8 + 4 * batch) + 12 * n_a * n_a * batch):
-            G = _grams(data, sites.rows[chunk], sites.cols[chunk]).astype(np.int64)
-            total += np.einsum("bkij,bkij->b", G, G)
+    # index, M_A, then each G_A in float32 and its int64 copy
+    for chunk in _chunks(len(sites.rows), N * (8 + 4 * batch) + 12 * n_a * n_a * batch):
+        G = _grams(data, sites.rows[chunk], sites.cols[chunk]).astype(np.int64)
+        total += np.einsum("bkij,bkij->b", G, G)
     return (sites.weight * total).reshape(signs.shape[:-1])[()]
 
 

@@ -21,6 +21,7 @@ enters only at the numerical evaluation boundary of the higher modules.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
@@ -77,6 +78,18 @@ def _check_split(n: int, n_a: int) -> None:
     _check_n(n, low=2)
     if not 1 <= n_a <= n - 1:
         raise ValueError(f"subset size must be in [1, {n - 1}], got {n_a}")
+
+
+def _whole(value, field: str, floats: bool = False) -> int:
+    """value as an int, or ValueError naming field: booleans are refused,
+    and so are floats, unless `floats` admits the whole-numbered ones."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if floats and isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    kind = "whole numbers" if floats else "an integer"
+    raise ValueError(f"{field} must be {kind}, got {value!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

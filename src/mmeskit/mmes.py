@@ -26,7 +26,7 @@ import numpy as np
 
 from ._catalog_data import SIGN_TARGETS
 from .bipartite import _balanced_grams, _chunks
-from .bitspace import QubitMask, _check_n, _frozen, as_mask, binomial
+from .bitspace import QubitMask, _check_n, _frozen, _whole, as_mask, binomial
 from .potential import energy_uniform_exact, pi_me_form1
 from .states import PureState, SignVector, ghz, permute_qubits, uniform_from_signs
 
@@ -371,7 +371,8 @@ def catalog(name: str, **params) -> PureState:
 
     Names: bell_family (phases=(z00, z01, z10)), ghz (n), three_family
     (rotation in {0,1,2}, phases: 5 units), four_best, five_perfect,
-    six_perfect.  Every call first runs a cached self-check of all
+    six_perfect.  n and rotation must be integers; booleans, floats and
+    strings are refused.  Every call first runs a cached self-check of all
     catalog target values.
     """
     _self_test()
@@ -379,9 +380,10 @@ def catalog(name: str, **params) -> PureState:
     if name == "bell_family":
         out = _build_bell(params.pop("phases", (1, 1, 1)))
     elif name == "ghz":
-        out = ghz(int(params.pop("n", 3)))
+        out = ghz(_whole(params.pop("n", 3), "n"))
     elif name == "three_family":
-        out = _build_three(int(params.pop("rotation", 0)), params.pop("phases", (1,) * 5))
+        rotation = _whole(params.pop("rotation", 0), "rotation")
+        out = _build_three(rotation, params.pop("phases", (1,) * 5))
     elif name in SIGN_TARGETS:
         out = uniform_from_signs(SignVector.from_string(SIGN_TARGETS[name][0]))
     else:

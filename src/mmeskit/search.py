@@ -13,10 +13,11 @@ Features:
   and the state is refused before allocation when it would exceed 1 GiB
 - single sign-flip energy changes without a Gram state, as the difference
   of two exact Gram sums (`flip_delta`; the annealer does not use it)
-- exhaustive Gray-code enumeration of all sign vectors in batched blocks
-  of exact integer Gram sums, with exact minimum, exact tie counting and
-  deterministic reports; full mode scores the lower half of the positions
-  and mirrors them onto the upper half, which holds their negations
+- exhaustive Gray-code enumeration of all sign vectors in blocks scored
+  from sign products fixed per sweep, exact integer Gram sums with exact
+  minimum, exact tie counting and deterministic reports; full mode scores
+  the lower half of the positions and mirrors them onto the upper half,
+  which holds their negations
 - Metropolis annealer over sign flips or single-site phase rotations at a
   fictitious inverse temperature, both signs supported: positive schedules
   seek minima, negative ones maxima (fully factorized states); replicas
@@ -33,7 +34,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +44,7 @@ import numpy as np
 from .bipartite import (
     MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
 )
+from .bitspace import _whole
 from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
 
@@ -60,8 +61,8 @@ MAX_SAMPLES = 16
 
 # Sweeps score 2^(2^n - 1) Gray positions in either mode, full mode mirroring
 # them by the global sign: instantaneous through n=4; at n=5 2^21 blocks of
-# SWEEP_BLOCK positions, about 4,100 blocks/s on one core of a 2-vCPU Xeon,
-# so 8.5 minutes (gated behind allow_long_run); out of reach beyond.
+# SWEEP_BLOCK positions, about 7,500 blocks/s on one core of a 2-vCPU Xeon,
+# so 4.7 minutes (gated behind allow_long_run); out of reach beyond.
 MAX_EXHAUSTIVE_N = 4
 MAX_GATED_N = 5
 
@@ -108,18 +109,6 @@ class SearchReport:
             raise ValueError(
                 f"reported value {self.min_value!r} violates the [{floor}, 1] energy bounds"
             )
-
-
-def _whole(value, field: str, floats: bool = False) -> int:
-    """value as an int, or ValueError naming field: booleans are refused,
-    and so are floats, unless `floats` admits the whole-numbered ones."""
-    if not isinstance(value, bool):
-        if isinstance(value, numbers.Integral):
-            return int(value)
-        if floats and isinstance(value, numbers.Real) and float(value).is_integer():
-            return int(value)
-    kind = "whole numbers" if floats else "an integer"
-    raise ValueError(f"{field} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -335,6 +324,31 @@ def flip_delta(signs: SignVector, flip_index: int) -> float:
     return (after - before) / _gram_sum_denominator(signs.n)
 
 
+def _block_scorer(n: int, pattern: np.ndarray):
+    """T of each position of a sweep's block, as a function of high.
+
+    Column t of pattern holds the signs of Gray position t, and the block
+    from lo holds pattern[:, t] * high, high the signs of position lo, so
+    entry (i, m) of a kept M_A's Gram matrix sums pattern products fixed
+    per sweep times high products, one small array per block.  Only the
+    entries above the diagonal (N_Abar) are formed, in int8, as |G| <=
+    N_Abar <= 8 for n <= MAX_GATED_N; T <= C(n, n/2) N^2 fits int32.
+    """
+    sites = _sites(n)
+    kept, n_a = sites.rows.shape
+    n_b = sites.cols.shape[1]
+    pick = np.array(list(itertools.combinations(range(n_a), 2))).T  # row pairs i < m
+    pairs = (sites.rows.T[pick, :, None] + sites.cols).reshape(2, -1, n_b)  # their sites
+    products = np.multiply(*pattern[pairs])
+
+    def score(high: np.ndarray) -> np.ndarray:
+        G = (products * np.multiply(*high[pairs])[:, :, None]).sum(axis=1, dtype=np.int8)
+        G *= G  # at most N_Abar^2 = 64
+        return sites.weight * (2 * G.sum(axis=0, dtype=np.int32) + kept * n_a * n_b * n_b)
+
+    return score
+
+
 def exhaustive_search(
     n: int, symmetry_mode: str = "full", allow_long_run: bool = False
 ) -> SearchReport:
@@ -353,6 +367,7 @@ def exhaustive_search(
     n=5 costs billions of evaluations and must be enabled with
     allow_long_run; larger n is refused.
     """
+    n = _whole(n, "n")
     if symmetry_mode not in ("full", "fix_global_sign"):
         raise ValueError(f"unknown symmetry mode {symmetry_mode!r}")
     if n < 2:
@@ -370,34 +385,25 @@ def exhaustive_search(
     # Both modes score positions i < 2^(N-1): all of them with site 0 frozen,
     # or, in full mode, the lower half, whose Gray codes leave site N-1 at +1.
     scored = 1 << (N - 1)
-    # A block starts at a multiple lo of its power-of-two size 2^w, so
-    # position lo + t has Gray code gray(lo) xor gray(t), t < 2^w: each block
-    # is one sign pattern of the Gray bits of t, times the signs of gray(lo).
-    w = min(scored, SWEEP_BLOCK).bit_length() - 1
-    t = np.arange(1 << w)
-    gray = t ^ t >> 1
-    pattern = np.ones((N - offset, 1 << w), dtype=np.int8)
-    for b in range(w):  # Gray bit b is site b + offset
-        pattern[b] -= 2 * (gray >> b & 1).astype(pattern.dtype)
-    bits = np.arange(N - offset)
+    t = np.arange(min(scored, SWEEP_BLOCK))
+    bits = np.arange(N)
+    # column t holds the signs of position t; Gray bit b is site b + offset
+    pattern = 1 - 2 * ((t ^ t >> 1) << offset >> bits[:, None] & 1).astype(np.int8)
+    score = _block_scorer(n, pattern)
     best: Optional[int] = None
     count = 0
     found: list[tuple[int, np.ndarray]] = []  # (position, signs) of the samples
-    for lo in range(0, scored, 1 << w):
-        # column t holds the signs of position lo + t
-        s = np.ones((N, 1 << w), dtype=pattern.dtype)
-        high = (1 - 2 * ((lo ^ lo >> 1) >> bits & 1)).astype(pattern.dtype)
-        np.multiply(pattern, high[:, None], out=s[offset:])
-        T = _sign_gram_sum(s.T, n)
+    for lo in range(0, scored, t.size):
+        high = 1 - 2 * ((lo ^ lo >> 1) << offset >> bits & 1).astype(np.int8)
+        T = score(high)
         low = int(T.min())
         if best is None or low < best:
             best, count, found = low, 0, []
         if low == best:
             hits = np.flatnonzero(T == best)
             count += hits.size
-            # copies, so that a sample does not keep its whole block alive
             room = hits[: MAX_SAMPLES - len(found)].tolist()
-            found.extend((lo + h, s[:, h].copy()) for h in room)
+            found.extend((lo + h, pattern[:, h] * high) for h in room)
     if full:
         # gray(K) is all ones, and K's top bit sends the lower half onto the
         # upper one, in ascending order of p xor K; found holds every lower
@@ -453,6 +459,7 @@ def anneal(n: int, config: AnnealConfig) -> SearchReport:
     ValueError before allocating when the Gram state would exceed
     bipartite.MAX_TABLE_BYTES, the site map's own limit: n <= 13 runs.
     """
+    n = _whole(n, "n")
     if n < 2:
         raise ValueError("annealing requires n >= 2")
     size = _state_bytes(n, 8 if config.move == "sign_flip" else 16)

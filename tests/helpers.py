@@ -377,9 +377,10 @@ def gray_signs(n: int, positions, symmetry_mode: str = "full") -> np.ndarray:
 
 def unmirrored_search(n: int, symmetry_mode: str = "full"):
     """`exhaustive_search` without the global-sign mirror: every Gray
-    position, as one explicit matrix, scored through `_sign_gram_sum`;
-    (exact minimum, minimizer count, evaluations, the first MAX_SAMPLES
-    minimizers in position order)."""
+    position, as one explicit matrix, scored through `_sign_gram_sum`,
+    which shares no kernel with the sweep's blocks; (exact minimum,
+    minimizer count, evaluations, the first MAX_SAMPLES minimizers in
+    position order)."""
     total = 1 << ((1 << n) - (symmetry_mode != "full"))
     signs = gray_signs(n, np.arange(total), symmetry_mode)
     T = _sign_gram_sum(signs, n)

@@ -287,6 +287,16 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog("ghz", n=3, rotation=1)
 
+    def test_integer_parameters_are_not_truncated(self):
+        assert catalog("ghz", n=np.int64(4)).n == 4
+        assert np.array_equal(catalog("three_family", rotation=np.int8(1)).amplitudes,
+                              catalog("three_family", rotation=1).amplitudes)
+        for name, param, value in (("ghz", "n", 3.9), ("ghz", "n", "5"), ("ghz", "n", 4.0),
+                                   ("three_family", "rotation", 1.7),
+                                   ("three_family", "rotation", True)):
+            with pytest.raises(ValueError, match=f"{param} must be an integer, got {value!r}"):
+                catalog(name, **{param: value})
+
     def test_non_unit_phases_rejected(self):
         with pytest.raises(ValueError):
             catalog("bell_family", phases=(1.0, 0.5, 1.0))

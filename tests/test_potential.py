@@ -344,20 +344,8 @@ class TestUniformPotential:
                 assert np.ravel(got).tolist() == want[: math.prod(lead)]
 
     @pytest.mark.parametrize("n", [12, 13])
-    def test_all_plus_gram_entries_fill_the_narrow_type_exactly(self, n):
-        # every Gram entry is N_Abar: 64 at n = 12, in int8; 128 at n = 13,
-        # one past int8, so int16
-        dtype = np.int8 if n == 12 else np.int16
+    def test_all_plus_energy_is_exactly_one(self, n):
         assert energy_uniform_exact(SignVector(n, np.ones(1 << n, dtype=np.int8))) == 1
-        # the narrow kernel on one kept subset: N_A^2 entries of N_Abar squared
-        sites = bipartite._sites(n)
-        rows, cols = sites.rows, sites.cols
-        assert sites.pairs is None  # N_A = 64: the narrow kernel's sites are not built
-        upper, lower = np.triu_indices(rows.shape[1], 1)
-        first = rows[:1, upper, None] + cols[:1, None, :]
-        second = rows[:1, lower, None] + cols[:1, None, :]
-        columns = np.ones((1 << n, 2), dtype=dtype)
-        assert bipartite._pair_squares(columns, first, second).tolist() == [1 << (2 * n)] * 2
 
     def test_sites_spell_the_matricized_basis_of_each_kept_subset(self):
         for n in range(2, 10):
@@ -370,20 +358,6 @@ class TestUniformPotential:
             for a, mask in enumerate(kept):
                 want = matricize(basis, mask, n)
                 assert np.array_equal(sites.rows[a][:, None] + sites.cols[a], want)
-
-    @pytest.mark.parametrize("n", range(2, 13))
-    def test_pair_sites_are_the_row_pairs_of_each_kept_subset(self, n):
-        sites = bipartite._sites(n)
-        n_a = sites.rows.shape[1]
-        if n_a > bipartite.PAIR_MAX_ROWS:
-            assert sites.pairs is None
-            return
-        first, second = sites.pairs
-        pairs = [(i, m) for i in range(n_a) for m in range(i + 1, n_a)]
-        assert first.shape == second.shape == (len(sites.rows), len(pairs), sites.cols.shape[1])
-        for p, (i, m) in enumerate(pairs):
-            assert np.array_equal(first[:, p], sites.rows[:, i, None] + sites.cols)
-            assert np.array_equal(second[:, p], sites.rows[:, m, None] + sites.cols)
 
     @pytest.mark.parametrize("n", range(19, 25))
     def test_site_map_is_refused_before_allocation(self, n):

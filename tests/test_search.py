@@ -30,8 +30,17 @@ from mmeskit import (
     pi_me_uniform,
 )
 from mmeskit import search
-from mmeskit.bipartite import MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sites
-from mmeskit.search import DOUBLE, _GramState, _raw_draws, _state_bytes, _walk
+from mmeskit.bipartite import (
+    MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
+)
+from mmeskit.search import DOUBLE, _block_scorer, _GramState, _raw_draws, _state_bytes, _walk
+
+
+def sweep_scorer(n, mode):
+    """The block size of n's sweep in mode and its block scorer, whose first
+    block is spelled by helpers.gray_signs."""
+    size = min(1 << ((1 << n) - 1), search.SWEEP_BLOCK)
+    return size, _block_scorer(n, gray_signs(n, np.arange(size), mode).T)
 
 
 def random_signs(n, seed):
@@ -490,6 +499,23 @@ class TestExhaustive:
         assert (upper == -lower).all()
         assert energy_uniform_exact(SignVector(n, upper)) == energy_uniform_exact(SignVector(n, lower))
 
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(2, 5), st.sampled_from(("full", "fix_global_sign")), st.data())
+    def test_a_block_scores_the_exact_gram_sums_of_its_positions(self, n, mode, data):
+        size, score = sweep_scorer(n, mode)
+        lo = size * data.draw(st.integers(0, (1 << ((1 << n) - 1)) // size - 1))
+        high = gray_signs(n, [lo], mode)[0]
+        want = _sign_gram_sum(gray_signs(n, lo + np.arange(size), mode), n)
+        assert score(high).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("mode", ("full", "fix_global_sign"))
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_the_all_plus_position_scores_the_full_denominator(self, n, mode):
+        # every Gram entry of the all-plus vector is N_Abar, so T = C(n, n/2) N^2;
+        # dropping the diagonal or the even-n weight of two changes it
+        _, score = sweep_scorer(n, mode)
+        assert score(np.ones(1 << n, dtype=np.int8))[0] == math.comb(n, n // 2) << (2 * n)
+
     def test_minimizers_come_in_sign_pairs(self):
         report = exhaustive_search(3)
         assert report.minimizer_count % 2 == 0
@@ -505,6 +531,14 @@ class TestExhaustive:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             exhaustive_search(3, symmetry_mode="mirror")
+
+    def test_n_is_an_integer(self):
+        report = exhaustive_search(np.int64(3))
+        assert type(report.n) is int and report.n == 3
+        assert report.min_value_exact == exhaustive_search(3).min_value_exact
+        for n in (3.0, "3", True):
+            with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+                exhaustive_search(n)
 
 
 class TestAnnealConfig:
@@ -623,6 +657,15 @@ class TestAnneal:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_n_is_an_integer(self):
+        cfg = AnnealConfig(beta_schedule=[(1.0, 2)], seed=3)
+        report = anneal(np.int64(4), cfg)
+        assert type(report.n) is int and report.n == 4
+        assert report.best_state.to_string() == anneal(4, cfg).best_state.to_string()
+        for n in (4.0, "4", True):
+            with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+                anneal(n, cfg)
 
     def test_replica_best_values_cover_all_replicas(self):
         cfg = AnnealConfig(beta_schedule=self.SCHEDULE, replicas=5, seed=2)
