@@ -11,17 +11,17 @@ Features:
   M_A reads the amplitudes and how often it counts; built once for each
   of the last few n and read by every Gram evaluation, the sweep and the
   annealer, so none transposes a subset or repeats bipartition bookkeeping
-- one blocking rule (`_chunks`): every loop over subsets, marginals or
-  quadruple-sum terms takes them in slices of about CHUNK_BYTES, and one
-  gathered Gram product (`_grams`) serves the dense core and the sign sum
+- one blocking rule (`_chunks`), applied inside the kernels: the Gram
+  product (`_grams`) of the dense core and the sign sum, the quadruple
+  sums' XOR index blocks (`_xor_chunks`) and the marginal gap size slices
+  of about CHUNK_BYTES from their own arguments; no caller counts bytes
 - the exact Gram sum of sign vectors, each complementary pair of balanced
-  subsets counted once, and its C(n, n/2) N^2 normaliser: chunks of the
-  M_A gathered in one step and their Gram matrices formed by float32 BLAS
-  products, exact since |G| <= N_Abar
+  subsets counted once, and its C(n, n/2) N^2 normaliser: float32 Gram
+  stacks, exact since |G| <= N_Abar, squared and summed in float64
 - purity in two algebraically equivalent forms: Frobenius norm of the
   reduced density matrix (Form 1) and the XOR-indexed amplitude quadruple
   sum (Form 2, the paper's expansion, kept as an independent cross-check),
-  its values of h gathered in chunks
+  its index blocks from `_xor_chunks`
 - Schmidt spectrum with explicit bookkeeping of numerical zeros
 - normalized entanglement measures: spectral E_A and linear entropy L_A
 - exact counts of the three purity monomial classes
@@ -221,31 +221,41 @@ def _sites(n: int) -> _Sites:
     return _Sites(rows, cols, 2 - n % 2)
 
 
-def _grams(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Gram matrices of the M_A that a chunk of _sites(n) (rows and cols,
-    swapped for the complements) spells from the last axis of values: one
-    take, then one stacked _gram, leading axes kept.  The M_A is freed on
-    return: held into the next chunk, a large one cost fresh pages every
-    chunk (365 page faults per matrix at n = 16)."""
-    return _gram(np.take(values, rows[:, :, None] + cols[:, None, :], axis=-1))
+def _grams(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
+    """Gram stacks of the M_A that rows and cols of _sites(n) (swapped for
+    the complements) spell from the last axis of values, leading axes kept,
+    in chunks of about CHUNK_BYTES of index, M_A and G_A: one take, then one
+    stacked _gram.  Each M_A is freed before its stack is yielded: held into
+    the next chunk, a large one cost fresh pages every chunk (365 page
+    faults per matrix at n = 16)."""
+    size = values.itemsize * (values.size // values.shape[-1])  # one entry over all batch axes
+    n_a, n_b = rows.shape[1], cols.shape[1]
+    for chunk in _chunks(len(rows), n_a * (n_b * (8 + size) + n_a * size)):
+        yield _gram(np.take(values, rows[chunk, :, None] + cols[chunk, None, :], axis=-1))
+
+
+def _xor_chunks(l: np.ndarray, m: np.ndarray, N: int) -> Iterator[tuple]:
+    """The index blocks k xor l xor m, k xor l and k xor m (k < N, one row
+    per pair), with the slice of the pairs (l, m) they hold: one per chunk
+    of about CHUNK_BYTES, 64 N bytes a pair for four complex gathers."""
+    ks = np.arange(N, dtype=np.intp)
+    for b in _chunks(len(l), 64 * N):
+        kl, km = ks ^ l[b, None], ks ^ m[b, None]
+        yield b, kl ^ m[b, None], kl, km
 
 
 def _balanced_grams(amplitudes: np.ndarray, n: int) -> Iterator[np.ndarray]:
     """Gram matrices M_A M_A^H of every balanced A, in (count, N_A, N_A) stacks.
 
-    A stack is a chunk of _sites(n) through _grams.  At even n the
-    complements follow, from the same map with rows and columns swapped
-    (M_Abar = M_A^T).  Each of the C(n, n/2) matrices comes once, in no
-    promised order, as the BLAS product a lone M_A gives, so order-free
-    reductions (fsum, max) keep their bits.  For a normalized state each is
-    a reduced density matrix.
+    The stacks are _grams of _sites(n); at even n the complements follow,
+    from the same map with rows and columns swapped (M_Abar = M_A^T).  Each
+    of the C(n, n/2) matrices comes once, in no promised order, as the BLAS
+    product a lone M_A gives, so order-free reductions (fsum, max) keep
+    their bits.  For a normalized state each is a reduced density matrix.
     """
     sites = _sites(n)
-    size = amplitudes.itemsize
-    item = ((8 + size) << n) + sites.rows.shape[1] ** 2 * size  # index, M_A, G_A
     for r, c in ((sites.rows, sites.cols), (sites.cols, sites.rows))[: sites.weight]:
-        for chunk in _chunks(len(r), item):
-            yield _grams(amplitudes, r[chunk], c[chunk])
+        yield from _grams(amplitudes, r, c)
 
 
 def _gram_sum_denominator(n: int) -> int:
@@ -258,21 +268,16 @@ def _sign_gram_sum(signs: np.ndarray, n: int):
     """Exact T = sum over balanced A of ||M_A M_A^T||_F^2 for +-1 signs.
 
     Leading batch axes are kept, and each complementary pair is summed once
-    (see _sites).  The kept subsets go in chunks through _grams, whose
-    float32 BLAS products are exact, since |G| <= N_Abar <= 2^24.  The
-    total, at most C(n, n/2) N^2, fits int64 for every n whose site map is
-    admitted.  The sweep has a kernel of its own (`search._block_scorer`).
+    (see _sites).  The float32 stacks of _grams and their squares are exact,
+    since |G| <= N_Abar <= 2^9; the squares are summed in float64, exact
+    since T <= C(n, n/2) N^2 <= C(18, 9) 4^18 < 2^52 for every admitted n,
+    and T goes to int64 once.  The sweep has its own kernel (search._block_scorer).
     """
     sites = _sites(n)
-    n_a = sites.rows.shape[1]
     data = signs.reshape(-1, 1 << n).astype(np.float32)
-    batch, N = data.shape
-    total = np.zeros(batch, dtype=np.int64)
-    # index, M_A, then each G_A in float32 and its int64 copy
-    for chunk in _chunks(len(sites.rows), N * (8 + 4 * batch) + 12 * n_a * n_a * batch):
-        G = _grams(data, sites.rows[chunk], sites.cols[chunk]).astype(np.int64)
-        total += np.einsum("bkij,bkij->b", G, G)
-    return (sites.weight * total).reshape(signs.shape[:-1])[()]
+    stacks = _grams(data, sites.rows, sites.cols)
+    total = sum(np.square(G, out=G).sum(axis=(1, 2, 3), dtype=np.float64) for G in stacks)
+    return (sites.weight * total.astype(np.int64)).reshape(signs.shape[:-1])[()]
 
 
 def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> DensityMatrix:
@@ -295,17 +300,13 @@ def purity_form2(state: PureState, A: Union[QubitMask, int]) -> float:
     conj(z_{k xor h_Abar}), with h_A the A-part of h.  Never builds the
     reduced matrix; one numpy sum per h, the 2^n of them compensated.
     """
-    m = _proper_mask(A, state.n)
-    N = 1 << state.n
+    h = np.arange(1 << state.n, dtype=np.intp)
+    h_a = h & _proper_mask(A, state.n).mask
     z = state.amplitudes
     zc = z.conj()
-    ks = np.arange(N, dtype=np.intp)
-    h = ks[:, None]
-    h_a = h & m.mask
-    h_b = h ^ h_a
     parts = []
-    for b in _chunks(N, 64 * N):  # four complex gathers of N per h
-        term = z * z[ks ^ h[b]] * zc[ks ^ h_a[b]] * zc[ks ^ h_b[b]]
+    for _, kh, kh_a, kh_b in _xor_chunks(h_a, h ^ h_a, h.size):
+        term = z * z[kh] * zc[kh_a] * zc[kh_b]
         parts.extend(term.sum(axis=1).real.tolist())
     return math.fsum(parts)
 
@@ -376,13 +377,10 @@ def purity_uniform(p: PolarState, A: Union[QubitMask, int]) -> float:
     n_b_dim = 1 << (n - m.size)
     zeta = p.phases
     zc = zeta.conj()
-    ks = np.arange(N, dtype=np.intp)
     ls = np.array([l for l in submasks(m.mask) if l], dtype=np.intp)
     ms = np.array([x for x in submasks(m.complement().mask) if x], dtype=np.intp)
-    l = np.repeat(ls, ms.size)[:, None]
-    mm = np.tile(ms, ls.size)[:, None]
     parts = []
-    for b in _chunks(l.size, 64 * N):  # four complex gathers of N per (l, m)
-        term = zeta * zc[ks ^ l[b]] * zeta[ks ^ l[b] ^ mm[b]] * zc[ks ^ mm[b]]
+    for _, klm, kl, km in _xor_chunks(np.repeat(ls, ms.size), np.tile(ms, ls.size), N):
+        term = zeta * zc[kl] * zeta[klm] * zc[km]
         parts.extend(term.sum(axis=1).real.tolist())
     return (n_a_dim + n_b_dim - 1) / N + math.fsum(parts) / (N * N)

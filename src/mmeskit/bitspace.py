@@ -62,13 +62,14 @@ Rational = Union[int, Fraction]
 
 
 def _check_n(n: int, limit: int = MAX_COUNT_QUBITS, low: int = 1) -> None:
-    if not low <= n <= limit:
+    """An integer qubit count in [low, limit]; bools and floats are refused."""
+    if not low <= _whole(n, "n") <= limit:
         raise ValueError(f"qubit count must be in [{low}, {limit}], got {n}")
 
 
 def _check_balanced(n: int) -> None:
     """A qubit count with balanced bipartitions: n >= 2."""
-    if n < 2:
+    if _whole(n, "n") < 2:
         raise ValueError(f"balanced bipartitions require n >= 2, got {n}")
     _check_n(n)
 

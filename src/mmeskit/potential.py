@@ -13,8 +13,8 @@ Features:
 - the potential pi_ME in three equivalent forms: the bipartition average
   of Gram-matrix purities (form 1, what every other evaluator uses), and
   the paper's XOR-coupled quadruple sum (form 2) and deficit form
-  (form 4), kept as independent cross-checks; their table entries are
-  gathered in chunks of about `bipartite.CHUNK_BYTES`
+  (form 4), kept as independent cross-checks; their table entries take
+  their index blocks from `bipartite._xor_chunks`
 - uniform-modulus and exact rational sign-vector evaluators on the same
   Gram core
 - exact monomial counts in closed form
@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .bitspace import MAX_QUBITS, _check_n, _check_split, binomial, multinomial, submasks, weight
-from .bipartite import _balanced_grams, _chunks, _gram_sum_denominator, _sign_gram_sum
+from .bipartite import _balanced_grams, _gram_sum_denominator, _sign_gram_sum, _xor_chunks
 from .states import PolarState, PureState, SignVector, assemble
 
 __all__ = [
@@ -159,12 +159,13 @@ class CouplingTable:
 MAX_TABLE_ENTRIES = 500_000
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_coupling_table(n: int) -> CouplingTable:
     """All nonzero couplings (l, m, g(l, m; floor(n/2))) with l, m != 0.
 
     Lexicographic entry order (l ascending, then m ascending).  Cached per
-    n; tables are immutable and shared.  Tables of more than
+    n and its type, so 3.0 is refused rather than served 3's table; tables
+    are immutable and shared.  Tables of more than
     MAX_TABLE_ENTRIES entries are refused before any entry is built.
     """
     _check_n(n, MAX_QUBITS, low=2)
@@ -204,9 +205,9 @@ def coupling_row_sum(l: int, n: int, n_a: int) -> Fraction:
 
 @lru_cache(maxsize=4)
 def _entry_arrays(table: CouplingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The table's l and m as column index arrays and its weights as floats."""
+    """The table's l, m and weights as flat arrays, the weights as floats."""
     l, m, w = zip(*table.entries)
-    return np.array(l)[:, None], np.array(m)[:, None], np.array([float(x) for x in w])
+    return np.array(l), np.array(m), np.array([float(x) for x in w])
 
 
 def pi_me_form1(state: PureState) -> float:
@@ -242,8 +243,8 @@ def pi_me_form2(state: PureState) -> float:
             parts.append(2.0 * float(w) * float(np.dot(p, p[ks ^ l])))
 
     l, m, w = _entry_arrays(table)
-    for b in _chunks(w.size, 64 * N):  # four complex gathers of N per entry
-        term = z * z[ks ^ (l[b] ^ m[b])] * zc[ks ^ l[b]] * zc[ks ^ m[b]]
+    for b, klm, kl, km in _xor_chunks(l, m, N):
+        term = z * z[klm] * zc[kl] * zc[km]
         parts.extend((w[b] * term.sum(axis=1).real).tolist())
     return math.fsum(parts)
 
@@ -256,15 +257,11 @@ def pi_me_form4(state: PureState) -> float:
     identically, so only table entries contribute; the subtracted sum is
     nonnegative, making the distance from 1 explicit.
     """
-    table = build_coupling_table(state.n)
-    N = 1 << state.n
     z = state.amplitudes
-    ks = np.arange(N, dtype=np.intp)
-
-    l, m, w = _entry_arrays(table)
+    l, m, w = _entry_arrays(build_coupling_table(state.n))
     deficit = []
-    for b in _chunks(w.size, 64 * N):  # four complex gathers of N per entry
-        d = z * z[ks ^ (l[b] ^ m[b])] - z[ks ^ l[b]] * z[ks ^ m[b]]
+    for b, klm, kl, km in _xor_chunks(l, m, z.size):
+        d = z * z[klm] - z[kl] * z[km]
         deficit.extend((w[b] * (d.real * d.real + d.imag * d.imag).sum(axis=1)).tolist())
     return 1.0 - 0.5 * math.fsum(deficit)
 

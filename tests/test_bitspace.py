@@ -6,11 +6,15 @@ for the counting helpers, itertools for subset enumeration.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from mmeskit import QubitMask, balanced_bipartitions, binomial, embed, extract, weight
+from mmeskit import (
+    QubitMask, SignVector, balanced_bipartitions, binomial, build_coupling_table, embed,
+    equation_variable_counts, extract, ghz, monomial_counts, random_state, weight,
+)
 from mmeskit.bitspace import (
     MAX_COUNT_QUBITS,
     as_mask,
@@ -58,6 +62,38 @@ class TestWeightAndWordOps:
         for n in range(1, 8):
             for mask in range(1 << n):
                 assert complement(mask, n) == mask ^ ((1 << n) - 1)
+
+
+# Entry points that check their qubit count through bitspace._check_n,
+# each with an n it accepts.
+N_TAKERS = {
+    "QubitMask": (lambda n: QubitMask(1, n), 1),
+    "SignVector": (lambda n: SignVector(n, [1, -1]), 1),
+    "complement": (lambda n: complement(1, n), 2),
+    "masks_of_weight": (lambda n: list(masks_of_weight(1, n)), 2),
+    "balanced_bipartitions": (balanced_bipartitions, 4),
+    "ghz": (ghz, 3),
+    "random_state": (lambda n: random_state(n, 0), 3),
+    "monomial_counts": (monomial_counts, 4),
+    "build_coupling_table": (build_coupling_table, 3),
+    "equation_variable_counts": (equation_variable_counts, 4),
+}
+
+
+class TestQubitCount:
+    @pytest.mark.parametrize("name", N_TAKERS)
+    def test_bools_and_floats_are_refused(self, name):
+        call, n = N_TAKERS[name]
+        call(n)  # a cached builder now holds an entry equal to float(n)
+        for bad in (True, False, float(n), n + 0.5):
+            # "n must be an integer", or a lower bound on n checked first
+            with pytest.raises(ValueError, match=rf"\bn\b.*, got {re.escape(repr(bad))}$"):
+                call(bad)
+
+    @pytest.mark.parametrize("name", N_TAKERS)
+    def test_numpy_integers_are_accepted(self, name):
+        call, n = N_TAKERS[name]
+        call(np.int64(n))
 
 
 class TestQubitMask:

@@ -410,6 +410,32 @@ PINNED = [
 SUBSETS = {2: "2", 3: "2", 5: "1,4", 6: "1,3", 7: "2,3,6", 8: "2,3,5,8", 9: "1,3,4,8", 10: "1,4,5,9,10"}
 # integer components and -0.0 next to floats
 MIXED = {"n": 2, "format": "complex", "data": [[0.5, -0.0], [0.5, 0], [0, 0.5], [-0.0, -0.5]]}
+# stdout of potential --form 2 and --form 4 for the PINNED states with
+# n <= 8, as printed by the quadruple sums that cut their own index blocks:
+# (n, seed of random_state or "mixed", form 2, form 4).
+PINNED_FORMS = [
+    (6, 0, '0.24496079629872325', '0.24496079629872336'),
+    (6, 1, '0.26613692640501774', '0.26613692640501785'),
+    (8, 0, '0.12552560938735075', '0.1255256093873507'),
+    (8, 1, '0.12747904464125004', '0.12747904464125015'),
+    (2, 0, '0.8074057124655347', '0.8074057124655347'),
+    (3, 0, '0.7930551175248238', '0.7930551175248237'),
+    (5, 0, '0.35970051249549656', '0.3597005124954964'),
+    (7, 0, '0.18635921165034497', '0.18635921165034497'),
+    (2, "mixed", '0.5', '0.5'),
+]
+# stdout of potential --form uniform on the sign vector of
+# default_rng(200 + n).choice((-1, 1)), as printed when the exact sign sum
+# summed int64 copies of its Gram stacks: (n, stdout).
+PINNED_UNIFORM = [
+    (4, '0.3854166666666667'),
+    (5, '0.3109375'),
+    (6, '0.235546875'),
+    (7, '0.17440011160714286'),
+    (8, '0.12391531808035715'),
+    (9, '0.09432450551835317'),
+    (10, '0.06172240726531498'),
+]
 # stdout of seeded sign-flip anneals (n = 8, 9; two replicas; a negative beta)
 # as printed when the Gram state gathered rows and columns by separate
 # three-index lookups; the values are exact rationals, so the bytes do not
@@ -449,14 +475,20 @@ PINNED_SEARCH = [
 ]
 
 
+def write_pinned(tmp_path, n, seed):
+    """Write the PINNED state of (n, seed) and return its path."""
+    path = tmp_path / "state.json"
+    if seed == "mixed":
+        path.write_text(json.dumps(MIXED))
+    else:
+        write_state(path, random_state(n, seed))
+    return str(path)
+
+
 class TestPinnedBytes:
     @pytest.mark.parametrize("n, seed, verify, potential, form1, form2", PINNED)
     def test_stdout_is_unchanged(self, capture, tmp_path, n, seed, verify, potential, form1, form2):
-        path = str(tmp_path / "state.json")
-        if seed == "mixed":
-            (tmp_path / "state.json").write_text(json.dumps(MIXED))
-        else:
-            write_state(path, random_state(n, seed))
+        path = write_pinned(tmp_path, n, seed)
         assert capture(["verify", path]) == (0, verify + "\n", "")
         pretty = json.dumps(json.loads(verify), sort_keys=True, indent=2) + "\n"
         assert capture(["verify", path, "--pretty"]) == (0, pretty, "")
@@ -464,6 +496,17 @@ class TestPinnedBytes:
         for form, want in (("1", form1), ("2", form2)):
             argv = ["purity", "--file", path, "--subset", SUBSETS[n], "--form", form]
             assert capture(argv) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize("n, seed, form2, form4", PINNED_FORMS)
+    def test_quadruple_sum_potentials_are_unchanged(self, capture, tmp_path, n, seed, form2, form4):
+        path = write_pinned(tmp_path, n, seed)
+        for form, want in (("2", form2), ("4", form4)):
+            assert capture(["potential", "--file", path, "--form", form]) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize("n, stdout", PINNED_UNIFORM)
+    def test_uniform_sign_potentials_are_unchanged(self, capture, state_file, n, stdout):
+        path = state_file(SignVector(n, np.random.default_rng(200 + n).choice((-1, 1), size=1 << n)))
+        assert capture(["potential", "--file", path, "--form", "uniform"]) == (0, stdout + "\n", "")
 
     @pytest.mark.parametrize("argv, stdout", PINNED_ANNEAL, ids=[a for a, _ in PINNED_ANNEAL])
     def test_seeded_sign_anneals_are_unchanged(self, capture, argv, stdout):

@@ -347,6 +347,14 @@ class TestUniformPotential:
     def test_all_plus_energy_is_exactly_one(self, n):
         assert energy_uniform_exact(SignVector(n, np.ones(1 << n, dtype=np.int8))) == 1
 
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_a_single_chunk_sums_its_squares_exactly(self, n, monkeypatch):
+        # every kept subset in one stack, whose sum of squares passes 2^24,
+        # beyond which float32 no longer holds every integer
+        monkeypatch.setattr(bipartite, "CHUNK_BYTES", 1 << 40)
+        sv = SignVector(n, np.random.default_rng(90 + n).choice((-1, 1), size=1 << n))
+        assert _sign_gram_sum(sv.signs, n) == all_bipartition_sign_sum(sv)
+
     def test_sites_spell_the_matricized_basis_of_each_kept_subset(self):
         for n in range(2, 10):
             sites = bipartite._sites(n)
