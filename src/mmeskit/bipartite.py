@@ -12,16 +12,16 @@ Features:
   of the last few n and read by every Gram evaluation, the sweep and the
   annealer, so none transposes a subset or repeats bipartition bookkeeping
 - one blocking rule (`_chunks`), applied inside the kernels: the Gram
-  product (`_grams`) of the dense core and the sign sum, the quadruple
-  sums' XOR index blocks (`_xor_chunks`) and the marginal gap size slices
-  of about CHUNK_BYTES from their own arguments; no caller counts bytes
+  product (`_grams`) of the dense core and the sign sum, the XOR
+  quadruple sums (`_xor_sums`) and the marginal gap size slices of about
+  CHUNK_BYTES from their own arguments; no caller counts bytes
 - the exact Gram sum of sign vectors, each complementary pair of balanced
   subsets counted once, and its C(n, n/2) N^2 normaliser: float32 Gram
   stacks, exact since |G| <= N_Abar, squared and summed in float64
 - purity in two algebraically equivalent forms: Frobenius norm of the
   reduced density matrix (Form 1) and the XOR-indexed amplitude quadruple
   sum (Form 2, the paper's expansion, kept as an independent cross-check),
-  its index blocks from `_xor_chunks`
+  its per-h sums from `_xor_sums`, which owns the index blocks
 - Schmidt spectrum with explicit bookkeeping of numerical zeros
 - normalized entanglement measures: spectral E_A and linear entropy L_A
 - exact counts of the three purity monomial classes
@@ -205,7 +205,7 @@ def _sites(n: int) -> _Sites:
     kept, each counting twice.  A map over MAX_TABLE_BYTES is refused
     before it is built.
     """
-    _check_balanced(n)
+    n = _check_balanced(n)
     kept = _kept_count(n)
     size = kept * ((1 << n // 2) + (1 << n - n // 2)) * 8
     if size > MAX_TABLE_BYTES:
@@ -234,14 +234,15 @@ def _grams(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Iterator[n
         yield _gram(np.take(values, rows[chunk, :, None] + cols[chunk, None, :], axis=-1))
 
 
-def _xor_chunks(l: np.ndarray, m: np.ndarray, N: int) -> Iterator[tuple]:
-    """The index blocks k xor l xor m, k xor l and k xor m (k < N, one row
-    per pair), with the slice of the pairs (l, m) they hold: one per chunk
-    of about CHUNK_BYTES, 64 N bytes a pair for four complex gathers."""
-    ks = np.arange(N, dtype=np.intp)
+def _xor_sums(l: np.ndarray, m: np.ndarray, N: int, term) -> np.ndarray:
+    """One real sum per pair (l, m): the sum over k < N of term(k xor l xor
+    m, k xor l, k xor m), each index block one row per pair, in chunks of
+    about CHUNK_BYTES, 64 N bytes a pair for four complex gathers."""
+    ks, sums = np.arange(N, dtype=np.intp), np.empty(len(l))
     for b in _chunks(len(l), 64 * N):
         kl, km = ks ^ l[b, None], ks ^ m[b, None]
-        yield b, kl ^ m[b, None], kl, km
+        sums[b] = term(kl ^ m[b, None], kl, km).sum(axis=1).real
+    return sums
 
 
 def _balanced_grams(amplitudes: np.ndarray, n: int) -> Iterator[np.ndarray]:
@@ -304,11 +305,8 @@ def purity_form2(state: PureState, A: Union[QubitMask, int]) -> float:
     h_a = h & _proper_mask(A, state.n).mask
     z = state.amplitudes
     zc = z.conj()
-    parts = []
-    for _, kh, kh_a, kh_b in _xor_chunks(h_a, h ^ h_a, h.size):
-        term = z * z[kh] * zc[kh_a] * zc[kh_b]
-        parts.extend(term.sum(axis=1).real.tolist())
-    return math.fsum(parts)
+    sums = _xor_sums(h_a, h ^ h_a, h.size, lambda klm, kl, km: z * z[klm] * zc[kl] * zc[km])
+    return math.fsum(sums)
 
 
 def schmidt_spectrum(state: PureState, A: Union[QubitMask, int]) -> SchmidtSpectrum:
@@ -352,7 +350,7 @@ def bipartite_term_counts(n: int, n_a: int) -> tuple[int, int, int]:
     Returns (count of |z_k|^4 terms, count of |z_k|^2 |z_h|^2 cross terms,
     count of genuine quadruples); the three add up to 2^(2n).
     """
-    _check_split(n, n_a)
+    n, n_a = _check_split(n, n_a)
     n_b = n - n_a
     c1 = 1 << n
     c2 = (1 << n) * ((1 << n_a) + (1 << n_b) - 2)
@@ -379,8 +377,6 @@ def purity_uniform(p: PolarState, A: Union[QubitMask, int]) -> float:
     zc = zeta.conj()
     ls = np.array([l for l in submasks(m.mask) if l], dtype=np.intp)
     ms = np.array([x for x in submasks(m.complement().mask) if x], dtype=np.intp)
-    parts = []
-    for _, klm, kl, km in _xor_chunks(np.repeat(ls, ms.size), np.tile(ms, ls.size), N):
-        term = zeta * zc[kl] * zeta[klm] * zc[km]
-        parts.extend(term.sum(axis=1).real.tolist())
-    return (n_a_dim + n_b_dim - 1) / N + math.fsum(parts) / (N * N)
+    pairs = np.repeat(ls, ms.size), np.tile(ms, ls.size)
+    sums = _xor_sums(*pairs, N, lambda klm, kl, km: zeta * zc[kl] * zeta[klm] * zc[km])
+    return (n_a_dim + n_b_dim - 1) / N + math.fsum(sums) / (N * N)

@@ -61,24 +61,27 @@ BasisIndex = int
 Rational = Union[int, Fraction]
 
 
-def _check_n(n: int, limit: int = MAX_COUNT_QUBITS, low: int = 1) -> None:
-    """An integer qubit count in [low, limit]; bools and floats are refused."""
-    if not low <= _whole(n, "n") <= limit:
+def _check_n(n: int, limit: int = MAX_COUNT_QUBITS, low: int = 1) -> int:
+    """A qubit count in [low, limit], as an int; bools and floats are refused."""
+    n = _whole(n, "n")
+    if not low <= n <= limit:
         raise ValueError(f"qubit count must be in [{low}, {limit}], got {n}")
+    return n
 
 
-def _check_balanced(n: int) -> None:
-    """A qubit count with balanced bipartitions: n >= 2."""
+def _check_balanced(n: int) -> int:
+    """A qubit count with balanced bipartitions, n >= 2, as an int."""
     if _whole(n, "n") < 2:
         raise ValueError(f"balanced bipartitions require n >= 2, got {n}")
-    _check_n(n)
+    return _check_n(n)
 
 
-def _check_split(n: int, n_a: int) -> None:
-    """A split of n >= 2 qubits into n_a and n - n_a, both nonempty."""
-    _check_n(n, low=2)
+def _check_split(n: int, n_a: int) -> tuple[int, int]:
+    """A split of n >= 2 qubits into n_a and n - n_a, both nonempty, as ints."""
+    n, n_a = _check_n(n, low=2), _whole(n_a, "subset size")
     if not 1 <= n_a <= n - 1:
         raise ValueError(f"subset size must be in [1, {n - 1}], got {n_a}")
+    return n, n_a
 
 
 def _whole(value, field: str, floats: bool = False) -> int:
@@ -107,7 +110,7 @@ def weight(k: BasisIndex) -> int:
 
 def complement(mask: int, n: int) -> int:
     """All-qubits mask with the bits of `mask` cleared."""
-    _check_n(n)
+    n = _check_n(n)
     return ((1 << n) - 1) ^ as_mask(mask, n)
 
 
@@ -124,16 +127,18 @@ class QubitMask:
     n: int
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        object.__setattr__(self, "n", _check_n(self.n))
+        object.__setattr__(self, "mask", _whole(self.mask, "mask"))
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError(f"mask {self.mask:#b} out of range for n={self.n}")
 
     @classmethod
     def from_qubits(cls, qubits: Sequence[int], n: int) -> "QubitMask":
         """Mask of the given 1-based qubit labels."""
-        _check_n(n)
+        n = _check_n(n)
         mask = 0
-        for i in qubits:
+        for label in qubits:
+            i = _whole(label, "qubit label")
             if not 1 <= i <= n:
                 raise ValueError(f"qubit label {i} out of range for n={n}")
             bit = 1 << (n - i)
@@ -185,6 +190,7 @@ def as_mask(A: Union[QubitMask, int], n: int | None = None) -> int:
         if n is not None and A.n != n:
             raise ValueError(f"mask is for n={A.n}, expected n={n}")
         return A.mask
+    A = _whole(A, "mask")
     if A < 0 or n is not None and A >> n:
         raise ValueError(f"mask {A:#b} out of range" + ("" if n is None else f" for n={n}"))
     return A
@@ -197,7 +203,7 @@ def balanced_bipartitions(n: int) -> list[QubitMask]:
     Ascending label order ({1,2} before {1,3} before {2,3}) is the
     deterministic enumeration order used by every averaging loop.
     """
-    _check_balanced(n)
+    n = _check_balanced(n)
     half = n // 2
     return [QubitMask.from_qubits(c, n) for c in combinations(range(1, n + 1), half)]
 
@@ -274,7 +280,7 @@ def embed_table(A: Union[QubitMask, int]) -> np.ndarray:
 
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of `mask`, including 0 and `mask` itself, descending."""
-    sub = as_mask(mask)
+    sub = mask = as_mask(mask)
     while True:
         yield sub
         if sub == 0:
@@ -284,7 +290,7 @@ def submasks(mask: int) -> Iterator[int]:
 
 def masks_of_weight(w: int, n: int) -> Iterator[int]:
     """All n-bit masks of Hamming weight w, ascending as integers."""
-    _check_n(n)
+    n = _check_n(n)
     if w < 0 or w > n:
         return
     if w == 0:

@@ -64,7 +64,7 @@ class PopulationVector:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        object.__setattr__(self, "n", _check_n(self.n))
         p = np.array(self.probabilities, dtype=np.float64, order="C")
         if p.shape != (1 << self.n,):
             raise ValueError(f"population vector must have length {1 << self.n}")
@@ -90,7 +90,7 @@ class WalshCoefficients:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        object.__setattr__(self, "n", _check_n(self.n))
         v = np.array(self.values, dtype=np.float64, order="C")
         if v.shape != (1 << self.n,):
             raise ValueError(f"coefficient vector must have length {1 << self.n}")
@@ -251,7 +251,7 @@ def is_perfect_mmes(state: PureState, tol: float = 1e-9) -> MmesVerdict:
     """
     if state.n < 2:
         raise ValueError("perfect-state check requires n >= 2")
-    if not 0.0 <= tol < math.inf:
+    if isinstance(tol, bool) or not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     purity_gap, phase_res = _balanced_gaps(state)
     marg_gap = marginal_uniformity_gap(population(state))
@@ -270,7 +270,7 @@ def equation_variable_counts(n: int) -> tuple[int, int]:
     equations = N_A (N_A - 1) C(n, floor(n/2)) with N_A = 2^floor(n/2);
     unknowns = 3 2^(n-1) - (1 + (-1)^n) C(n, floor(n/2)) / 4.
     """
-    _check_n(n, low=2)
+    n = _check_n(n, low=2)
     n_a_dim = 1 << (n // 2)
     half_binom = binomial(n, n // 2)
     m_e = n_a_dim * (n_a_dim - 1) * half_binom
@@ -281,7 +281,7 @@ def equation_variable_counts(n: int) -> tuple[int, int]:
 def free_coefficient_count(n: int) -> int:
     """Number of subset masks with |T| > n/2: the unconstrained Walsh
     coefficients of a population with uniform small marginals."""
-    _check_n(n, low=2)
+    n = _check_n(n, low=2)
     return (1 << (n - 1)) - ((1 + (-1) ** n) * binomial(n, n // 2)) // 4
 
 

@@ -13,8 +13,8 @@ Features:
 - the potential pi_ME in three equivalent forms: the bipartition average
   of Gram-matrix purities (form 1, what every other evaluator uses), and
   the paper's XOR-coupled quadruple sum (form 2) and deficit form
-  (form 4), kept as independent cross-checks; their table entries take
-  their index blocks from `bipartite._xor_chunks`
+  (form 4), kept as independent cross-checks; each gives
+  `bipartite._xor_sums` only its term and weights the per-entry sums
 - uniform-modulus and exact rational sign-vector evaluators on the same
   Gram core
 - exact monomial counts in closed form
@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .bitspace import MAX_QUBITS, _check_n, _check_split, binomial, multinomial, submasks, weight
-from .bipartite import _balanced_grams, _gram_sum_denominator, _sign_gram_sum, _xor_chunks
+from .bipartite import _balanced_grams, _gram_sum_denominator, _sign_gram_sum, _xor_sums
 from .states import PolarState, PureState, SignVector, assemble
 
 __all__ = [
@@ -71,7 +71,7 @@ def g_hat(s: int, t: int, n: int, n_a: int) -> Fraction:
     C(n-s-t, n_a-t)] with out-of-range binomials equal to zero.  Symmetric
     in (s, t); g_hat(0, 0) = 1.
     """
-    _check_split(n, n_a)
+    n, n_a = _check_split(n, n_a)
     if s < 0 or t < 0:
         raise ValueError("weights s, t must be nonnegative")
     return _g_hat_core(s, t, n, n_a)
@@ -84,7 +84,7 @@ def g_hat_dual(s: int, t: int, n: int, n_a: int) -> Fraction:
     C(n_a, t) C(n-n_a, s)], zero when s + t > n.  Agrees with g_hat
     exactly; kept as an independent closed form.
     """
-    _check_split(n, n_a)
+    n, n_a = _check_split(n, n_a)
     if s < 0 or t < 0:
         raise ValueError("weights s, t must be nonnegative")
     if s + t > n:
@@ -99,7 +99,7 @@ def g(a: int, b: int, n: int, n_a: int) -> Fraction:
 
     g(a, b; n_a) = g_hat(|a|, |b|; n_a) when a and b are disjoint, else 0.
     """
-    _check_split(n, n_a)
+    n, n_a = _check_split(n, n_a)
     if not (0 <= a < (1 << n) and 0 <= b < (1 << n)):
         raise ValueError(f"masks must lie in [0, 2^{n})")
     if a & b:
@@ -114,7 +114,7 @@ def coupling_delta(k: int, k2: int, l: int, l2: int, n: int, n_a: int) -> Fracti
     (k xor l') or (k' xor l); n_a).  Symmetric under swapping k with k'
     and under exchanging the pair (k, k') with (l, l').
     """
-    _check_split(n, n_a)
+    n, n_a = _check_split(n, n_a)
     hi = 1 << n
     if not all(0 <= x < hi for x in (k, k2, l, l2)):
         raise ValueError(f"basis labels must lie in [0, 2^{n})")
@@ -168,7 +168,7 @@ def build_coupling_table(n: int) -> CouplingTable:
     are immutable and shared.  Tables of more than
     MAX_TABLE_ENTRIES entries are refused before any entry is built.
     """
-    _check_n(n, MAX_QUBITS, low=2)
+    n = _check_n(n, MAX_QUBITS, low=2)
     count = 8 * monomial_counts(n).N4 >> n
     if count > MAX_TABLE_ENTRIES:
         raise ValueError(
@@ -192,7 +192,7 @@ def build_coupling_table(n: int) -> CouplingTable:
 
 def coupling_row_sum(l: int, n: int, n_a: int) -> Fraction:
     """Exact sum over m of g(l xor m, m; n_a); equals 1 for every l."""
-    _check_split(n, n_a)
+    n, n_a = _check_split(n, n_a)
     if not 0 <= l < (1 << n):
         raise ValueError(f"mask must lie in [0, 2^{n})")
     total = Fraction(0)
@@ -243,9 +243,7 @@ def pi_me_form2(state: PureState) -> float:
             parts.append(2.0 * float(w) * float(np.dot(p, p[ks ^ l])))
 
     l, m, w = _entry_arrays(table)
-    for b, klm, kl, km in _xor_chunks(l, m, N):
-        term = z * z[klm] * zc[kl] * zc[km]
-        parts.extend((w[b] * term.sum(axis=1).real).tolist())
+    parts.extend(w * _xor_sums(l, m, N, lambda klm, kl, km: z * z[klm] * zc[kl] * zc[km]))
     return math.fsum(parts)
 
 
@@ -259,11 +257,12 @@ def pi_me_form4(state: PureState) -> float:
     """
     z = state.amplitudes
     l, m, w = _entry_arrays(build_coupling_table(state.n))
-    deficit = []
-    for b, klm, kl, km in _xor_chunks(l, m, z.size):
+
+    def deficit(klm, kl, km):
         d = z * z[klm] - z[kl] * z[km]
-        deficit.extend((w[b] * (d.real * d.real + d.imag * d.imag).sum(axis=1)).tolist())
-    return 1.0 - 0.5 * math.fsum(deficit)
+        return d.real * d.real + d.imag * d.imag
+
+    return 1.0 - 0.5 * math.fsum(w * _xor_sums(l, m, z.size, deficit))
 
 
 def pi_me_uniform(phases: Union[PolarState, SignVector]) -> float:
@@ -324,7 +323,7 @@ def monomial_counts(n: int) -> MonomialCounts:
     N4 = 2^(n-3) sum over 1 <= s, t <= ceil(n/2) of C(n, s) C(n-s, t).
     Eight times N4 equals 2^n times the coupling-table entry count.
     """
-    _check_n(n, low=2)
+    n = _check_n(n, low=2)
     n1 = 1 << n
     half_binom = binomial(n, n // 2)
     n2 = (1 << (2 * n - 2)) - (1 << (n - 1)) + ((1 << n) // (3 + (-1) ** n)) * half_binom

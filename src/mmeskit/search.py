@@ -141,7 +141,7 @@ class AnnealConfig:
         object.__setattr__(self, "beta_schedule", stages)
         if self.move not in ("sign_flip", "phase_rotation"):
             raise ValueError(f"unknown move {self.move!r}")
-        if not 0 < self.max_angle <= math.pi:
+        if isinstance(self.max_angle, bool) or not 0 < self.max_angle <= math.pi:
             raise ValueError("max_angle must lie in (0, pi]")
         object.__setattr__(self, "replicas", _whole(self.replicas, "replicas"))
         if self.replicas < 1:

@@ -81,7 +81,7 @@ class PureState:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_n(self.n, MAX_QUBITS)
+        object.__setattr__(self, "n", _check_n(self.n, MAX_QUBITS))
         amp = np.array(self.amplitudes, dtype=np.complex128, order="C")
         if amp.shape != (1 << self.n,):
             raise ValueError(
@@ -110,7 +110,7 @@ class PolarState:
     phases: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_n(self.n, MAX_QUBITS)
+        object.__setattr__(self, "n", _check_n(self.n, MAX_QUBITS))
         r = np.array(self.moduli, dtype=np.float64, order="C")
         zeta = np.array(self.phases, dtype=np.complex128, order="C")
         if r.shape != (1 << self.n,) or zeta.shape != (1 << self.n,):
@@ -137,7 +137,7 @@ class SignVector:
     signs: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_n(self.n, MAX_QUBITS)
+        object.__setattr__(self, "n", _check_n(self.n, MAX_QUBITS))
         raw = np.asarray(self.signs)
         if raw.shape != (1 << self.n,):
             raise ValueError(f"sign vector must have length {1 << self.n} for n={self.n}")
@@ -169,7 +169,7 @@ def from_amplitudes(n: int, raw: Sequence[complex]) -> PureState:
     Records the applied scale factor on the result; rejects zero vectors
     and vectors of the wrong length.
     """
-    _check_n(n, MAX_QUBITS)
+    n = _check_n(n, MAX_QUBITS)
     amp = np.ascontiguousarray(raw, dtype=np.complex128)
     if amp.shape != (1 << n,):
         raise ValueError(f"expected {1 << n} amplitudes for n={n}, got shape {amp.shape}")
@@ -192,8 +192,7 @@ def fully_factorized(pairs: Sequence[Sequence[complex]]) -> PureState:
     `pairs` holds one normalized (alpha_0, alpha_1) pair per qubit, qubit 1
     first.  Every pair must be normalized within NORM_TOL.
     """
-    n = len(pairs)
-    _check_n(n, MAX_QUBITS)
+    n = _check_n(len(pairs), MAX_QUBITS)
     vectors = []
     for i, pair in enumerate(pairs, start=1):
         v = np.ascontiguousarray(pair, dtype=np.complex128)
@@ -261,7 +260,7 @@ def ghz(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on n >= 2 qubits."""
     if n < 2:
         raise ValueError(f"ghz requires n >= 2, got {n}")
-    _check_n(n, MAX_QUBITS)
+    n = _check_n(n, MAX_QUBITS)
     amp = np.zeros(1 << n, dtype=np.complex128)
     amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
     return PureState(n, amp)
@@ -269,7 +268,7 @@ def ghz(n: int) -> PureState:
 
 def random_state(n: int, seed: int) -> PureState:
     """Haar-sphere sample: normalized standard complex Gaussian vector."""
-    _check_n(n, MAX_QUBITS)
+    n = _check_n(n, MAX_QUBITS)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return from_amplitudes(n, v)
@@ -277,7 +276,7 @@ def random_state(n: int, seed: int) -> PureState:
 
 def random_phases(n: int, seed: int) -> PolarState:
     """Uniform-modulus state with i.i.d. phases uniform on the circle."""
-    _check_n(n, MAX_QUBITS)
+    n = _check_n(n, MAX_QUBITS)
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, 1 << n)
     zeta = np.exp(1j * angles)
@@ -373,7 +372,7 @@ def state_from_json(doc: dict) -> Union[PureState, SignVector]:
         raise ValueError(f"state document is missing a required field: {exc}") from exc
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"state field 'n' must be a JSON integer, got {n!r}")
-    _check_n(n, MAX_QUBITS)
+    n = _check_n(n, MAX_QUBITS)
     if fmt == "signs":
         if not isinstance(data, str):
             raise ValueError("sign-format data must be a string of '+' and '-'")

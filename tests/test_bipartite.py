@@ -253,6 +253,9 @@ class TestTermCounts:
             bipartite_term_counts(3, 0)
         with pytest.raises(ValueError):
             bipartite_term_counts(3, 3)
+        for n_a in (2.0, True):
+            with pytest.raises(ValueError, match=rf"^subset size must be an integer, got {n_a!r}$"):
+                bipartite_term_counts(4, n_a)
 
 
 class TestUniformPurity:

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from mmeskit import (
-    QubitMask, SignVector, balanced_bipartitions, binomial, build_coupling_table, embed,
-    equation_variable_counts, extract, ghz, monomial_counts, random_state, weight,
+    QubitMask, SignVector, balanced_bipartitions, binomial, bipartite_term_counts,
+    build_coupling_table, embed, equation_variable_counts, extract, free_coefficient_count, ghz,
+    monomial_counts, purity_form1, random_state, weight,
 )
 from mmeskit.bitspace import (
     MAX_COUNT_QUBITS,
@@ -93,7 +94,20 @@ class TestQubitCount:
     @pytest.mark.parametrize("name", N_TAKERS)
     def test_numpy_integers_are_accepted(self, name):
         call, n = N_TAKERS[name]
-        call(np.int64(n))
+        out = call(np.int64(n))
+        assert type(getattr(out, "n", 0)) is int  # what stores n stores the int
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+    def test_numpy_integers_count_in_python_ints(self, dtype):
+        # n is converted once, so no count wraps or overflows in n's own type
+        for n in range(2, 13):
+            assert monomial_counts(dtype(n)) == monomial_counts(n)
+            assert equation_variable_counts(dtype(n)) == equation_variable_counts(n)
+            assert free_coefficient_count(dtype(n)) == free_coefficient_count(n)
+            for n_a in range(1, n):
+                assert bipartite_term_counts(dtype(n), dtype(n_a)) == bipartite_term_counts(n, n_a)
+        counts = monomial_counts(dtype(4)), bipartite_term_counts(dtype(4), dtype(2))
+        assert {type(c) for c in (*counts[0].__dict__.values(), *counts[1])} == {int}
 
 
 class TestQubitMask:
@@ -139,10 +153,22 @@ class TestQubitMask:
         with pytest.raises(ValueError):
             QubitMask.bipartition((1, 2, 3, 4), 4)
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 2.5])
+    def test_bool_and_float_masks_and_labels_are_refused(self, bad):
+        for call in (lambda: QubitMask(bad, 3), lambda: as_mask(bad, 3), lambda: as_mask(bad)):
+            with pytest.raises(ValueError, match=rf"^mask must be an integer, got {bad!r}$"):
+                call()
+        with pytest.raises(ValueError, match=rf"^mask must be an integer, got {bad!r}$"):
+            purity_form1(random_state(3, 0), bad)
+        with pytest.raises(ValueError, match=rf"^qubit label must be an integer, got {bad!r}$"):
+            QubitMask.from_qubits((bad,), 3)
+
     def test_as_mask_accepts_ints_and_masks(self):
         m = QubitMask.from_qubits((2,), 3)
         assert as_mask(m, 3) == m.mask
         assert as_mask(0b010, 3) == 0b010
+        assert type(as_mask(np.uint8(2), 3)) is type(QubitMask(np.int8(2), 3).mask) is int
+        assert QubitMask.from_qubits([np.int64(2)], 3) == m
 
     def test_as_mask_rejects_mismatched_n(self):
         m = QubitMask.from_qubits((2,), 3)

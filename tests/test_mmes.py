@@ -225,7 +225,7 @@ class TestVerdict:
         for st in entries:
             assert is_perfect_mmes(st).is_perfect
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-15, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-15, math.inf, True, False])
     def test_rejects_bad_tolerances(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             is_perfect_mmes(ghz(3), tol=tol)

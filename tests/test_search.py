@@ -571,7 +571,7 @@ class TestAnnealConfig:
                 AnnealConfig(beta_schedule=schedule)
         for field, value in (
             ("replicas", 2.5), ("replicas", 2.0), ("replicas", True),
-            ("seed", 1.5), ("seed", False), ("seed", -1),
+            ("seed", 1.5), ("seed", False), ("seed", -1), ("max_angle", True),
         ):
             with pytest.raises(ValueError, match=field):
                 AnnealConfig(beta_schedule=[(1.0, 5)], **{field: value})
