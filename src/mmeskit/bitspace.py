@@ -103,6 +103,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def weight(k: BasisIndex) -> int:
     """Hamming weight |k|, the number of 1 bits of the basis label."""
+    k = _whole(k, "basis index")
     if k < 0:
         raise ValueError("basis index must be nonnegative")
     return k.bit_count()
@@ -155,7 +156,7 @@ class QubitMask:
         complement, preserving the convention n_A <= n - n_A.  The result is
         a valid nonempty proper subset.
         """
-        if isinstance(mask_or_qubits, int):
+        if isinstance(mask_or_qubits, numbers.Integral):
             out = cls(mask_or_qubits, n)
         else:
             out = cls.from_qubits(mask_or_qubits, n)
@@ -218,6 +219,7 @@ def extract(k: BasisIndex, A: Union[QubitMask, int], n: int | None = None) -> Ba
     n-bit range.
     """
     mask = as_mask(A, n)
+    k = _whole(k, "basis index")
     if k < 0 or n is not None and k >> n:
         raise ValueError(f"basis index {k} out of range" + ("" if n is None else f" for n={n}"))
     out = 0
@@ -239,6 +241,7 @@ def embed(l: BasisIndex, A: Union[QubitMask, int], n: int | None = None) -> Basi
     is given the mask is checked against the n-bit range.
     """
     mask = as_mask(A, n)
+    l = _whole(l, "sub-index")
     if l < 0 or l >= (1 << mask.bit_count()):
         raise ValueError(f"sub-index {l} out of range for a {mask.bit_count()}-qubit subset")
     out = 0

@@ -194,11 +194,15 @@ def marginal_uniformity_gap(P: PopulationVector) -> float:
     Maximum over subsets A with 1 <= |A| <= n/2 and sub-labels l of
     |P_A(l) - 2^(-|A|)|, each marginal summed over the complement on its own
     and compared with uniform in stacks of about `bipartite.CHUNK_BYTES`
-    per size.
+    per size.  An exactly uniform population (every probability 2^-n, as
+    for even-n sign states) gives 0.0 at once: its marginals sum exact
+    powers of two, so the reductions would give 0.0 in any order.
     """
     n = P.n
     if n < 2:
         raise ValueError("marginal uniformity requires n >= 2")
+    if (P.probabilities == math.ldexp(1.0, -n)).all():
+        return 0.0
     t = P.probabilities.reshape((2,) * n)
     gap = 0.0
     for size in range(1, n // 2 + 1):

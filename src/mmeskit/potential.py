@@ -179,11 +179,11 @@ def build_coupling_table(n: int) -> CouplingTable:
     full = (1 << n) - 1
     entries = []
     for l in range(1, 1 << n):
-        s = weight(l)
+        s = l.bit_count()
         for m in sorted(submasks(full ^ l)):
             if m == 0:
                 continue
-            w = _g_hat_core(s, weight(m), n, n_a)
+            w = _g_hat_core(s, m.bit_count(), n, n_a)
             if w:
                 entries.append((l, m, w))
     constant = Fraction((1 << n_a) + (1 << (n - n_a)) - 1, 1 << n)
@@ -238,7 +238,7 @@ def pi_me_form2(state: PureState) -> float:
 
     parts = [float(np.dot(p, p))]
     for l in range(1, N):
-        w = _g_hat_core(weight(l), 0, n, table.n_a)
+        w = _g_hat_core(l.bit_count(), 0, n, table.n_a)
         if w:
             parts.append(2.0 * float(w) * float(np.dot(p, p[ks ^ l])))
 

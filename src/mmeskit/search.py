@@ -42,7 +42,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bipartite import (
-    MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
+    CHUNK_BYTES, MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
 )
 from .bitspace import _whole
 from .potential import energy_uniform_exact, pi_me_uniform
@@ -66,9 +66,11 @@ MAX_SAMPLES = 16
 MAX_EXHAUSTIVE_N = 4
 MAX_GATED_N = 5
 
-# Gray-code positions evaluated together by the sweep, a power of two: large
-# enough to amortize the per-block calls, small enough to keep its arrays
-# near 1 MB.
+# The smallest block of Gray-code positions the sweep scores together, a
+# power of two: a block's numpy calls cost about the same at any size, so
+# _sweep_block doubles it while the block's pair products fit CHUNK_BYTES.
+# n = 5 keeps it, where bigger blocks measured slower (75, 77 and 83 ns a
+# position at 1024, 2048 and 4096 on one core of a 2-vCPU Xeon).
 SWEEP_BLOCK = 1024
 
 # The annealer reads its bit generator's raw 64-bit draws this many at a
@@ -351,6 +353,19 @@ def _block_scorer(n: int, pattern: np.ndarray):
     return score
 
 
+def _sweep_block(n: int) -> int:
+    """Positions in each block of n's sweep: SWEEP_BLOCK, doubled while the
+    block's pair products (_block_scorer's int8 `products`, kept C(N_A, 2)
+    N_Abar bytes a position) stay within CHUNK_BYTES, capped by the
+    2^(2^n - 1) scored positions."""
+    kept, N_a, N_b = _kept_count(n), 1 << n // 2, 1 << n - n // 2
+    position_bytes = kept * (N_a * (N_a - 1) // 2) * N_b
+    block, scored = SWEEP_BLOCK, 1 << ((1 << n) - 1)
+    while block < scored and 2 * block * position_bytes <= CHUNK_BYTES:
+        block *= 2
+    return min(block, scored)
+
+
 def exhaustive_search(
     n: int, symmetry_mode: str = "full", allow_long_run: bool = False
 ) -> SearchReport:
@@ -358,7 +373,8 @@ def exhaustive_search(
 
     Enumerates sign vectors in Gray-code order, position i holding the
     signs of g = i xor (i >> 1), and evaluates blocks of positions at once
-    as exact integer Gram sums, so the minimum, the tie count, and up to
+    (8, 128, 2048 and 1024 at n = 2..5, from _sweep_block) as exact
+    integer Gram sums, so the minimum, the tie count, and up to
     16 sample minimizers (in enumeration order) are exact.  `full` mode
     covers all 2^(2^n) vectors, so counts include global-sign duplicates,
     but it scores only the lower half of the positions: position i xor K,
@@ -387,7 +403,7 @@ def exhaustive_search(
     # Both modes score positions i < 2^(N-1): all of them with site 0 frozen,
     # or, in full mode, the lower half, whose Gray codes leave site N-1 at +1.
     scored = 1 << (N - 1)
-    t = np.arange(min(scored, SWEEP_BLOCK))
+    t = np.arange(_sweep_block(n))
     bits = np.arange(N)
     # column t holds the signs of position t; Gray bit b is site b + offset
     pattern = 1 - 2 * ((t ^ t >> 1) << offset >> bits[:, None] & 1).astype(np.int8)

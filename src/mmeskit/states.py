@@ -129,6 +129,12 @@ class PolarState:
         return float(np.max(np.abs(self.moduli - 1.0 / math.sqrt(1 << self.n)))) <= tol
 
 
+# Sign strings go through one byte table each way: '+' and '-' to the int8
+# bytes of +1 and -1, and back.
+_SIGN_BYTES = bytes.maketrans(b"+-", b"\x01\xff")
+_SIGN_CHARS = bytes.maketrans(b"\x01\xff", b"+-")
+
+
 @dataclass(eq=False, frozen=True)
 class SignVector:
     """Vector of +-1 phases identifying a real uniform state."""
@@ -153,14 +159,14 @@ class SignVector:
         n = length.bit_length() - 1
         if length == 0 or (1 << n) != length:
             raise ValueError(f"sign string length {length} is not a power of two")
-        bad = set(text) - {"+", "-"}
-        if bad:
+        raw = text.encode("ascii", "replace")  # any other character refused
+        if raw.translate(None, b"+-"):
+            bad = set(text) - {"+", "-"}
             raise ValueError(f"sign string may contain only '+' and '-', got {sorted(bad)}")
-        signs = np.array([1 if c == "+" else -1 for c in text], dtype=np.int8)
-        return cls(n, signs)
+        return cls(n, np.frombuffer(raw.translate(_SIGN_BYTES), np.int8))
 
     def to_string(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in self.signs)
+        return self.signs.tobytes().translate(_SIGN_CHARS).decode("ascii")
 
 
 def from_amplitudes(n: int, raw: Sequence[complex]) -> PureState:

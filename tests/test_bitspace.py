@@ -153,6 +153,13 @@ class TestQubitMask:
         with pytest.raises(ValueError):
             QubitMask.bipartition((1, 2, 3, 4), 4)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+    def test_bipartition_takes_numpy_masks(self, dtype):
+        for n in range(2, 7):
+            for mask in range(1, (1 << n) - 1):
+                got = QubitMask.bipartition(dtype(mask), n)
+                assert got == QubitMask.bipartition(mask, n) and type(got.mask) is int
+
     @pytest.mark.parametrize("bad", [True, False, 1.0, 2.5])
     def test_bool_and_float_masks_and_labels_are_refused(self, bad):
         for call in (lambda: QubitMask(bad, 3), lambda: as_mask(bad, 3), lambda: as_mask(bad)):
@@ -254,6 +261,30 @@ class TestExtractEmbed:
         assert extract(0b110, 0b101) == 0b10
         with pytest.raises(ValueError):
             extract(0b110, 0b101, 2)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 2.5])
+    def test_bool_and_float_indices_are_refused(self, bad):
+        for call, field in (
+            (lambda: extract(bad, 1, 3), "basis index"),
+            (lambda: extract(bad, 1), "basis index"),
+            (lambda: embed(bad, 1, 3), "sub-index"),
+            (lambda: weight(bad), "basis index"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {bad!r}$"):
+                call()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+    def test_numpy_indices_are_accepted(self, dtype):
+        A = QubitMask.from_qubits((1, 3), 3)
+        for k in range(8):
+            assert extract(dtype(k), A) == extract(k, A) and type(extract(dtype(k), A)) is int
+            assert weight(dtype(k)) == weight(k) and type(weight(dtype(k))) is int
+        for sub in range(4):
+            assert embed(dtype(sub), A) == embed(sub, A) and type(embed(dtype(sub), A)) is int
+        with pytest.raises(ValueError, match=r"^basis index 8 out of range for n=3$"):
+            extract(dtype(8), 1, 3)
+        with pytest.raises(ValueError, match=r"^sub-index 4 out of range for a 2-qubit subset$"):
+            embed(dtype(4), 0b101, 3)
 
     @pytest.mark.parametrize("n", (None, 3))
     def test_negative_basis_indices_are_refused(self, n):

@@ -15,6 +15,7 @@ from mmeskit import (
     PopulationVector,
     PureState,
     QubitMask,
+    SignVector,
     WalshCoefficients,
     catalog,
     catalog_sign_vector,
@@ -187,6 +188,18 @@ class TestGaps:
             monkeypatch.setattr(bipartite, "CHUNK_BYTES", budget)
         P = population(random_state(n, 30 + n))
         assert marginal_uniformity_gap(P) == loop_marginal_gap(P)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_sign_state_gaps_are_the_per_subset_loop_bit_for_bit(self, n):
+        # even-n sign states are exactly uniform and skip the reductions;
+        # odd-n ones (p = 0.031249999999999993 at n = 5) are not
+        signs = np.random.default_rng(60 + n).choice((-1, 1), size=1 << n)
+        for sv in (SignVector(n, signs), SignVector(n, np.ones(1 << n)), SignVector(n, -np.ones(1 << n))):
+            P = population(uniform_from_signs(sv))
+            assert (P.probabilities == 2.0**-n).all() == (n % 2 == 0)
+            assert marginal_uniformity_gap(P) == loop_marginal_gap(P)
+        P = population(random_state(n, 70 + n))
+        assert marginal_uniformity_gap(P) == loop_marginal_gap(P) > 0
 
     def test_bell_pair_solves_the_phase_conditions(self):
         assert phase_equation_residual(ghz(2)) == pytest.approx(0.0, abs=1e-14)

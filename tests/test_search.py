@@ -31,7 +31,7 @@ from mmeskit import (
 )
 from mmeskit import search
 from mmeskit.bipartite import (
-    MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
+    CHUNK_BYTES, MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
 )
 from mmeskit.search import DOUBLE, _block_scorer, _GramState, _raw_draws, _state_bytes, _walk
 
@@ -39,7 +39,7 @@ from mmeskit.search import DOUBLE, _block_scorer, _GramState, _raw_draws, _state
 def sweep_scorer(n, mode):
     """The block size of n's sweep in mode and its block scorer, whose first
     block is spelled by helpers.gray_signs."""
-    size = min(1 << ((1 << n) - 1), search.SWEEP_BLOCK)
+    size = search._sweep_block(n)
     return size, _block_scorer(n, gray_signs(n, np.arange(size), mode).T)
 
 
@@ -515,6 +515,15 @@ class TestExhaustive:
         # dropping the diagonal or the even-n weight of two changes it
         _, score = sweep_scorer(n, mode)
         assert score(np.ones(1 << n, dtype=np.int8))[0] == math.comb(n, n // 2) << (2 * n)
+
+    def test_blocks_follow_the_one_blocking_rule(self):
+        # SWEEP_BLOCK doubled while the pair products fit CHUNK_BYTES, capped
+        # by the 2^(2^n - 1) scored positions: only n = 4 grows
+        assert [search._sweep_block(n) for n in (2, 3, 4, 5)] == [8, 128, 2048, 1024]
+        rows, cols = _sites(4).rows, _sites(4).cols
+        position_bytes = len(rows) * math.comb(rows.shape[1], 2) * cols.shape[1]  # 72
+        block = search._sweep_block(4)
+        assert block * position_bytes <= CHUNK_BYTES < 2 * block * position_bytes
 
     def test_minimizers_come_in_sign_pairs(self):
         report = exhaustive_search(3)

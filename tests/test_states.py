@@ -5,6 +5,7 @@ unitaries, factorized products, and maximally entangled constructions.
 """
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -118,6 +119,27 @@ class TestPolarAndSigns:
             SignVector.from_string("+-+")  # not a power of two
         with pytest.raises(ValueError):
             SignVector.from_string("+-x+")
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_sign_strings_round_trip(self, n):
+        rng = np.random.default_rng(80 + n)
+        for signs in (rng.choice((-1, 1), size=1 << n), np.ones(1 << n), -np.ones(1 << n)):
+            text = "".join("+" if s > 0 else "-" for s in signs)  # one entry at a time
+            assert SignVector(n, signs).to_string() == text
+            back = SignVector.from_string(text)
+            assert back.n == n and back.signs.dtype == np.int8 and not back.signs.flags.writeable
+            assert back.signs.tolist() == signs.tolist()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "sign string length 0 is not a power of two"),
+        ("+-+", "sign string length 3 is not a power of two"),
+        ("+0", "sign string may contain only '+' and '-', got ['0']"),
+        ("+-\u00e9?", "sign string may contain only '+' and '-', got ['?', '\u00e9']"),
+        ("+\ud800", "sign string may contain only '+' and '-', got ['\\ud800']"),
+    ])
+    def test_sign_strings_refusals_name_the_problem(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SignVector.from_string(text)
 
     @pytest.mark.parametrize(
         "entries", [[1.5, -1.0], [1.0, -1.9], [0, 1], [-0.5, 1], [2, -1], [1, float("nan")]]
