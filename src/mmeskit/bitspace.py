@@ -156,7 +156,7 @@ class QubitMask:
         complement, preserving the convention n_A <= n - n_A.  The result is
         a valid nonempty proper subset.
         """
-        if isinstance(mask_or_qubits, numbers.Integral):
+        if isinstance(mask_or_qubits, numbers.Number):  # QubitMask refuses non-integers
             out = cls(mask_or_qubits, n)
         else:
             out = cls.from_qubits(mask_or_qubits, n)

@@ -13,11 +13,11 @@ Features:
   and the state is refused before allocation when it would exceed 1 GiB
 - single sign-flip energy changes without a Gram state, as the difference
   of two exact Gram sums (`flip_delta`; the annealer does not use it)
-- exhaustive Gray-code enumeration of all sign vectors in blocks scored
-  from sign products fixed per sweep, exact integer Gram sums with exact
-  minimum, exact tie counting and deterministic reports; full mode scores
-  the lower half of the positions and mirrors them onto the upper half,
-  which holds their negations
+- exhaustive sign-vector census, one vector per gauge class (local Z
+  gates and the global sign leave the potential unchanged), in Gray-code
+  blocks scored from sign products fixed per sweep: exact integer Gram
+  sums with exact minimum, exact tie counting, and deterministic reports
+  rebuilt from the gauge images of the minimizing classes
 - Metropolis annealer over sign flips or single-site phase rotations at a
   fictitious inverse temperature, both signs supported: positive schedules
   seek minima, negative ones maxima (fully factorized states); replicas
@@ -59,16 +59,17 @@ __all__ = [
 ENERGY_TOL = 1e-12
 MAX_SAMPLES = 16
 
-# Sweeps score 2^(2^n - 1) Gray positions in either mode, full mode mirroring
-# them by the global sign: instantaneous through n=4; at n=5 2^21 blocks of
-# SWEEP_BLOCK positions, about 7,500 blocks/s on one core of a 2-vCPU Xeon,
-# so 4.7 minutes (gated behind allow_long_run); out of reach beyond.
+# Sweeps score one vector per gauge class, 2^(2^n - n - 1) Gray positions in
+# either mode: instantaneous through n=4; at n=5 2^16 blocks of SWEEP_BLOCK
+# positions, about 7 s on one core of a 2-vCPU Xeon (gated behind
+# allow_long_run); n=6 would take 2^57 positions, out of reach.
 MAX_EXHAUSTIVE_N = 4
 MAX_GATED_N = 5
 
-# The smallest block of Gray-code positions the sweep scores together, a
-# power of two: a block's numpy calls cost about the same at any size, so
-# _sweep_block doubles it while the block's pair products fit CHUNK_BYTES.
+# The first size of a block of Gray-code positions the sweep scores together,
+# a power of two: a block's numpy calls cost about the same at any size, so
+# _sweep_block doubles it while the block's pair products fit CHUNK_BYTES,
+# and caps it by the positions of the gauge sweep (2 and 16 at n = 2, 3).
 # n = 5 keeps it, where bigger blocks measured slower (75, 77 and 83 ns a
 # position at 1024, 2048 and 4096 on one core of a 2-vCPU Xeon).
 SWEEP_BLOCK = 1024
@@ -357,13 +358,28 @@ def _sweep_block(n: int) -> int:
     """Positions in each block of n's sweep: SWEEP_BLOCK, doubled while the
     block's pair products (_block_scorer's int8 `products`, kept C(N_A, 2)
     N_Abar bytes a position) stay within CHUNK_BYTES, capped by the
-    2^(2^n - 1) scored positions."""
+    2^(2^n - n - 1) positions of the gauge sweep."""
     kept, N_a, N_b = _kept_count(n), 1 << n // 2, 1 << n - n // 2
     position_bytes = kept * (N_a * (N_a - 1) // 2) * N_b
-    block, scored = SWEEP_BLOCK, 1 << ((1 << n) - 1)
+    block, scored = SWEEP_BLOCK, 1 << ((1 << n) - n - 1)
     while block < scored and 2 * block * position_bytes <= CHUNK_BYTES:
         block *= 2
     return min(block, scored)
+
+
+def _character_signs(n: int) -> np.ndarray:
+    """The Sylvester sign matrix, doubled in place from [[H, H], [H, -H]]:
+    entry (a, x) is (-1)^(a.x), the signs by which the local Z gates on the
+    qubits of a multiply amplitude x."""
+    N = 1 << n
+    H = np.empty((N, N), dtype=np.int8)
+    H[0, 0] = 1
+    m = 1
+    while m < N:
+        H[:m, m : 2 * m] = H[m : 2 * m, :m] = H[:m, :m]
+        H[m : 2 * m, m : 2 * m] = -H[:m, :m]
+        m *= 2
+    return H
 
 
 def exhaustive_search(
@@ -371,18 +387,20 @@ def exhaustive_search(
 ) -> SearchReport:
     """Exact minimum of the potential over all real uniform states.
 
-    Enumerates sign vectors in Gray-code order, position i holding the
-    signs of g = i xor (i >> 1), and evaluates blocks of positions at once
-    (8, 128, 2048 and 1024 at n = 2..5, from _sweep_block) as exact
-    integer Gram sums, so the minimum, the tie count, and up to
-    16 sample minimizers (in enumeration order) are exact.  `full` mode
-    covers all 2^(2^n) vectors, so counts include global-sign duplicates,
-    but it scores only the lower half of the positions: position i xor K,
-    where K is the position of the all-ones Gray code, holds the negation
-    of position i and the same potential, so the upper half's minimizers
-    are the lower half's mirrored.  `fix_global_sign` freezes site 0 at +1
-    and covers half as many.  Either mode scores 2^(2^n - 1) positions.
-    n=5 costs billions of evaluations and must be enabled with
+    Multiplying the signs by (-1)^(c + a.x) applies local Z gates and a
+    global sign, which leave the potential unchanged; the 2^(n+1) products
+    are distinct, so each gauge class holds exactly one vector with +1 at
+    site 0 and at every single-bit site 2^b.  The sweep scores those alone:
+    the other N - n - 1 sites run through a Gray code of their own, in
+    blocks of 2, 16, 2048 and 1024 positions at n = 2..5 (from
+    _sweep_block), as exact integer Gram sums.  Each minimizing class
+    expands into its gauge images, so the minimum and the tie count are
+    exact, and the up to 16 sample minimizers are the first in the
+    Gray-code order of the whole space, position i holding the signs of
+    i xor (i >> 1), bit b negating site b.  `full` mode covers all 2^(2^n)
+    vectors, so counts include global-sign duplicates; `fix_global_sign`
+    freezes site 0 at +1 (bit b negating site b + 1) and covers half as
+    many.  n=5, 2^26 classes scored in about 7 s, must be enabled with
     allow_long_run; larger n is refused.
     """
     n = _whole(n, "n")
@@ -397,51 +415,51 @@ def exhaustive_search(
         )
     start = time.perf_counter()
     N = 1 << n
-    full = symmetry_mode == "full"
-    offset = 0 if full else 1
-    total = 1 << (N - offset)
-    # Both modes score positions i < 2^(N-1): all of them with site 0 frozen,
-    # or, in full mode, the lower half, whose Gray codes leave site N-1 at +1.
-    scored = 1 << (N - 1)
-    t = np.arange(_sweep_block(n))
-    bits = np.arange(N)
-    # column t holds the signs of position t; Gray bit b is site b + offset
-    pattern = 1 - 2 * ((t ^ t >> 1) << offset >> bits[:, None] & 1).astype(np.int8)
+    offset = 0 if symmetry_mode == "full" else 1
+    free = np.array([x for x in range(N) if x & (x - 1)])  # neither 0 nor 2^b
+    size = _sweep_block(n)
+    # column t holds the signs of position t, doubled by reflection: the
+    # Gray code of m + t is that of m - 1 - t with bit k set (m = 2^k)
+    pattern = np.ones((N, size), dtype=np.int8)
+    for k, site in enumerate(free[: size.bit_length() - 1]):
+        m = 1 << k
+        pattern[:, m : 2 * m] = pattern[:, m - 1 :: -1]
+        pattern[site, m : 2 * m] = -1
     score = _block_scorer(n, pattern)
+    shifts = np.arange(free.size)
+    high = np.ones(N, dtype=np.int8)
     best: Optional[int] = None
-    count = 0
-    found: list[tuple[int, np.ndarray]] = []  # (position, signs) of the samples
-    for lo in range(0, scored, t.size):
-        high = 1 - 2 * ((lo ^ lo >> 1) << offset >> bits & 1).astype(np.int8)
+    found: list[np.ndarray] = []  # the minimizing class representatives, by block
+    for lo in range(0, 1 << free.size, size):
+        high[free] = 1 - 2 * ((lo ^ lo >> 1) >> shifts & 1)
         T = score(high)
         low = int(T.min())
         if best is None or low < best:
-            best, count, found = low, 0, []
+            best, found = low, []
         if low == best:
-            hits = np.flatnonzero(T == best)
-            count += hits.size
-            room = hits[: MAX_SAMPLES - len(found)].tolist()
-            found.extend((lo + h, pattern[:, h] * high) for h in room)
-    if full:
-        # gray(K) is all ones, and K's top bit sends the lower half onto the
-        # upper one, in ascending order of p xor K; found holds every lower
-        # hit whenever room is left for a mirrored one
-        K = sum(1 << k for k in range(N - 1, -1, -2))
-        mirrored = sorted(found, key=lambda hit: hit[0] ^ K)[: MAX_SAMPLES - len(found)]
-        found += [(p ^ K, -v) for p, v in mirrored]
-        count *= 2
-    samples = [SignVector(n, v) for _, v in found]
+            found.append(pattern[:, T == best].T * high)
+    images = (_character_signs(n)[:, None] * np.concatenate(found)).reshape(-1, N)
+    if not offset:
+        images = np.concatenate((images, -images))
+    # each image's Gray code, bit b set where site b + offset is -1, then
+    # its position, by the inverse Gray code
+    position = (images[:, offset:] < 0) @ (1 << np.arange(N - offset, dtype=np.int64))
+    shift = 1
+    while shift < N:
+        position ^= position >> shift
+        shift *= 2
+    samples = [SignVector(n, images[i]) for i in np.argsort(position)[:MAX_SAMPLES]]
     exact = Fraction(best, _gram_sum_denominator(n))
     return SearchReport(
         n=n,
         mode="exhaustive",
         min_value=float(exact),
-        minimizer_count=count,
+        minimizer_count=len(images),
         sample_minimizers=tuple(samples),
-        evaluations=total,
+        evaluations=1 << (N - offset),
         wall_time=time.perf_counter() - start,
         min_value_exact=exact,
-        best_state=samples[0] if samples else None,
+        best_state=samples[0],
     )
 
 

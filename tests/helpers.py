@@ -388,3 +388,28 @@ def unmirrored_search(n: int, symmetry_mode: str = "full"):
     hits = np.flatnonzero(T == best)
     samples = [SignVector(n, signs[h]) for h in hits[:MAX_SAMPLES]]
     return Fraction(best, _gram_sum_denominator(n)), hits.size, total, samples
+
+
+def gauge_signs(n: int, positions) -> np.ndarray:
+    """Row r: the signs of position positions[r] of `exhaustive_search`'s
+    gauge sweep, bit k of i xor (i >> 1) negating the k-th site, in
+    ascending order, that is neither 0 nor a single-bit label; every other
+    site stays +1."""
+    N = 1 << n
+    free = [x for x in range(N) if bin(x).count("1") >= 2]
+    i = np.asarray(positions, dtype=np.int64)
+    signs = np.ones((i.size, N), dtype=np.int8)
+    signs[:, free] = 1 - 2 * ((i ^ i >> 1)[:, None] >> np.arange(len(free)) & 1)
+    return signs
+
+
+def gauge_images(signs: np.ndarray, symmetry_mode: str = "full") -> np.ndarray:
+    """The products signs (-1)^(c + a.x) over a in [0, 2^n) and c in {0, 1}
+    (c = 0 alone in fix_global_sign mode), one per row, c major; a.x is the
+    parity of the bits that a and the site label x share."""
+    N = signs.size
+    character = np.array(
+        [[1 - 2 * (bin(a & x).count("1") & 1) for x in range(N)] for a in range(N)], dtype=np.int8
+    )
+    images = character * signs
+    return np.concatenate((images, -images)) if symmetry_mode == "full" else images

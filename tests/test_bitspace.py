@@ -160,6 +160,13 @@ class TestQubitMask:
                 got = QubitMask.bipartition(dtype(mask), n)
                 assert got == QubitMask.bipartition(mask, n) and type(got.mask) is int
 
+    @pytest.mark.parametrize("bad", [1.0, 2.5, np.float64(1.0)])
+    def test_bipartition_refuses_float_masks_as_the_constructor_does(self, bad):
+        message = f"^mask must be an integer, got {re.escape(repr(bad))}$"
+        for call in (lambda: QubitMask(bad, 3), lambda: QubitMask.bipartition(bad, 3)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     @pytest.mark.parametrize("bad", [True, False, 1.0, 2.5])
     def test_bool_and_float_masks_and_labels_are_refused(self, bad):
         for call in (lambda: QubitMask(bad, 3), lambda: as_mask(bad, 3), lambda: as_mask(bad)):

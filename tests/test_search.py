@@ -16,7 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import LoopGramState, gray_signs, loop_anneal_replica, loop_walk, unmirrored_search
+from helpers import (
+    LoopGramState, gauge_images, gauge_signs, gray_signs, loop_anneal_replica, loop_walk,
+    unmirrored_search,
+)
 from mmeskit import (
     AnnealConfig,
     PolarState,
@@ -36,11 +39,11 @@ from mmeskit.bipartite import (
 from mmeskit.search import DOUBLE, _block_scorer, _GramState, _raw_draws, _state_bytes, _walk
 
 
-def sweep_scorer(n, mode):
-    """The block size of n's sweep in mode and its block scorer, whose first
-    block is spelled by helpers.gray_signs."""
+def sweep_scorer(n):
+    """The block size of n's gauge sweep and its block scorer, whose first
+    block is spelled by helpers.gauge_signs."""
     size = search._sweep_block(n)
-    return size, _block_scorer(n, gray_signs(n, np.arange(size), mode).T)
+    return size, _block_scorer(n, gauge_signs(n, np.arange(size)).T)
 
 
 def random_signs(n, seed):
@@ -500,12 +503,12 @@ class TestExhaustive:
         assert energy_uniform_exact(SignVector(n, upper)) == energy_uniform_exact(SignVector(n, lower))
 
     @settings(derandomize=True, deadline=None, max_examples=40)
-    @given(st.integers(2, 5), st.sampled_from(("full", "fix_global_sign")), st.data())
-    def test_a_block_scores_the_exact_gram_sums_of_its_positions(self, n, mode, data):
-        size, score = sweep_scorer(n, mode)
-        lo = size * data.draw(st.integers(0, (1 << ((1 << n) - 1)) // size - 1))
-        high = gray_signs(n, [lo], mode)[0]
-        want = _sign_gram_sum(gray_signs(n, lo + np.arange(size), mode), n)
+    @given(st.integers(2, 5), st.data())
+    def test_a_block_scores_the_exact_gram_sums_of_its_positions(self, n, data):
+        size, score = sweep_scorer(n)
+        lo = size * data.draw(st.integers(0, (1 << ((1 << n) - n - 1)) // size - 1))
+        high = gauge_signs(n, [lo])[0]
+        want = _sign_gram_sum(gauge_signs(n, lo + np.arange(size)), n)
         assert score(high).tolist() == want.tolist()
 
     @pytest.mark.parametrize("mode", ("full", "fix_global_sign"))
@@ -513,17 +516,43 @@ class TestExhaustive:
     def test_the_all_plus_position_scores_the_full_denominator(self, n, mode):
         # every Gram entry of the all-plus vector is N_Abar, so T = C(n, n/2) N^2;
         # dropping the diagonal or the even-n weight of two changes it
-        _, score = sweep_scorer(n, mode)
-        assert score(np.ones(1 << n, dtype=np.int8))[0] == math.comb(n, n // 2) << (2 * n)
+        _, score = sweep_scorer(n)
+        plus = np.ones(1 << n, dtype=np.int8)
+        first = score(plus)
+        assert first[0] == math.comb(n, n // 2) << (2 * n)
+        # a block shifted by a gauge image of all-plus holds the gauge images
+        # of the first block's vectors, with the same scores
+        for image in gauge_images(plus, mode):
+            assert score(image).tolist() == first.tolist()
 
     def test_blocks_follow_the_one_blocking_rule(self):
         # SWEEP_BLOCK doubled while the pair products fit CHUNK_BYTES, capped
-        # by the 2^(2^n - 1) scored positions: only n = 4 grows
-        assert [search._sweep_block(n) for n in (2, 3, 4, 5)] == [8, 128, 2048, 1024]
+        # by the 2^(2^n - n - 1) positions of the gauge sweep: n = 2 and 3
+        # are capped, n = 4 grows to its cap
+        assert [search._sweep_block(n) for n in (2, 3, 4, 5)] == [2, 16, 2048, 1024]
         rows, cols = _sites(4).rows, _sites(4).cols
         position_bytes = len(rows) * math.comb(rows.shape[1], 2) * cols.shape[1]  # 72
         block = search._sweep_block(4)
         assert block * position_bytes <= CHUNK_BYTES < 2 * block * position_bytes
+
+    def test_five_qubits_behind_the_gate(self):
+        # 2^26 gauge classes scored, about 7 s on one core of a 2-vCPU Xeon
+        report = exhaustive_search(5, allow_long_run=True)
+        assert report.min_value_exact == Fraction(1, 4)
+        assert report.minimizer_count == 8448
+        assert report.evaluations == 1 << 32
+        assert [sv.to_string() for sv in report.sample_minimizers] == [
+            "++--+++++-+-+--+-+-++--+--++++++", "--++----+-+-+--+-+-++--+--++++++",
+            "------++-++--+-+-+-++--+--++++++", "++++++---++--+-+-+-++--+--++++++",
+            "------+++--++-+--+-++--+--++++++", "++++++--+--++-+--+-++--+--++++++",
+            "++--++++-+-+-++--+-++--+--++++++", "--++-----+-+-++--+-++--+--++++++",
+            "++--++++-+-++--++-+-+--+--++++++", "--++-----+-++--++-+-+--+--++++++",
+            "++++--++-++--+-++-+-+--+--++++++", "----++---++--+-++-+-+--+--++++++",
+            "++++--+++--++-+-+-+-+--+--++++++", "----++--+--++-+-+-+-+--+--++++++",
+            "++--+++++-+--++-+-+-+--+--++++++", "--++----+-+--++-+-+-+--+--++++++",
+        ]
+        for sv in report.sample_minimizers:
+            assert energy_uniform_exact(sv) == Fraction(1, 4)
 
     def test_minimizers_come_in_sign_pairs(self):
         report = exhaustive_search(3)
@@ -548,6 +577,50 @@ class TestExhaustive:
         for n in (3.0, "3", True):
             with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
                 exhaustive_search(n)
+
+
+class TestGauge:
+    """The fact the sweep rests on: local Z gates and the global sign, the
+    products s (-1)^(c + a.x), leave the potential unchanged and act freely,
+    with exactly one image per class at +1 on site 0 and every site 2^b."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, 2**32 - 1), st.integers(0, (1 << n) - 1), st.integers(0, 1)
+    )))
+    def test_local_z_gates_and_the_global_sign_keep_the_potential(self, case):
+        n, seed, a, c = case
+        sv = random_signs(n, seed)
+        gauge = [(-1) ** (c + bin(a & x).count("1")) for x in range(1 << n)]
+        image = sv.signs * np.array(gauge, dtype=np.int8)
+        assert energy_uniform_exact(SignVector(n, image)) == energy_uniform_exact(sv)
+        images = gauge_images(sv.signs)
+        assert (images[c << n | a] == image).all()
+        assert len({row.tobytes() for row in images}) == 2 << n
+        fixed = [0] + [1 << b for b in range(n)]
+        assert (images[:, fixed] == 1).all(axis=1).sum() == 1
+
+    def test_every_four_qubit_minimizer_is_a_graph_state_up_to_gauge(self):
+        # all 2^16 vectors through the general sign sum, apart from the sweep
+        x = np.arange(1 << 16)
+        signs = (1 - 2 * (x[:, None] >> np.arange(16) & 1)).astype(np.int8)
+        T = _sign_gram_sum(signs, 4)
+        assert Fraction(int(T.min()), _gram_sum_denominator(4)) == Fraction(1, 3)
+        minimizers = signs[T == T.min()]
+        assert len(minimizers) == 1056
+        # the algebraic normal form of f, s = (-1)^f, by the binary Moebius
+        # transform; a graph state's f is quadratic, its gauge adds degree <= 1
+        anf = (minimizers < 0).astype(np.uint8)
+        for b in range(4):
+            pairs = anf.reshape(len(anf), -1, 2, 1 << b)
+            pairs[:, :, 1] ^= pairs[:, :, 0]
+        degree = anf * np.array([bin(m).count("1") for m in range(16)])
+        assert (degree.max(axis=1) == 2).all()
+        # one representative per class, and its 32 images are the minimizers
+        fixed = (minimizers[:, [0, 1, 2, 4, 8]] == 1).all(axis=1)
+        assert fixed.sum() == 33
+        images = {row.tobytes() for rep in minimizers[fixed] for row in gauge_images(rep)}
+        assert images == {row.tobytes() for row in minimizers}
 
 
 class TestAnnealConfig:
