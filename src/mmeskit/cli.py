@@ -26,14 +26,18 @@ import warnings
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
+from . import potential
 from ._catalog_data import SIGN_TARGETS
 from .bitspace import QubitMask
 from .bipartite import purity_form1, purity_form2
-from .mmes import CATALOG_NAMES, catalog, catalog_sign_vector, is_perfect_mmes
+from .mmes import (
+    CATALOG_NAMES, catalog, catalog_sign_vector, equation_variable_counts, is_perfect_mmes
+)
 from .search import AnnealConfig, SearchReport, anneal, exhaustive_search
 from .states import (
     PureState,
     SignVector,
+    assemble,
     polar,
     state_from_json,
     state_to_json,
@@ -102,16 +106,13 @@ def _parse_schedule(text: str) -> tuple[tuple[float, int], ...]:
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
-    from .mmes import equation_variable_counts
-    from .potential import monomial_counts
-
     if args.n_max < 2:
         raise ValueError("--n-max must be at least 2")
     rows = []
     if args.table == "monomials":
         header = ("n", "N1", "N2", "N4")
         for n in range(2, args.n_max + 1):
-            c = monomial_counts(n)
+            c = potential.monomial_counts(n)
             rows.append((n, c.N1, c.N2, c.N4))
     else:
         header = ("n", "me", "mx")
@@ -134,19 +135,19 @@ def _cmd_purity(args: argparse.Namespace) -> int:
 
 
 def _cmd_potential(args: argparse.Namespace) -> int:
-    from .potential import pi_me_form1, pi_me_form2, pi_me_form4, pi_me_uniform
-
+    # the forms are looked up on their module at call time, so a wrapper
+    # installed there (perfbench's tracer) sees these calls
     obj = read_state(args.file)
     if args.form == "uniform":
-        value = pi_me_uniform(obj if isinstance(obj, SignVector) else polar(obj))
+        value = potential.pi_me_uniform(obj if isinstance(obj, SignVector) else polar(obj))
     else:
         state = _as_pure(obj)
         if args.form == "1":
-            value = pi_me_form1(state)
+            value = potential.pi_me_form1(state)
         elif args.form == "4":
-            value = pi_me_form4(state)
+            value = potential.pi_me_form4(state)
         else:
-            value = pi_me_form2(state)
+            value = potential.pi_me_form2(state)
     print(repr(value))
     return 0
 
@@ -207,16 +208,12 @@ def _report_doc(report: SearchReport) -> dict:
                 None if report.best_state is None else report.best_state.to_string()
             )
         else:
-            from .states import assemble
-
             doc["best_state"] = state_to_json(assemble(report.best_state))
     return doc
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    report = exhaustive_search(
-        args.n, symmetry_mode=args.mode, allow_long_run=args.allow_long_run
-    )
+    report = exhaustive_search(args.n, symmetry_mode=args.mode)
     print(_dump(_report_doc(report), args.pretty))
     return 0
 
@@ -277,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive sign-space sweep")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("full", "fix_global_sign"), default="full")
-    p.add_argument("--allow-long-run", action="store_true")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_search)
 

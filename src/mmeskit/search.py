@@ -14,10 +14,11 @@ Features:
 - single sign-flip energy changes without a Gram state, as the difference
   of two exact Gram sums (`flip_delta`; the annealer does not use it)
 - exhaustive sign-vector census, one vector per gauge class (local Z
-  gates and the global sign leave the potential unchanged), in Gray-code
-  blocks scored from sign products fixed per sweep: exact integer Gram
-  sums with exact minimum, exact tie counting, and deterministic reports
-  rebuilt from the gauge images of the minimizing classes
+  gates and the global sign leave the potential unchanged), the classes
+  numbered in binary and scored in blocks from sign products fixed per
+  sweep: exact integer Gram sums with exact minimum, exact tie counting,
+  and deterministic reports rebuilt from the gauge images of the
+  minimizing classes
 - Metropolis annealer over sign flips or single-site phase rotations at a
   fictitious inverse temperature, both signs supported: positive schedules
   seek minima, negative ones maxima (fully factorized states); replicas
@@ -41,9 +42,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bipartite import (
-    CHUNK_BYTES, MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
-)
+from .bipartite import MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
 from .bitspace import _whole
 from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
@@ -59,20 +58,16 @@ __all__ = [
 ENERGY_TOL = 1e-12
 MAX_SAMPLES = 16
 
-# Sweeps score one vector per gauge class, 2^(2^n - n - 1) Gray positions in
-# either mode: instantaneous through n=4; at n=5 2^16 blocks of SWEEP_BLOCK
-# positions, about 7 s on one core of a 2-vCPU Xeon (gated behind
-# allow_long_run); n=6 would take 2^57 positions, out of reach.
-MAX_EXHAUSTIVE_N = 4
-MAX_GATED_N = 5
+# Sweeps score one vector per gauge class, 2^(2^n - n - 1) classes in either
+# mode: instantaneous through n=4, about 6 s at n=5 (2^15 blocks) on one
+# core of a 2-vCPU Xeon; n=6 would take 2^57 classes, out of reach.
+MAX_EXHAUSTIVE_N = 5
 
-# The first size of a block of Gray-code positions the sweep scores together,
-# a power of two: a block's numpy calls cost about the same at any size, so
-# _sweep_block doubles it while the block's pair products fit CHUNK_BYTES,
-# and caps it by the positions of the gauge sweep (2 and 16 at n = 2, 3).
-# n = 5 keeps it, where bigger blocks measured slower (75, 77 and 83 ns a
-# position at 1024, 2048 and 4096 on one core of a 2-vCPU Xeon).
-SWEEP_BLOCK = 1024
+# The classes a sweep scores together, a power of two, capped by the classes
+# of the sweep: blocks of 2, 16, 2048 and 2048 at n = 2..5.  A block's numpy
+# calls cost about the same at any size; 2048 keeps n = 4 to one block and
+# n = 5's pair products (_block_scorer's int8 `products`) at 960 KiB.
+SWEEP_BLOCK = 2048
 
 # The annealer reads its bit generator's raw 64-bit draws this many at a
 # time; a raw draw r gives the double (r >> 11) * DOUBLE in [0, 1).
@@ -330,14 +325,14 @@ def flip_delta(signs: SignVector, flip_index: int) -> float:
 
 
 def _block_scorer(n: int, pattern: np.ndarray):
-    """T of each position of a sweep's block, as a function of high.
+    """T of each class of a sweep's block, as a function of high.
 
-    Column t of pattern holds the signs of Gray position t, and the block
-    from lo holds pattern[:, t] * high, high the signs of position lo, so
+    Column t of pattern holds the signs of class t, and the block from lo
+    holds pattern[:, t] * high, high the signs of class lo, so
     entry (i, m) of a kept M_A's Gram matrix sums pattern products fixed
     per sweep times high products, one small array per block.  Only the
     entries above the diagonal (N_Abar) are formed, in int8, as |G| <=
-    N_Abar <= 8 for n <= MAX_GATED_N; T <= C(n, n/2) N^2 fits int32.
+    N_Abar <= 8 for n <= MAX_EXHAUSTIVE_N; T <= C(n, n/2) N^2 fits int32.
     """
     sites = _sites(n)
     kept, n_a = sites.rows.shape
@@ -352,19 +347,6 @@ def _block_scorer(n: int, pattern: np.ndarray):
         return sites.weight * (2 * G.sum(axis=0, dtype=np.int32) + kept * n_a * n_b * n_b)
 
     return score
-
-
-def _sweep_block(n: int) -> int:
-    """Positions in each block of n's sweep: SWEEP_BLOCK, doubled while the
-    block's pair products (_block_scorer's int8 `products`, kept C(N_A, 2)
-    N_Abar bytes a position) stay within CHUNK_BYTES, capped by the
-    2^(2^n - n - 1) positions of the gauge sweep."""
-    kept, N_a, N_b = _kept_count(n), 1 << n // 2, 1 << n - n // 2
-    position_bytes = kept * (N_a * (N_a - 1) // 2) * N_b
-    block, scored = SWEEP_BLOCK, 1 << ((1 << n) - n - 1)
-    while block < scored and 2 * block * position_bytes <= CHUNK_BYTES:
-        block *= 2
-    return min(block, scored)
 
 
 def _character_signs(n: int) -> np.ndarray:
@@ -382,48 +364,46 @@ def _character_signs(n: int) -> np.ndarray:
     return H
 
 
-def exhaustive_search(
-    n: int, symmetry_mode: str = "full", allow_long_run: bool = False
-) -> SearchReport:
+def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
     """Exact minimum of the potential over all real uniform states.
 
     Multiplying the signs by (-1)^(c + a.x) applies local Z gates and a
     global sign, which leave the potential unchanged; the 2^(n+1) products
     are distinct, so each gauge class holds exactly one vector with +1 at
-    site 0 and at every single-bit site 2^b.  The sweep scores those alone:
-    the other N - n - 1 sites run through a Gray code of their own, in
-    blocks of 2, 16, 2048 and 1024 positions at n = 2..5 (from
-    _sweep_block), as exact integer Gram sums.  Each minimizing class
-    expands into its gauge images, so the minimum and the tie count are
-    exact, and the up to 16 sample minimizers are the first in the
+    site 0 and at every single-bit site 2^b.  The sweep scores those alone,
+    numbered in binary: class t negates the k-th of the other N - n - 1
+    sites where bit k of t is set.  It scores blocks of min(SWEEP_BLOCK,
+    2^(N - n - 1)) classes as exact integer Gram sums.  Each minimizing
+    class expands into its gauge images, so the minimum and the tie count
+    are exact, and the up to 16 sample minimizers are the first in the
     Gray-code order of the whole space, position i holding the signs of
     i xor (i >> 1), bit b negating site b.  `full` mode covers all 2^(2^n)
     vectors, so counts include global-sign duplicates; `fix_global_sign`
     freezes site 0 at +1 (bit b negating site b + 1) and covers half as
-    many.  n=5, 2^26 classes scored in about 7 s, must be enabled with
-    allow_long_run; larger n is refused.
+    many.  n <= MAX_EXHAUSTIVE_N runs (n = 5, 2^26 classes, in about 6 s);
+    larger n is refused before anything is allocated.
     """
     n = _whole(n, "n")
     if symmetry_mode not in ("full", "fix_global_sign"):
         raise ValueError(f"unknown symmetry mode {symmetry_mode!r}")
     if n < 2:
         raise ValueError("exhaustive search requires n >= 2")
-    if n > MAX_GATED_N or (n > MAX_EXHAUSTIVE_N and not allow_long_run):
+    if n > MAX_EXHAUSTIVE_N:
         raise ValueError(
             f"exhaustive search over 2^{1 << n} sign vectors is out of reach; "
-            f"n <= {MAX_EXHAUSTIVE_N} (or n = {MAX_GATED_N} with allow_long_run=True)"
+            f"n <= {MAX_EXHAUSTIVE_N}"
         )
     start = time.perf_counter()
     N = 1 << n
     offset = 0 if symmetry_mode == "full" else 1
     free = np.array([x for x in range(N) if x & (x - 1)])  # neither 0 nor 2^b
-    size = _sweep_block(n)
-    # column t holds the signs of position t, doubled by reflection: the
-    # Gray code of m + t is that of m - 1 - t with bit k set (m = 2^k)
+    size = min(SWEEP_BLOCK, 1 << free.size)
+    # column t holds the signs of class t, doubled: class m + t is class t
+    # with free site k negated (m = 2^k)
     pattern = np.ones((N, size), dtype=np.int8)
     for k, site in enumerate(free[: size.bit_length() - 1]):
         m = 1 << k
-        pattern[:, m : 2 * m] = pattern[:, m - 1 :: -1]
+        pattern[:, m : 2 * m] = pattern[:, :m]
         pattern[site, m : 2 * m] = -1
     score = _block_scorer(n, pattern)
     shifts = np.arange(free.size)
@@ -431,7 +411,7 @@ def exhaustive_search(
     best: Optional[int] = None
     found: list[np.ndarray] = []  # the minimizing class representatives, by block
     for lo in range(0, 1 << free.size, size):
-        high[free] = 1 - 2 * ((lo ^ lo >> 1) >> shifts & 1)
+        high[free] = 1 - 2 * (lo >> shifts & 1)
         T = score(high)
         low = int(T.min())
         if best is None or low < best:
@@ -507,13 +487,16 @@ def anneal(n: int, config: AnnealConfig) -> SearchReport:
     start = time.perf_counter()
     objective = config.objective
     better = (lambda a, b: a < b) if objective == "minimize" else (lambda a, b: a > b)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
+    root = np.random.SeedSequence(config.seed)
     replica_values: list[float] = []
     best_value: Union[Fraction, float, None] = None
     best_state: Union[SignVector, PolarState, None] = None
     evaluations = 0
-    for seq in seeds:
-        value, state, evals = _anneal_replica(np.random.default_rng(seq), config, n, better)
+    for _ in range(config.replicas):
+        # one child at a time: the keys spawn(replicas) would give, without
+        # holding every replica's SeedSequence at once
+        rng = np.random.default_rng(root.spawn(1)[0])
+        value, state, evals = _anneal_replica(rng, config, n, better)
         replica_values.append(float(value))
         evaluations += evals
         if best_value is None or better(value, best_value):

@@ -391,15 +391,15 @@ def unmirrored_search(n: int, symmetry_mode: str = "full"):
 
 
 def gauge_signs(n: int, positions) -> np.ndarray:
-    """Row r: the signs of position positions[r] of `exhaustive_search`'s
-    gauge sweep, bit k of i xor (i >> 1) negating the k-th site, in
+    """Row r: the signs of class positions[r] of `exhaustive_search`'s
+    gauge sweep, bit k of the class number negating the k-th site, in
     ascending order, that is neither 0 nor a single-bit label; every other
     site stays +1."""
     N = 1 << n
     free = [x for x in range(N) if bin(x).count("1") >= 2]
     i = np.asarray(positions, dtype=np.int64)
     signs = np.ones((i.size, N), dtype=np.int8)
-    signs[:, free] = 1 - 2 * ((i ^ i >> 1)[:, None] >> np.arange(len(free)) & 1)
+    signs[:, free] = 1 - 2 * (i[:, None] >> np.arange(len(free)) & 1)
     return signs
 
 

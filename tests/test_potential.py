@@ -61,7 +61,6 @@ from mmeskit.bipartite import _balanced_grams, _sign_gram_sum
 from mmeskit.bitspace import MAX_QUBITS
 from mmeskit.mmes import _balanced_gaps
 from mmeskit.potential import MonomialCounts
-from mmeskit.search import SWEEP_BLOCK
 
 EXPECTED_TABLE_SIZES = {2: 2, 3: 12, 4: 42, 5: 170, 6: 500, 7: 1792, 8: 5082}
 
@@ -459,8 +458,8 @@ class TestStreamedGrams:
 
 @functools.cache
 def sweep_batch(n):
-    """A sweep-sized batch of random n-qubit signs and its unpaired Gram sums."""
-    signs = np.random.default_rng(140 + n).choice((-1, 1), size=(SWEEP_BLOCK, 1 << n))
+    """1,024 random n-qubit sign vectors and their unpaired Gram sums."""
+    signs = np.random.default_rng(140 + n).choice((-1, 1), size=(1024, 1 << n))
     signs = signs.astype(np.int8)
     return signs, [all_bipartition_sign_sum(SignVector(n, s)) for s in signs]
 

@@ -34,7 +34,7 @@ from mmeskit import (
 )
 from mmeskit import search
 from mmeskit.bipartite import (
-    CHUNK_BYTES, MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
+    MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
 )
 from mmeskit.search import DOUBLE, _block_scorer, _GramState, _raw_draws, _state_bytes, _walk
 
@@ -42,7 +42,7 @@ from mmeskit.search import DOUBLE, _block_scorer, _GramState, _raw_draws, _state
 def sweep_scorer(n):
     """The block size of n's gauge sweep and its block scorer, whose first
     block is spelled by helpers.gauge_signs."""
-    size = search._sweep_block(n)
+    size = min(search.SWEEP_BLOCK, 1 << ((1 << n) - n - 1))
     return size, _block_scorer(n, gauge_signs(n, np.arange(size)).T)
 
 
@@ -525,19 +525,9 @@ class TestExhaustive:
         for image in gauge_images(plus, mode):
             assert score(image).tolist() == first.tolist()
 
-    def test_blocks_follow_the_one_blocking_rule(self):
-        # SWEEP_BLOCK doubled while the pair products fit CHUNK_BYTES, capped
-        # by the 2^(2^n - n - 1) positions of the gauge sweep: n = 2 and 3
-        # are capped, n = 4 grows to its cap
-        assert [search._sweep_block(n) for n in (2, 3, 4, 5)] == [2, 16, 2048, 1024]
-        rows, cols = _sites(4).rows, _sites(4).cols
-        position_bytes = len(rows) * math.comb(rows.shape[1], 2) * cols.shape[1]  # 72
-        block = search._sweep_block(4)
-        assert block * position_bytes <= CHUNK_BYTES < 2 * block * position_bytes
-
     def test_five_qubits_behind_the_gate(self):
-        # 2^26 gauge classes scored, about 7 s on one core of a 2-vCPU Xeon
-        report = exhaustive_search(5, allow_long_run=True)
+        # 2^26 gauge classes scored, about 6 s on one core of a 2-vCPU Xeon
+        report = exhaustive_search(5)
         assert report.min_value_exact == Fraction(1, 4)
         assert report.minimizer_count == 8448
         assert report.evaluations == 1 << 32
@@ -559,10 +549,8 @@ class TestExhaustive:
         assert report.minimizer_count % 2 == 0
 
     def test_large_sweeps_are_gated(self):
-        with pytest.raises(ValueError):
-            exhaustive_search(5)
-        with pytest.raises(ValueError):
-            exhaustive_search(6, allow_long_run=True)
+        with pytest.raises(ValueError, match=r"2\^64 sign vectors is out of reach; n <= 5$"):
+            exhaustive_search(6)
         with pytest.raises(ValueError):
             exhaustive_search(1)
 
@@ -754,6 +742,19 @@ class TestAnneal:
         report = anneal(3, cfg)
         assert len(report.replica_best_values) == 5
         assert report.min_value == min(report.replica_best_values)
+
+    def test_replica_seeds_are_spawned_one_at_a_time(self):
+        cfg = AnnealConfig(beta_schedule=[(1.0, 0)], replicas=4000, seed=0)
+        anneal(2, AnnealConfig(beta_schedule=[(1.0, 0)], seed=0))  # warm the caches
+        tracemalloc.start()
+        try:
+            report = anneal(2, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 4,000 SeedSequences held at once peak at 1.6 MB, one at a time at 0.16 MB
+        assert peak < 1 << 19
+        assert len(report.replica_best_values) == 4000
 
 
 class TestSearchReport:
