@@ -45,7 +45,7 @@ import numpy as np
 from .bitspace import (
     QubitMask, _check_balanced, _check_split, _frozen, _spell, as_mask, binomial, submasks
 )
-from .states import PolarState, PureState
+from .states import NORM_TOL, PolarState, PureState
 
 __all__ = [
     "SCHMIDT_CUTOFF",
@@ -65,7 +65,8 @@ __all__ = [
 SCHMIDT_CUTOFF = 1e-12
 
 HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
+# the trace of a reduced matrix is the squared norm of its state
+TRACE_TOL = 3 * NORM_TOL
 EIGEN_TOL = 1e-10
 
 # Every blocked loop takes its items in chunks of about this many bytes of
@@ -81,7 +82,8 @@ MAX_TABLE_BYTES = 1 << 30
 class DensityMatrix:
     """Hermitian, trace-1, positive semidefinite matrix of a reduced state.
 
-    Hermiticity and unit trace are checked at construction.  Positive
+    Hermiticity and unit trace, within the 3 NORM_TOL that PureState
+    admits for its squared norm, are checked at construction.  Positive
     semidefiniteness (no eigenvalue below -1e-10) costs a full eigensolve,
     so it is checked by validate() and by schmidt_spectrum rather than on
     every partial trace.

@@ -18,7 +18,8 @@ Features:
   numbered in binary and scored in blocks from sign products fixed per
   sweep: exact integer Gram sums with exact minimum, exact tie counting,
   and deterministic reports rebuilt from the gauge images of the
-  minimizing classes
+  minimizing classes, doubled over the group's n + 1 generators as the
+  classes are doubled over the free sites
 - Metropolis annealer over sign flips or single-site phase rotations at a
   fictitious inverse temperature, both signs supported: positive schedules
   seek minima, negative ones maxima (fully factorized states); replicas
@@ -307,12 +308,12 @@ def _walk(grams: _GramState, draw, half, config: AnnealConfig, better) -> np.nda
 
 
 def flip_delta(signs: SignVector, flip_index: int) -> float:
-    """Energy change from flipping one sign, without full re-evaluation.
+    """Energy change from flipping one sign, by two full exact evaluations.
 
-    A single-flip query that needs no Gram state: the exact difference of
-    the Gram sums of the vector and its flip, evaluated as one batch of
-    two, rounded once.  The annealer does not use it: once its Gram state
-    is built, a proposal costs O(C(n, n/2) 2^(n/2)).
+    A single-flip query that needs no Gram state: the exact Gram sums of
+    the vector and of its flip, evaluated as one batch of two, and their
+    difference rounded once.  The annealer does not use it: once its Gram
+    state is built, a proposal costs O(C(n, n/2) 2^(n/2)).
     """
     N = 1 << signs.n
     j = _whole(flip_index, "flip index")
@@ -349,21 +350,6 @@ def _block_scorer(n: int, pattern: np.ndarray):
     return score
 
 
-def _character_signs(n: int) -> np.ndarray:
-    """The Sylvester sign matrix, doubled in place from [[H, H], [H, -H]]:
-    entry (a, x) is (-1)^(a.x), the signs by which the local Z gates on the
-    qubits of a multiply amplitude x."""
-    N = 1 << n
-    H = np.empty((N, N), dtype=np.int8)
-    H[0, 0] = 1
-    m = 1
-    while m < N:
-        H[:m, m : 2 * m] = H[m : 2 * m, :m] = H[:m, :m]
-        H[m : 2 * m, m : 2 * m] = -H[:m, :m]
-        m *= 2
-    return H
-
-
 def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
     """Exact minimum of the potential over all real uniform states.
 
@@ -374,9 +360,10 @@ def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
     numbered in binary: class t negates the k-th of the other N - n - 1
     sites where bit k of t is set.  It scores blocks of min(SWEEP_BLOCK,
     2^(N - n - 1)) classes as exact integer Gram sums.  Each minimizing
-    class expands into its gauge images, so the minimum and the tie count
-    are exact, and the up to 16 sample minimizers are the first in the
-    Gray-code order of the whole space, position i holding the signs of
+    class expands into its gauge images, doubled over the generators: Z on
+    each qubit, then in `full` mode the global sign.  So the minimum and the
+    tie count are exact, and the up to 16 sample minimizers are the first in
+    the Gray-code order of the whole space, position i holding the signs of
     i xor (i >> 1), bit b negating site b.  `full` mode covers all 2^(2^n)
     vectors, so counts include global-sign duplicates; `fix_global_sign`
     freezes site 0 at +1 (bit b negating site b + 1) and covers half as
@@ -418,9 +405,18 @@ def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
             best, found = low, []
         if low == best:
             found.append(pattern[:, T == best].T * high)
-    images = (_character_signs(n)[:, None] * np.concatenate(found)).reshape(-1, N)
+    # the images double over the gauge generators, as the classes over the
+    # free sites: Z on qubit b negates the sites whose label has bit b set,
+    # and in full mode the global sign negates every site
+    gauge = list(1 - 2 * (np.arange(N, dtype=np.int8) >> np.arange(n, dtype=np.int8)[:, None] & 1))
     if not offset:
-        images = np.concatenate((images, -images))
+        gauge.append(-1)
+    m = sum(map(len, found))
+    images = np.empty((m << len(gauge), N), dtype=np.int8)
+    np.concatenate(found, out=images[:m])
+    for z in gauge:
+        np.multiply(images[:m], z, out=images[m : 2 * m])
+        m *= 2
     # each image's Gray code, bit b set where site b + offset is -1, then
     # its position, by the inverse Gray code
     position = (images[:, offset:] < 0) @ (1 << np.arange(N - offset, dtype=np.int64))

@@ -5,6 +5,7 @@ plus eigenvalue identities that tie every code path to the same spectrum.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from helpers import (
 )
 from mmeskit import (
     DensityMatrix,
+    NORM_TOL,
+    PureState,
     SchmidtSpectrum,
     QubitMask,
     SignVector,
@@ -65,6 +68,13 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(np.diag([np.nan, 1.0]).astype(complex))
 
+    def test_trace_band_is_the_state_band(self):
+        # a PureState's squared norm may miss 1 by 3 NORM_TOL, and so may the
+        # trace of each of its reduced matrices
+        DensityMatrix(np.diag([0.5 + 2.9 * NORM_TOL, 0.5]).astype(complex))
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(np.diag([0.5 + 3.1 * NORM_TOL, 0.5]).astype(complex))
+
     def test_purity_and_eigenvalues(self):
         rho = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
         assert rho.purity() == pytest.approx(0.625)
@@ -109,6 +119,26 @@ class TestReducedDensityMatrix:
             reduced_density_matrix(ghz(2), 0b00)
         with pytest.raises(ValueError):
             reduced_density_matrix(ghz(2), 0b11)
+
+
+class TestNearNormalizedStates:
+    """PureState admits a squared norm within 3 NORM_TOL of 1, and every
+    reduced quantity of such a state is computed, not refused."""
+
+    @pytest.mark.parametrize("measure", [purity_form1, schmidt_spectrum, entanglement_E, linear_entropy_L])
+    @pytest.mark.parametrize("excess", [2.9e-12, -2.9e-12, 1.5e-12])
+    @pytest.mark.parametrize("n", [2, 4, 8, 12])
+    def test_reduced_quantities_accept_admitted_states(self, n, excess, measure):
+        amp = random_state(n, 50 + n).amplitudes
+        st = PureState(n, amp * math.sqrt((1 + excess) / np.vdot(amp, amp).real))
+        A = QubitMask.from_qubits(range(1, n // 2 + 1), n)
+        trace = np.trace(reduced_density_matrix(st, A).entries).real
+        assert abs(trace - 1 - excess) < 1e-14
+        got = measure(st, A)
+        want = measure(random_state(n, 50 + n), A)
+        if measure is schmidt_spectrum:
+            got, want = got.all_values, want.all_values
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def sample_subsets(n, rng, count=6):

@@ -4,15 +4,22 @@ Each command runs in-process through run(argv); one smoke test exercises the
 installed console script.  Output determinism is asserted byte for byte.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mmeskit import (
+    PureState,
     QubitMask,
     SignVector,
     catalog,
@@ -89,6 +96,19 @@ class TestPurity:
         assert float(out.strip()) == purity_form1(st, A)
         code, out, _ = capture(["purity", "--file", path, "--subset", "1,3", "--form", "2"])
         assert float(out.strip()) == purity_form2(st, A)
+
+    def test_silently_admitted_norm_gives_every_form(self, capture, state_file):
+        # ||z|| = 1 + 0.9e-12 is read without renormalizing, so each reduced
+        # matrix has trace 1 + 1.8e-12
+        state = random_state(4, 123)
+        path = state_file(PureState(4, state.amplitudes * (1 + 0.9e-12)))
+        A = QubitMask.from_qubits((1, 3), 4)
+        for form, func in (("1", purity_form1), ("2", purity_form2)):
+            code, out, err = capture(["purity", "--file", path, "--subset", "1,3", "--form", form])
+            assert (code, err) == (0, "")
+            assert float(out) == pytest.approx(func(state, A), rel=1e-11)
+        for argv in (["potential", "--file", path], ["verify", path]):
+            assert capture(argv)[::2] == (0, "")
 
     def test_bad_subset_is_a_clean_error(self, capture, state_file):
         path = state_file(ghz(3))
@@ -384,6 +404,89 @@ class TestErrorsAndFiles:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout.splitlines()[0].split("\t")[0] == "2"
+
+
+def run_quietly(argv):
+    """run(argv) with stdout and stderr captured: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# a value for a field of a state document, of any JSON type, NaN included
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 70), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=3), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def state_files(draw):
+    """The bytes of a state file: a dense state at n <= 6 whose norm misses 1
+    by up to NORM_TOL (so it is read as it is), a sign string, either one
+    with a field replaced, removed or an amplitude spoiled, or bytes that are
+    not a JSON state at all."""
+    kind = draw(st.sampled_from(["complex", "signs", "field", "amplitude", "document", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=24))
+    n = draw(st.integers(0, 6))
+    if kind == "signs":
+        data = "".join(draw(st.lists(st.sampled_from("+-"), min_size=1 << n, max_size=1 << n)))
+        doc = {"n": n, "format": "signs", "data": data}
+    else:
+        parts = draw(arrays(np.float64, 2 << n, elements=st.floats(-1.0, 1.0)))
+        norm = float(np.linalg.norm(parts))
+        assume(norm > 1e-3)
+        parts *= (1.0 + 1e-14 * draw(st.integers(-100, 100))) / norm
+        doc = {"n": n, "format": "complex", "data": parts.reshape(-1, 2).tolist()}
+    if kind == "field":
+        field = draw(st.sampled_from(["n", "format", "data"]))
+        if draw(st.booleans()):
+            del doc[field]
+        else:
+            doc[field] = draw(JSON_VALUES)
+    elif kind == "amplitude":
+        doc["data"][0][draw(st.integers(0, 1))] = draw(JSON_VALUES)
+    elif kind == "document":
+        doc = draw(JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+class TestStateFileProperty:
+    """potential, verify and purity --form 1/2 on generated state files.
+
+    Budget: 120 files, four commands each, in under 6 s (0.6-3 s on one
+    core of a 2-vCPU Xeon).
+    """
+
+    COMMANDS = (
+        ["potential", "--file"],
+        ["verify"],
+        ["purity", "--subset", "1", "--form", "1", "--file"],
+        ["purity", "--subset", "1", "--form", "2", "--file"],
+    )
+
+    def test_every_command_ends_cleanly_and_agrees(self):
+        with tempfile.TemporaryDirectory() as folder:
+            path = f"{folder}/state.json"
+
+            @settings(derandomize=True, deadline=None, max_examples=120, database=None)
+            @given(state_files())
+            def check(contents):
+                with open(path, "wb") as fh:
+                    fh.write(contents)
+                results = [run_quietly([*command, path]) for command in self.COMMANDS]
+                for code, _, err in results:
+                    assert code in (0, 1, 2)
+                    assert "Traceback" not in err
+                # every state potential reads at n >= 2, the others read too
+                if results[0][0] == 0 and json.loads(contents)["n"] >= 2:
+                    assert [code for code, _, _ in results] == [0, 0, 0, 0], results
+
+            start = time.perf_counter()
+            check()
+            assert time.perf_counter() - start < 6.0
 
 
 # stdout of verify, potential and purity --form 1/2 (on SUBSETS[n]) as printed
