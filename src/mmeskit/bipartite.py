@@ -25,7 +25,7 @@ Features:
 - Schmidt spectrum with explicit bookkeeping of numerical zeros
 - normalized entanglement measures: spectral E_A and linear entropy L_A
 - exact counts of the three purity monomial classes
-- purity of uniform-modulus states straight from the phase vector
+- purity of uniform-modulus states from the phase vector, through Form 1
 
 All purity paths agree within 1e-12 on normalized states; the quadruple
 sums are compensated with math.fsum over one numpy sum per term, so
@@ -42,10 +42,8 @@ from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .bitspace import (
-    QubitMask, _check_balanced, _check_split, _frozen, _spell, as_mask, binomial, submasks
-)
-from .states import NORM_TOL, PolarState, PureState
+from .bitspace import QubitMask, _check_balanced, _check_split, _frozen, _spell, as_mask, binomial
+from .states import NORM_TOL, PolarState, PureState, assemble
 
 __all__ = [
     "SCHMIDT_CUTOFF",
@@ -361,24 +359,15 @@ def bipartite_term_counts(n: int, n_a: int) -> tuple[int, int, int]:
 
 
 def purity_uniform(p: PolarState, A: Union[QubitMask, int]) -> float:
-    """Purity of a uniform-modulus state straight from its phases.
+    """Purity of a uniform-modulus state given by its phases.
 
     pi_A = (N_A + N_Abar - 1)/N + (1/N^2) * sum over k, nonzero l in the
     A-part, nonzero m in the complement part, of Re(zeta_k
-    conj(zeta_{k xor l}) zeta_{k xor l xor m} conj(zeta_{k xor m})).
+    conj(zeta_{k xor l}) zeta_{k xor l xor m} conj(zeta_{k xor m}));
+    evaluated as the form-1 purity of the assembled state.
     Requires all moduli equal to 1/sqrt(N) within 1e-12.
     """
-    m = _proper_mask(A, p.n)
+    _proper_mask(A, p.n)
     if not p.is_uniform():
         raise ValueError("purity_uniform requires uniform moduli 1/sqrt(N)")
-    n = p.n
-    N = 1 << n
-    n_a_dim = 1 << m.size
-    n_b_dim = 1 << (n - m.size)
-    zeta = p.phases
-    zc = zeta.conj()
-    ls = np.array([l for l in submasks(m.mask) if l], dtype=np.intp)
-    ms = np.array([x for x in submasks(m.complement().mask) if x], dtype=np.intp)
-    pairs = np.repeat(ls, ms.size), np.tile(ms, ls.size)
-    sums = _xor_sums(*pairs, N, lambda klm, kl, km: zeta * zc[kl] * zeta[klm] * zc[km])
-    return (n_a_dim + n_b_dim - 1) / N + math.fsum(sums) / (N * N)
+    return purity_form1(assemble(p), A)

@@ -300,6 +300,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse drops a value of "--" (--file=--) and stores [] instead
+        if [] in vars(args).values():
+            parser.error("an option's value is '--'")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

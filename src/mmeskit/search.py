@@ -44,7 +44,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bipartite import MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
-from .bitspace import _whole
+from .bitspace import MAX_COUNT_QUBITS, MAX_QUBITS, _whole
 from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
 
@@ -69,6 +69,13 @@ MAX_EXHAUSTIVE_N = 5
 # calls cost about the same at any size; 2048 keeps n = 4 to one block and
 # n = 5's pair products (_block_scorer's int8 `products`) at 960 KiB.
 SWEEP_BLOCK = 2048
+
+# An anneal run is refused before its first replica above either budget.  On
+# one core of a 2-vCPU Xeon a step takes 8-14 us at n = 2..6, so 2^32
+# evaluations run 10-17 hours, and a replica's setup and re-verification at
+# least 0.18 ms, so 2^16 replicas take 12 s even with no sweeps.
+MAX_REPLICAS = 1 << 16
+MAX_EVALUATIONS = 1 << 32
 
 # The annealer reads its bit generator's raw 64-bit draws this many at a
 # time; a raw draw r gives the double (r >> 11) * DOUBLE in [0, 1).
@@ -210,11 +217,9 @@ class _GramState:
         """T, the weighted sum of the squared Frobenius norms of the G_A."""
         weight, kept, n_a, _ = self.counts
         G = self.buffer[: kept * n_a]
-        if G.dtype.kind == "c":
-            return weight * np.vdot(G, G).real
-        # integers, exact in any order; einsum stays off BLAS, whose threaded
-        # dot of a long vector leaves its threads spinning into the walk
-        return weight * np.einsum("ij,ij->", G, G)
+        # einsum stays off BLAS: OpenBLAS runs a dot of more than 10,000
+        # entries on its threads, and those threads spin through the walk
+        return weight * np.einsum("ij,ij->", G.conj(), G).real
 
 
 def _raw_draws(bit_generator) -> tuple:
@@ -376,8 +381,10 @@ def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
     if n < 2:
         raise ValueError("exhaustive search requires n >= 2")
     if n > MAX_EXHAUSTIVE_N:
+        # the count 2^n is spelled out only as far as counts go (n <= 64)
+        count = 1 << n if n <= MAX_COUNT_QUBITS else f"(2^{n})"
         raise ValueError(
-            f"exhaustive search over 2^{1 << n} sign vectors is out of reach; "
+            f"exhaustive search over 2^{count} sign vectors is out of reach; "
             f"n <= {MAX_EXHAUSTIVE_N}"
         )
     start = time.perf_counter()
@@ -468,17 +475,28 @@ def anneal(n: int, config: AnnealConfig) -> SearchReport:
     Replicas start from independent random states on seeds spawned
     deterministically from config.seed and run sequentially; the reported
     best is re-verified by a full evaluation of the best state.  Raises
-    ValueError before allocating when the Gram state would exceed
-    bipartite.MAX_TABLE_BYTES, the site map's own limit: n <= 13 runs.
+    ValueError before allocating: above MAX_QUBITS, when the Gram state
+    would exceed bipartite.MAX_TABLE_BYTES, the site map's own limit (n <=
+    13 runs), and over MAX_REPLICAS replicas or MAX_EVALUATIONS
+    evaluations, replicas x (1 + 2^n x sweeps).
     """
     n = _whole(n, "n")
     if n < 2:
         raise ValueError("annealing requires n >= 2")
+    if n > MAX_QUBITS:
+        raise ValueError(f"annealing requires n <= {MAX_QUBITS}, the state-vector cap")
     size = _state_bytes(n, 8 if config.move == "sign_flip" else 16)
     if size > MAX_TABLE_BYTES:
         raise ValueError(
             f"the {config.move} annealer's Gram state for n={n} would take "
             f"{size / 1e9:.1f} GB, over the {MAX_TABLE_BYTES >> 30} GiB limit"
+        )
+    if config.replicas > MAX_REPLICAS:
+        raise ValueError(f"{config.replicas} replicas are over the budget of {MAX_REPLICAS}")
+    if config.replicas * (1 + (1 << n) * sum(s for _, s in config.beta_schedule)) > MAX_EVALUATIONS:
+        raise ValueError(
+            f"the run's replicas x (1 + 2^n x sweeps) evaluations are over "
+            f"the budget of {MAX_EVALUATIONS}"
         )
     start = time.perf_counter()
     objective = config.objective

@@ -8,14 +8,16 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mmeskit import (
@@ -39,6 +41,8 @@ from mmeskit import (
     uniform_from_signs,
 )
 from mmeskit.cli import read_state, run, write_state
+from mmeskit.mmes import CATALOG_NAMES
+from mmeskit.search import MAX_REPLICAS
 
 
 @pytest.fixture
@@ -489,6 +493,165 @@ class TestStateFileProperty:
             assert time.perf_counter() - start < 6.0
 
 
+# argv that the library refuses before paying for it, and their stderr
+REFUSALS = [
+    ("search --n 65", "error: exhaustive search over 2^(2^65) sign vectors is out of reach; n <= 5\n"),
+    ("search --n 100000", "error: exhaustive search over 2^(2^100000) sign vectors is out of reach; n <= 5\n"),
+    ("search --n 100000000000",
+     "error: exhaustive search over 2^(2^100000000000) sign vectors is out of reach; n <= 5\n"),
+    ("anneal --n 25 --schedule 1:1", "error: annealing requires n <= 24, the state-vector cap\n"),
+    ("anneal --n 513 --schedule 1:1", "error: annealing requires n <= 24, the state-vector cap\n"),
+    ("anneal --n 100000 --schedule 1:1", "error: annealing requires n <= 24, the state-vector cap\n"),
+    ("anneal --n 2 --schedule 1:1e30",
+     "error: the run's replicas x (1 + 2^n x sweeps) evaluations are over the budget of 4294967296\n"),
+    ("anneal --n 2 --schedule 1:1 --replicas 100000000",
+     "error: 100000000 replicas are over the budget of 65536\n"),
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, err", REFUSALS)
+    def test_exits_one_at_once_in_little_memory(self, argv, err):
+        run_quietly(["search", "--n", "6"])  # build the parser outside the trace
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            result = run_quietly(argv.split())
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (1, "", err)
+        assert seconds < 1.0 and peak < 1 << 20
+
+
+# Text that is not a number.  It holds no decimal digit of any script, since
+# int() reads them all ("\u0665" is 5) and junk must not admit a size.
+JUNK = st.one_of(
+    st.sampled_from(["", " ", "-", "--", "x", "\u00e9", "\u221e", "\u4e8c", "nan", "inf", "-inf", "1e309"]),
+    st.text(st.characters(exclude_categories=("Nd",)), max_size=4),
+)
+BIG = 10**12
+
+
+def values(usual, *others):
+    """Text of a value, numbers written with str: from usual five times in
+    eight, from others five times in sixteen and junk one time in sixteen."""
+    usual = usual.map(str)
+    rest = st.one_of(*(s.map(str) for s in others)) if others else usual
+    return st.integers(0, 15).flatmap(lambda k: JUNK if k == 0 else rest if k < 6 else usual)
+
+
+# Admitted sizes are small: search n <= 4, anneal n <= 6 with at most 3
+# replicas and two stages of at most one sweep; every other size drawn is
+# refused.  A stage of 2^30 or more sweeps is over the step budget at any n.
+SWEEPS = values(
+    st.integers(0, 1), st.integers(-BIG, 1), st.integers(1 << 30, 10**30), st.floats(max_value=1.0),
+    st.floats(min_value=2.0**30), st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+SCHEDULES = st.lists(
+    st.tuples(values(st.floats()), SWEEPS).map(":".join), min_size=1, max_size=2
+).map(",".join)
+
+
+def options(folder):
+    """Per subcommand, its arguments: (flag, values), flag None for a
+    positional and values None for a switch."""
+    files = st.sampled_from([f"{folder}/state.json", f"{folder}/signs.json", f"{folder}/missing.json", folder, ""])
+    outs = st.sampled_from([f"{folder}/out.json", f"{folder}/missing/out.json", folder, ""])
+    labels = st.lists(values(st.integers(1, 4), st.integers(-BIG, BIG)), min_size=1, max_size=3).map(",".join)
+    return {
+        "counts": [
+            ("--table", values(st.sampled_from(["monomials", "equations"]))),
+            ("--n-max", values(st.integers(-2, 10), st.integers(-BIG, BIG))),
+            ("--pretty", None),
+        ],
+        "purity": [
+            ("--file", values(files)),
+            ("--subset", labels),
+            ("--form", values(st.sampled_from(["1", "2"]))),
+        ],
+        "potential": [("--file", values(files)), ("--form", values(st.sampled_from(["1", "2", "4", "uniform"])))],
+        "verify": [(None, values(files)), ("--tol", values(st.floats())), ("--pretty", None)],
+        "catalog": [
+            (None, values(st.sampled_from(CATALOG_NAMES))),
+            ("--out", outs),
+            ("--n", values(st.integers(1, 6), st.integers(-BIG, 0), st.integers(25, BIG))),
+            ("--rotation", values(st.integers(0, 3), st.integers(-BIG, BIG))),
+            ("--pretty", None),
+        ],
+        "search": [
+            ("--n", values(st.integers(2, 4), st.integers(-BIG, 1), st.integers(6, BIG))),
+            ("--mode", values(st.sampled_from(["full", "fix_global_sign"]))),
+            ("--pretty", None),
+        ],
+        "anneal": [
+            ("--n", values(st.integers(2, 6), st.integers(-BIG, 1), st.integers(14, BIG))),
+            ("--schedule", SCHEDULES),
+            ("--move", values(st.sampled_from(["sign_flip", "phase_rotation"]))),
+            ("--max-angle", values(st.floats(0.01, math.pi), st.floats())),
+            ("--replicas", values(st.integers(1, 3), st.integers(-BIG, 0), st.integers(MAX_REPLICAS + 1, 10**9))),
+            ("--seed", values(st.integers(0, 9), st.integers(-BIG, BIG))),
+            ("--pretty", None),
+        ],
+    }
+
+
+@st.composite
+def argvs(draw, commands):
+    """A subcommand of commands (as options returns them) and a random
+    selection of its arguments, each present seven times in eight, required
+    ones included, and written as --flag=value so that negative numbers
+    reach the parser as values; one time in eight a stray token at the end."""
+    command = draw(st.sampled_from(sorted(commands)))
+    argv = [command]
+    for flag, strategy in commands[command]:
+        if draw(st.integers(0, 7)):
+            if strategy is None:
+                argv.append(flag)
+            else:
+                value = draw(strategy)
+                argv.append(value if flag is None else f"{flag}={value}")
+    if not draw(st.integers(0, 7)):
+        argv.append(draw(JUNK))
+    return argv
+
+
+class TestArgvFuzz:
+    """Argument lists over the seven subcommands, run in process.
+
+    Budget: 400 argv lists and the explicit extremes in under 10 s (2.5 s
+    on one core of a 2-vCPU Xeon).
+    """
+
+    def test_every_argv_ends_in_an_exit_code(self):
+        with tempfile.TemporaryDirectory() as folder:
+            write_state(f"{folder}/state.json", random_state(3, 0))
+            write_state(f"{folder}/signs.json", catalog_sign_vector("four_best"))
+
+            # the first failing list is reported alone; anneal --n 513 raised
+            # OverflowError from the sizing of its Gram state
+            @settings(derandomize=True, deadline=None, max_examples=400, database=None,
+                      report_multiple_bugs=False)
+            @given(argvs(options(folder)))
+            @example(["anneal", "--n", "513", "--schedule", "1:1"])
+            @example(["anneal", "--n", str(BIG), "--schedule", "1:1"])
+            @example(["search", "--n", str(BIG)])
+            @example(["anneal", "--n", "2", "--schedule", "1:1e30"])
+            @example(["anneal", "--n", "2", "--schedule", "1:1", "--replicas", str(10**9)])
+            @example(["anneal", "--n", "2", "--schedule=nan:1,-inf:1", "--max-angle", "inf", "--seed", "-1"])
+            @example(["catalog", "ghz", "--n", "", "--rotation", "\u4e8c"])
+            @example(["purity", "--file", "\u00e9", "--subset", "-1"])
+            @example(["potential", "--file=--"])  # argparse stores [] for the value
+            def check(argv):
+                code, _, err = run_quietly(argv)
+                assert code in (0, 1, 2)
+                assert "Traceback" not in err
+
+            start = time.perf_counter()
+            check()
+            assert time.perf_counter() - start < 10.0
+
 # stdout of verify, potential and purity --form 1/2 (on SUBSETS[n]) as printed
 # by the one-term-at-a-time XOR loops and the per-amplitude complex() reader,
 # which the blocked sums and the array reader must reproduce byte for byte:
@@ -553,12 +716,10 @@ PINNED_ANNEAL = [
 
 
 # Phase walks print every phase, so their stdout is pinned by its SHA-256
-# (with the reported values, for a readable failure).  From n = 9 the starting
-# Gram sum is a complex dot that OpenBLAS splits over its threads, so its last
-# bits follow the thread count; the n = 9 digest assumes that this rounding
-# flips no near-tie of the best state.  It read the same with 1, 2, 3, 4 and
-# 8 OpenBLAS threads on 2 vCPUs, though the starting sum differed between 1
-# and 2 threads.
+# (with the reported values, for a readable failure).  The n = 9 digest was
+# printed when the starting Gram sum was a complex dot that OpenBLAS split
+# over its threads (the same with 1, 2, 3, 4 and 8 threads on 2 vCPUs); it is
+# now a single-threaded einsum, whose last bits can differ, and the bytes hold.
 PINNED_PHASE_ANNEAL = [
     ('--n 8 --schedule 10:3,1000:3 --move phase_rotation --seed 0', [0.1144486627115323], 'e1200677244dd687f9f88ea320182b80abcc1c929eba27a5385e393dd1d90bec'),
     ('--n 9 --schedule 10:3,1000:3 --move phase_rotation --seed 0', [0.08975983859159162], 'e6feea0faa0f16eb6e9bddba98ce93b7a25169c565283297dd35bb1c1de98090'),

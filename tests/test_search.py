@@ -8,6 +8,7 @@ determinism checks on whole reports.
 import cmath
 import math
 import operator
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -36,7 +37,9 @@ from mmeskit import search
 from mmeskit.bipartite import (
     MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
 )
-from mmeskit.search import DOUBLE, _block_scorer, _GramState, _raw_draws, _state_bytes, _walk
+from mmeskit.search import (
+    DOUBLE, MAX_EVALUATIONS, MAX_REPLICAS, _block_scorer, _GramState, _raw_draws, _state_bytes, _walk
+)
 
 
 def sweep_scorer(n):
@@ -44,6 +47,19 @@ def sweep_scorer(n):
     block is spelled by helpers.gauge_signs."""
     size = min(search.SWEEP_BLOCK, 1 << ((1 << n) - n - 1))
     return size, _block_scorer(n, gauge_signs(n, np.arange(size)).T)
+
+
+def refusal_cost(call, match):
+    """(tracemalloc peak in bytes, seconds) of call, which must raise a
+    ValueError matching match."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=match):
+            call()
+        return tracemalloc.get_traced_memory()[1], time.perf_counter() - start
+    finally:
+        tracemalloc.stop()
 
 
 def random_signs(n, seed):
@@ -553,6 +569,15 @@ class TestExhaustive:
             exhaustive_search(6)
         with pytest.raises(ValueError):
             exhaustive_search(1)
+        with pytest.raises(ValueError, match=r"over 2\^18446744073709551616 sign vectors"):
+            exhaustive_search(64)
+
+    @pytest.mark.parametrize("n", [65, 10**11])
+    def test_sweeps_past_the_counting_range_are_refused_uncounted(self, n):
+        # 1 << (1 << n) would take 2^n bits
+        match = rf"^exhaustive search over 2\^\(2\^{n}\) sign vectors is out of reach; n <= 5$"
+        peak, seconds = refusal_cost(lambda: exhaustive_search(n), match)
+        assert peak < 1 << 20 and seconds < 1.0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -727,6 +752,37 @@ class TestAnneal:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n", [25, 513, 10**9])
+    def test_qubit_counts_past_the_state_vector_cap_are_refused_unsized(self, n):
+        # sizing the Gram state of n = 10^6 alone took 10 s, and from n = 513
+        # its figure in GB overflowed a float
+        cfg = AnnealConfig(beta_schedule=[(1.0, 1)], seed=0)
+        peak, seconds = refusal_cost(lambda: anneal(n, cfg), r"^annealing requires n <= 24, ")
+        assert peak < 1 << 20 and seconds < 1.0
+
+    @pytest.mark.parametrize("replicas, sweeps, match", [
+        (10**8, 1, r"^100000000 replicas are over the budget of 65536$"),
+        (MAX_REPLICAS + 1, 0, r"^65537 replicas are over the budget of 65536$"),
+        (1, 10**30, r"evaluations are over the budget of 4294967296$"),
+        (1, MAX_EVALUATIONS // 4, r"evaluations are over the budget of 4294967296$"),
+        (3, 10**9, r"evaluations are over the budget of 4294967296$"),
+    ])
+    def test_step_budget_is_refused_before_the_first_replica(self, replicas, sweeps, match):
+        cfg = AnnealConfig(beta_schedule=[(1.0, sweeps)], replicas=replicas, seed=0)
+        peak, seconds = refusal_cost(lambda: anneal(2, cfg), match)
+        assert peak < 1 << 20 and seconds < 1.0
+
+    def test_step_budget_admits_its_bounds(self, monkeypatch):
+        def first_replica(*args):
+            raise LookupError("the first replica started")
+
+        monkeypatch.setattr(search, "_anneal_replica", first_replica)
+        # 1 + 4 sweeps evaluations a replica at n = 2: 2^32 - 3, the most under the budget
+        for replicas, sweeps in ((MAX_REPLICAS, 0), (1, (MAX_EVALUATIONS - 1) // 4)):
+            cfg = AnnealConfig(beta_schedule=[(1.0, sweeps)], replicas=replicas, seed=0)
+            with pytest.raises(LookupError):
+                anneal(2, cfg)
 
     def test_n_is_an_integer(self):
         cfg = AnnealConfig(beta_schedule=[(1.0, 2)], seed=3)
