@@ -42,7 +42,8 @@ from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .bitspace import QubitMask, _check_balanced, _check_split, _frozen, _spell, as_mask, binomial
+from .bitspace import MAX_TABLE_BYTES  # the site map's limit, also read from here
+from .bitspace import QubitMask, _check_balanced, _check_bytes, _check_split, _frozen, _spell, as_mask, binomial
 from .states import NORM_TOL, PolarState, PureState, assemble
 
 __all__ = [
@@ -71,9 +72,10 @@ EIGEN_TOL = 1e-10
 # working arrays, gather index included (see _chunks).
 CHUNK_BYTES = 1 << 18
 
-# A site map, like the annealer's Gram state, is refused above this size
-# before it is allocated: n <= 18 builds, n = 19 is refused.
-MAX_TABLE_BYTES = 1 << 30
+# purity_form2 sums 4^n terms: 0.15 s at n = 12 and about 7x more per qubit
+# (1.0 s at n = 13) on one core of a 2-vCPU Xeon; past this it is refused,
+# as pi_me_form2 and pi_me_form4 are past n = 12 at the coupling table.
+MAX_XOR_QUBITS = 12
 
 
 @dataclass(eq=False, frozen=True)
@@ -203,16 +205,12 @@ def _sites(n: int) -> _Sites:
     complement are both balanced, and their Gram matrices M M^H and M^H M
     have the same Frobenius norm, so only the subsets holding qubit 1 are
     kept, each counting twice.  A map over MAX_TABLE_BYTES is refused
-    before it is built.
+    before it is built: n <= 18 builds, n = 19 is refused.
     """
     n = _check_balanced(n)
     kept = _kept_count(n)
     size = kept * ((1 << n // 2) + (1 << n - n // 2)) * 8
-    if size > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"the balanced site map for n={n} would take {size / 1e9:.1f} GB, "
-            f"over the {MAX_TABLE_BYTES >> 30} GiB limit"
-        )
+    _check_bytes(size, f"the balanced site map for n={n}")
     inside = np.zeros((kept, n), dtype=bool)
     qubits = np.array(list(islice(combinations(range(n), n // 2), kept)))  # A's, from 0
     np.put_along_axis(inside, qubits, True, axis=1)
@@ -283,8 +281,14 @@ def _sign_gram_sum(signs: np.ndarray, n: int):
 
 def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> DensityMatrix:
     """Partial trace over the complement of A, as the Gram matrix of M_A,
-    gathered through the labels that A's qubits, then Abar's, spell."""
+    gathered through the labels that A's qubits, then Abar's, spell.
+
+    The call holds four N_A x N_A complex matrices at its peak (the product,
+    the checked copy, its conjugate and their difference), 2^(2|A| + 6)
+    bytes; over MAX_TABLE_BYTES (|A| > 12) it is refused before any work.
+    """
     m = _proper_mask(A, state.n)
+    _check_bytes(64 << 2 * m.size, f"the reduced density matrix of {m.size} qubits")
     weights = sorted((1 << b for b in range(state.n - 1, -1, -1)), key=lambda w: not m.mask & w)
     return DensityMatrix(_gram(state.amplitudes[_spell(weights).reshape(1 << m.size, -1)]))
 
@@ -300,9 +304,15 @@ def purity_form2(state: PureState, A: Union[QubitMask, int]) -> float:
     pi_A = sum over k, h of z_k z_{k xor h} conj(z_{k xor h_A})
     conj(z_{k xor h_Abar}), with h_A the A-part of h.  Never builds the
     reduced matrix; one numpy sum per h, the 2^n of them compensated.
+    Past MAX_XOR_QUBITS it is refused before any sum.
     """
+    mask = _proper_mask(A, state.n).mask
+    if state.n > MAX_XOR_QUBITS:
+        raise ValueError(
+            f"the XOR quadruple sum over 4^{state.n} terms is out of reach; n <= {MAX_XOR_QUBITS}"
+        )
     h = np.arange(1 << state.n, dtype=np.intp)
-    h_a = h & _proper_mask(A, state.n).mask
+    h_a = h & mask
     z = state.amplitudes
     zc = z.conj()
     sums = _xor_sums(h_a, h ^ h_a, h.size, lambda klm, kl, km: z * z[klm] * zc[kl] * zc[km])
@@ -331,17 +341,16 @@ def entanglement_E(state: PureState, A: Union[QubitMask, int]) -> float:
     0 exactly for separable bipartitions, 1 for maximally entangled ones
     (when A is not larger than its complement); always in [0, 1].
     """
-    m = _proper_mask(A, state.n)
-    n_a_dim = 1 << m.size
-    lam_max = schmidt_spectrum(state, A).values[0]
-    return (n_a_dim / (n_a_dim - 1)) * (1.0 - lam_max)
+    spectrum = schmidt_spectrum(state, A)
+    n_a_dim = len(spectrum.all_values)
+    return (n_a_dim / (n_a_dim - 1)) * (1.0 - spectrum.values[0])
 
 
 def linear_entropy_L(state: PureState, A: Union[QubitMask, int]) -> float:
     """Normalized linear entropy N_A/(N_A-1) * (1 - pi_A), in [0, 1]."""
-    m = _proper_mask(A, state.n)
-    n_a_dim = 1 << m.size
-    return (n_a_dim / (n_a_dim - 1)) * (1.0 - purity_form1(state, A))
+    rho = reduced_density_matrix(state, A)
+    n_a_dim = rho.dimension
+    return (n_a_dim / (n_a_dim - 1)) * (1.0 - rho.purity())
 
 
 def bipartite_term_counts(n: int, n_a: int) -> tuple[int, int, int]:

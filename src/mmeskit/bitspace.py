@@ -53,6 +53,10 @@ __all__ = [
 MAX_QUBITS = 24
 MAX_COUNT_QUBITS = 64
 
+# A site map, the annealer's Gram state, a reduced density matrix or a state
+# document is refused above this size before it is allocated (_check_bytes).
+MAX_TABLE_BYTES = 1 << 30
+
 # An n-bit basis label; the qubit count n travels alongside (in a QubitMask,
 # a state, or an explicit argument), not inside the integer.
 BasisIndex = int
@@ -94,6 +98,12 @@ def _whole(value, field: str, floats: bool = False) -> int:
             return int(value)
     kind = "whole numbers" if floats else "an integer"
     raise ValueError(f"{field} must be {kind}, got {value!r}")
+
+
+def _check_bytes(size: int, subject: str) -> None:
+    """Refuse subject, before it is allocated, when it would take over MAX_TABLE_BYTES."""
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(f"{subject} would take {size / 1e9:.1f} GB, over the {MAX_TABLE_BYTES >> 30} GiB limit")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

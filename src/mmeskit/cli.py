@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 from . import potential
 from ._catalog_data import SIGN_TARGETS
-from .bitspace import QubitMask
+from .bitspace import MAX_QUBITS, QubitMask
 from .bipartite import purity_form1, purity_form2
 from .mmes import (
     CATALOG_NAMES, catalog, catalog_sign_vector, equation_variable_counts, is_perfect_mmes
@@ -37,6 +37,7 @@ from .search import AnnealConfig, SearchReport, anneal, exhaustive_search
 from .states import (
     PureState,
     SignVector,
+    _check_document,
     assemble,
     polar,
     state_from_json,
@@ -179,6 +180,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.name} takes no parameters")
         obj = catalog_sign_vector(args.name)
     else:
+        if args.name == "ghz" and args.n in range(2, MAX_QUBITS + 1):
+            _check_document(args.n)  # n alone sizes the document: refuse before the state
         obj = catalog(args.name, **params)
     if args.out:
         write_state(args.out, obj)

@@ -158,20 +158,14 @@ def _fwht(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _parity(n: int) -> np.ndarray:
-    """(-1)^|T| for every mask T of n bits."""
-    return _frozen(np.array([-1.0 if T.bit_count() & 1 else 1.0 for T in range(1 << n)]))
-
-
 def walsh_coefficients(P: PopulationVector) -> WalshCoefficients:
     """Subset-indexed coefficients c_T of a population vector.
 
     c_T = (-1)^|T| 2^(-n) sum_k (-1)^popcount(k & T) P(k); the constant
     c_0 is 2^(-n) exactly for normalized P.
     """
-    N = 1 << P.n
-    values = _parity(P.n) * _fwht(P.probabilities) / N
+    # (-1)^|T| (-1)^popcount(k & T) = (-1)^popcount((N - 1 - k) & T): reversed P
+    values = _fwht(P.probabilities[::-1]) / (1 << P.n)
     return WalshCoefficients(P.n, values)
 
 
@@ -181,7 +175,7 @@ def population_from_walsh(c: WalshCoefficients) -> PopulationVector:
     Errors when any reconstructed probability falls outside
     [-1e-12, 1 + 1e-12]; inverse of walsh_coefficients up to rounding.
     """
-    p = _fwht(_parity(c.n) * c.values)
+    p = _fwht(c.values)[::-1]  # the sign (-1)^|T| by reversal, as in walsh_coefficients
     lo, hi = float(np.min(p)), float(np.max(p))
     if not -POPULATION_TOL <= lo <= hi <= 1.0 + POPULATION_TOL:
         raise ValueError(f"coefficients reconstruct probabilities in [{lo:.3e}, {hi:.3e}]")

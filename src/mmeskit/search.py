@@ -43,8 +43,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bipartite import MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
-from .bitspace import MAX_COUNT_QUBITS, MAX_QUBITS, _whole
+from .bipartite import _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
+from .bitspace import MAX_COUNT_QUBITS, MAX_QUBITS, _check_bytes, _whole
 from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
 
@@ -392,13 +392,12 @@ def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
     offset = 0 if symmetry_mode == "full" else 1
     free = np.array([x for x in range(N) if x & (x - 1)])  # neither 0 nor 2^b
     size = min(SWEEP_BLOCK, 1 << free.size)
-    # column t holds the signs of class t, doubled: class m + t is class t
-    # with free site k negated (m = 2^k)
+    bits = size.bit_length() - 1
+    # column t holds the signs of class t, spelled as high spells those of
+    # class lo (int16 keeps the temporaries small)
+    t = np.arange(size, dtype=np.int16)
     pattern = np.ones((N, size), dtype=np.int8)
-    for k, site in enumerate(free[: size.bit_length() - 1]):
-        m = 1 << k
-        pattern[:, m : 2 * m] = pattern[:, :m]
-        pattern[site, m : 2 * m] = -1
+    pattern[free[:bits]] = 1 - 2 * (t >> t[:bits, None] & 1)
     score = _block_scorer(n, pattern)
     shifts = np.arange(free.size)
     high = np.ones(N, dtype=np.int8)
@@ -448,7 +447,7 @@ def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
 
 def _anneal_replica(
     rng: np.random.Generator, config: AnnealConfig, n: int, better
-) -> tuple[Union[Fraction, float], Union[SignVector, PolarState], int]:
+) -> tuple[Union[Fraction, float], Union[SignVector, PolarState]]:
     """One Metropolis walk on the Gram state; the best state re-verified,
     as an exact Fraction for signs."""
     N = 1 << n
@@ -458,12 +457,11 @@ def _anneal_replica(
     else:
         z = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, N))
     best_z = _walk(_GramState(n, z), *_raw_draws(rng.bit_generator), config, better)
-    evals = 1 + N * sum(sweeps for _, sweeps in config.beta_schedule)
     if signs:
         sv = SignVector(n, best_z.astype(np.int8))
-        return energy_uniform_exact(sv), sv, evals
+        return energy_uniform_exact(sv), sv
     state = PolarState(n, np.full(N, 1.0 / math.sqrt(N)), best_z)
-    return pi_me_uniform(state), state, evals
+    return pi_me_uniform(state), state
 
 
 def anneal(n: int, config: AnnealConfig) -> SearchReport:
@@ -476,7 +474,7 @@ def anneal(n: int, config: AnnealConfig) -> SearchReport:
     deterministically from config.seed and run sequentially; the reported
     best is re-verified by a full evaluation of the best state.  Raises
     ValueError before allocating: above MAX_QUBITS, when the Gram state
-    would exceed bipartite.MAX_TABLE_BYTES, the site map's own limit (n <=
+    would exceed bitspace.MAX_TABLE_BYTES, the site map's own limit (n <=
     13 runs), and over MAX_REPLICAS replicas or MAX_EVALUATIONS
     evaluations, replicas x (1 + 2^n x sweeps).
     """
@@ -486,14 +484,12 @@ def anneal(n: int, config: AnnealConfig) -> SearchReport:
     if n > MAX_QUBITS:
         raise ValueError(f"annealing requires n <= {MAX_QUBITS}, the state-vector cap")
     size = _state_bytes(n, 8 if config.move == "sign_flip" else 16)
-    if size > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"the {config.move} annealer's Gram state for n={n} would take "
-            f"{size / 1e9:.1f} GB, over the {MAX_TABLE_BYTES >> 30} GiB limit"
-        )
+    _check_bytes(size, f"the {config.move} annealer's Gram state for n={n}")
     if config.replicas > MAX_REPLICAS:
         raise ValueError(f"{config.replicas} replicas are over the budget of {MAX_REPLICAS}")
-    if config.replicas * (1 + (1 << n) * sum(s for _, s in config.beta_schedule)) > MAX_EVALUATIONS:
+    # each replica evaluates its start, then one proposal per site and sweep
+    evaluations = config.replicas * (1 + (1 << n) * sum(s for _, s in config.beta_schedule))
+    if evaluations > MAX_EVALUATIONS:
         raise ValueError(
             f"the run's replicas x (1 + 2^n x sweeps) evaluations are over "
             f"the budget of {MAX_EVALUATIONS}"
@@ -505,14 +501,12 @@ def anneal(n: int, config: AnnealConfig) -> SearchReport:
     replica_values: list[float] = []
     best_value: Union[Fraction, float, None] = None
     best_state: Union[SignVector, PolarState, None] = None
-    evaluations = 0
     for _ in range(config.replicas):
         # one child at a time: the keys spawn(replicas) would give, without
         # holding every replica's SeedSequence at once
         rng = np.random.default_rng(root.spawn(1)[0])
-        value, state, evals = _anneal_replica(rng, config, n, better)
+        value, state = _anneal_replica(rng, config, n, better)
         replica_values.append(float(value))
-        evaluations += evals
         if best_value is None or better(value, best_value):
             best_value, best_state = value, state
     samples: tuple[SignVector, ...] = ()

@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bitspace import MAX_QUBITS, QubitMask, _check_n, _frozen, _spell, embed_table
+from .bitspace import MAX_QUBITS, QubitMask, _check_bytes, _check_n, _frozen, _spell, embed_table
 
 __all__ = [
     "NORM_TOL",
@@ -332,14 +332,28 @@ def apply_single_qubit_unitary(state: PureState, qubit: int, U: np.ndarray) -> P
 #
 # {"n": int, "format": "complex", "data": [[re, im], ...]}   length 2^n
 # {"n": int, "format": "signs",   "data": "+-+-..."}          length 2^n
+#
+# A complex document holds per amplitude an [re, im] list of two floats,
+# 128 B as Python objects, and its text, up to about 70 B indented; printed,
+# with the encoder's pieces, it peaked at 453 B an amplitude (tracemalloc,
+# a dense n = 16 state printed indented).
+DOCUMENT_BYTES = 512
+
+
+def _check_document(n: int) -> None:
+    """Refuse a complex document of n qubits, before it is built, when it
+    would take over bitspace.MAX_TABLE_BYTES: n <= 21 is admitted."""
+    _check_bytes(DOCUMENT_BYTES << n, f"the state document for n={n}")
 
 
 def state_to_json(obj: Union[PureState, SignVector]) -> dict:
-    """Represent a state or sign vector in the portable JSON layout."""
+    """Represent a state or sign vector in the portable JSON layout; complex
+    documents past n = 21 are refused (_check_document)."""
     if isinstance(obj, SignVector):
         return {"n": obj.n, "format": "signs", "data": obj.to_string()}
     if isinstance(obj, PureState):
-        data = [[float(z.real), float(z.imag)] for z in obj.amplitudes]
+        _check_document(obj.n)
+        data = obj.amplitudes.view(np.float64).reshape(-1, 2).tolist()
         return {"n": obj.n, "format": "complex", "data": data}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

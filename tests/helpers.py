@@ -30,6 +30,7 @@ from mmeskit import (
 )
 from mmeskit.bipartite import _gram, _gram_sum_denominator, _sign_gram_sum
 from mmeskit.bitspace import balanced_bipartitions, embed_table, submasks, weight
+from mmeskit.mmes import _fwht
 from mmeskit.potential import _g_hat_core
 from mmeskit.search import MAX_SAMPLES, _GramState
 
@@ -248,6 +249,30 @@ def naive_wht(vec: np.ndarray) -> np.ndarray:
     return out
 
 
+def _parity_table(n: int) -> np.ndarray:
+    """(-1)^|T| for every mask T of n bits, one Python popcount per mask."""
+    return np.array([-1.0 if T.bit_count() & 1 else 1.0 for T in range(1 << n)])
+
+
+def parity_walsh_coefficients(P: PopulationVector) -> np.ndarray:
+    """The values of `walsh_coefficients` as a parity table times the fast
+    transform, (-1)^|T| 2^-n sum_k (-1)^popcount(k & T) P(k): the library's
+    path before it read the sign off the reversed population."""
+    return _parity_table(P.n) * _fwht(P.probabilities) / (1 << P.n)
+
+
+def parity_population_from_walsh(c: WalshCoefficients) -> np.ndarray:
+    """The probabilities of `population_from_walsh` through the parity
+    table, as the library formed them before it reversed the transform."""
+    return PopulationVector(c.n, _fwht(_parity_table(c.n) * c.values)).probabilities
+
+
+def loop_state_doc(state: PureState) -> dict:
+    """`state_to_json` of a PureState, one [re, im] pair per amplitude."""
+    data = [[float(z.real), float(z.imag)] for z in state.amplitudes]
+    return {"n": state.n, "format": "complex", "data": data}
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary from the QR factorization of a Ginibre matrix."""
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -284,6 +309,7 @@ class LoopGramState(_GramState):
         super().__init__(n, z)
         self.flat = self.buffer.reshape(-1)
         self.proposal = None
+        self.proposals = 0  # delta calls, one per proposal
 
     def delta(self, j: int, new):
         """Change of T when z_j becomes `new`, with |new| = |z_j| (see _delta).
@@ -293,6 +319,7 @@ class LoopGramState(_GramState):
         kept = self.counts[1]
         rows = self.buffer.take(self.index[j], axis=0)
         self.proposal = j, rows
+        self.proposals += 1
         S = np.dot(rows[:kept].ravel(), rows[kept:].ravel())
         old = self.z[j]
         if self.z.dtype.kind == "i":
@@ -346,21 +373,24 @@ def loop_walk(grams: LoopGramState, rng, config: AnnealConfig, better) -> np.nda
     return best_z
 
 
-def loop_anneal_replica(rng: np.random.Generator, config: AnnealConfig, n: int, better):
-    """`search._anneal_replica` on loop_walk, counting evaluations step by step."""
+def loop_anneal_replica(rng: np.random.Generator, config: AnnealConfig, n: int, better, steps: list):
+    """`search._anneal_replica` on loop_walk, (value, state); appends to
+    steps the evaluations it made, counted step by step: the start's total,
+    then one per proposal."""
     N = 1 << n
     signs = config.move == "sign_flip"
     if signs:
         z = rng.integers(0, 2, N, dtype=np.int64) * 2 - 1
     else:
         z = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, N))
-    best_z = loop_walk(LoopGramState(n, z), rng, config, better)
-    evals = 1 + sum(N * sweeps for _, sweeps in config.beta_schedule)
+    grams = LoopGramState(n, z)
+    best_z = loop_walk(grams, rng, config, better)
+    steps.append(1 + grams.proposals)
     if signs:
         sv = SignVector(n, best_z.astype(np.int8))
-        return energy_uniform_exact(sv), sv, evals
+        return energy_uniform_exact(sv), sv
     state = PolarState(n, np.full(N, 1.0 / math.sqrt(N)), best_z)
-    return pi_me_uniform(state), state, evals
+    return pi_me_uniform(state), state
 
 
 def gray_signs(n: int, positions, symmetry_mode: str = "full") -> np.ndarray:

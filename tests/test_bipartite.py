@@ -6,6 +6,8 @@ plus eigenvalue identities that tie every code path to the same spectrum.
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from helpers import (
     haar_unitary, loop_purity_form2, loop_purity_uniform, matricize, naive_purity,
     naive_reduced_density
 )
+from mmeskit import bitspace
 from mmeskit import (
     DensityMatrix,
     NORM_TOL,
@@ -302,6 +305,78 @@ class TestUniformPurity:
     def test_rejects_non_uniform_moduli(self):
         with pytest.raises(ValueError):
             purity_uniform(polar(ghz(3)), QubitMask.from_qubits((1,), 3))
+
+
+def all_plus(n):
+    return uniform_from_signs(SignVector(n, np.ones(1 << n, dtype=np.int8)))
+
+
+def traced(call):
+    """(what call raised, seconds, tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError) as info:
+            call()
+        return str(info.value), time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSizeGates:
+    """Sizes refused before any work: a reduced density matrix over 1 GiB
+    (|A| > 12), and the XOR purity sum past n = 12."""
+
+    MATRIX = "the reduced density matrix of 13 qubits would take 4.3 GB, over the 1 GiB limit"
+
+    @pytest.mark.parametrize("measure", [
+        reduced_density_matrix, purity_form1, schmidt_spectrum, entanglement_E, linear_entropy_L, purity_uniform,
+    ])
+    def test_a_thirteen_qubit_side_is_refused_at_once(self, measure):
+        state = all_plus(14)
+        if measure is purity_uniform:
+            state = polar(state)
+        A = QubitMask.from_qubits(tuple(range(1, 14)), 14)
+        message, seconds, peak = traced(lambda: measure(state, A))
+        assert message == self.MATRIX
+        assert seconds < 1.0 and peak < 1 << 20
+
+    def test_the_gate_counts_four_matrices(self, monkeypatch):
+        # at 64 N_A^2 bytes over a limit of 2^12, |A| = 3 runs and 4 is refused
+        monkeypatch.setattr(bitspace, "MAX_TABLE_BYTES", 64 << 6)
+        state = random_state(6, 0)
+        assert purity_form1(state, 0b000111) == pytest.approx(naive_purity(state, (4, 5, 6)), abs=1e-12)
+        with pytest.raises(ValueError, match="^the reduced density matrix of 4 qubits would take 0.0 GB"):
+            purity_form1(state, 0b001111)
+
+    @pytest.mark.parametrize("size", [8, 9])
+    def test_the_count_bounds_the_peak(self, size):
+        state = random_state(10, size)
+        A = QubitMask.from_qubits(tuple(range(1, size + 1)), 10)
+        tracemalloc.start()
+        try:
+            purity_form1(state, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (64 << 2 * size) + (256 << 10)
+
+    def test_improper_masks_are_refused_first(self):
+        with pytest.raises(ValueError, match="nonempty proper subset"):
+            purity_form1(all_plus(14), (1 << 14) - 1)
+        with pytest.raises(ValueError, match="nonempty proper subset"):
+            purity_form2(all_plus(13), 0)
+
+    def test_the_xor_sum_is_refused_past_twelve_qubits(self):
+        state = all_plus(13)
+        message, seconds, peak = traced(lambda: purity_form2(state, 1))
+        assert message == "the XOR quadruple sum over 4^13 terms is out of reach; n <= 12"
+        assert seconds < 1.0 and peak < 1 << 20
+
+    def test_the_xor_sum_runs_at_twelve_qubits(self):
+        state = random_state(12, 0)
+        A = QubitMask.from_qubits((2, 3, 5, 7, 11), 12)
+        assert purity_form2(state, A) == pytest.approx(purity_form1(state, A), abs=1e-12)
 
 
 class TestSymmetries:

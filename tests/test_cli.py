@@ -509,14 +509,33 @@ REFUSALS = [
 ]
 
 
+# the same for sizes of a state file: {folder} holds the sign files s13.json
+# and s14.json, of 13 and 14 qubits
+SIZE_REFUSALS = [
+    ("purity --file {folder}/s14.json --subset 1,2,3,4,5,6,7,8,9,10,11,12,13",
+     "error: the reduced density matrix of 13 qubits would take 4.3 GB, over the 1 GiB limit\n"),
+    ("purity --file {folder}/s13.json --subset 1 --form 2",
+     "error: the XOR quadruple sum over 4^13 terms is out of reach; n <= 12\n"),
+    ("catalog ghz --n 22", "error: the state document for n=22 would take 2.1 GB, over the 1 GiB limit\n"),
+    ("catalog ghz --n 24 --out {folder}/ghz.json",
+     "error: the state document for n=24 would take 8.6 GB, over the 1 GiB limit\n"),
+]
+
+
+def write_sign_files(folder):
+    for n in (13, 14):
+        write_state(f"{folder}/s{n}.json", SignVector(n, np.ones(1 << n, dtype=np.int8)))
+
+
 class TestRefusals:
-    @pytest.mark.parametrize("argv, err", REFUSALS)
-    def test_exits_one_at_once_in_little_memory(self, argv, err):
+    @pytest.mark.parametrize("argv, err", REFUSALS + SIZE_REFUSALS)
+    def test_exits_one_at_once_in_little_memory(self, tmp_path, argv, err):
+        write_sign_files(tmp_path)
         run_quietly(["search", "--n", "6"])  # build the parser outside the trace
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            result = run_quietly(argv.split())
+            result = run_quietly(argv.format(folder=tmp_path).split())
             seconds = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -628,6 +647,7 @@ class TestArgvFuzz:
         with tempfile.TemporaryDirectory() as folder:
             write_state(f"{folder}/state.json", random_state(3, 0))
             write_state(f"{folder}/signs.json", catalog_sign_vector("four_best"))
+            write_sign_files(folder)
 
             # the first failing list is reported alone; anneal --n 513 raised
             # OverflowError from the sizing of its Gram state
@@ -643,6 +663,10 @@ class TestArgvFuzz:
             @example(["catalog", "ghz", "--n", "", "--rotation", "\u4e8c"])
             @example(["purity", "--file", "\u00e9", "--subset", "-1"])
             @example(["potential", "--file=--"])  # argparse stores [] for the value
+            # these paid 4.3 GB (a MemoryError traceback), 4^13 terms and 8.6 GB
+            @example(["purity", "--file", f"{folder}/s14.json", "--subset", ",".join(map(str, range(1, 14)))])
+            @example(["purity", "--file", f"{folder}/s13.json", "--subset", "1", "--form", "2"])
+            @example(["catalog", "ghz", "--n", "24"])
             def check(argv):
                 code, _, err = run_quietly(argv)
                 assert code in (0, 1, 2)

@@ -10,7 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import loop_marginal_gap, naive_wht, place_bits, unit_phases
+from helpers import (
+    loop_marginal_gap, naive_wht, parity_population_from_walsh, parity_walsh_coefficients, place_bits,
+    unit_phases,
+)
 from mmeskit import (
     PopulationVector,
     PureState,
@@ -151,6 +154,23 @@ class TestWalsh:
         P = random_population(n, 20 + n)
         back = population_from_walsh(walsh_coefficients(P))
         assert np.allclose(back.probabilities, P.probabilities, atol=1e-12)
+
+    # the populations of random, uniform and basis states at every n up to 16
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_transforms_are_the_parity_table_bit_for_bit(self, n):
+        N = 1 << n
+        populations = [population(random_state(n, seed)) for seed in (0, 1)]
+        populations.append(PopulationVector(n, np.full(N, 1.0 / N)))
+        for k in sorted({0, N // 3, N - 1}):
+            populations.append(PopulationVector(n, np.eye(1, N, k)[0]))
+        for P in populations:
+            ours, table = walsh_coefficients(P).values, parity_walsh_coefficients(P)
+            # the table's -1 gave an exact zero coefficient (uniform P, odd
+            # |T|) the sign -0.0; every other bit is the same
+            assert (ours + 0.0).tobytes() == (table + 0.0).tobytes()
+            for c in (ours, table):
+                back = population_from_walsh(WalshCoefficients(n, c)).probabilities
+                assert back.tobytes() == parity_population_from_walsh(WalshCoefficients(n, c)).tobytes()
 
     def test_refuses_nan_coefficients(self):
         with pytest.raises(ValueError, match="constant coefficient"):

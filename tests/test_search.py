@@ -6,6 +6,7 @@ determinism checks on whole reports.
 """
 
 import cmath
+import functools
 import math
 import operator
 import time
@@ -336,8 +337,10 @@ class TestWalk:
             replicas=1 + (n + k) % 3 if n <= 8 else 1, seed=10 * n + k,
         )
         got = anneal(n, config)
-        monkeypatch.setattr(search, "_anneal_replica", loop_anneal_replica)
+        steps = []
+        monkeypatch.setattr(search, "_anneal_replica", functools.partial(loop_anneal_replica, steps=steps))
         assert report_fields(got) == report_fields(anneal(n, config))
+        assert sum(steps) == got.evaluations
 
     @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("move", ["sign_flip", "phase_rotation"])

@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import haar_unitary
+from helpers import haar_unitary, loop_state_doc
+from mmeskit import states
 from mmeskit import (
     NormalizationWarning,
     PolarState,
@@ -33,6 +34,7 @@ from mmeskit import (
     state_to_json,
     uniform_from_signs,
 )
+from mmeskit.cli import _dump
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -283,6 +285,28 @@ class TestRandomStates:
 
 
 class TestJson:
+    # dense states with zero and negative-zero parts at every n up to 12
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_documents_are_the_per_amplitude_loop_byte_for_byte(self, n):
+        z = random_state(n, n).amplitudes.copy()
+        parts = z.view(np.float64)
+        parts[::7] = -0.0
+        parts[3::7] = 0.0
+        parts /= np.linalg.norm(parts)  # on the floats: complex division drops a zero's sign
+        state = PureState(n, z)
+        assert np.signbit(state.amplitudes.view(np.float64)[::7]).all()
+        for pretty in (False, True):
+            assert _dump(state_to_json(state), pretty) == _dump(loop_state_doc(state), pretty)
+
+    def test_documents_past_the_budget_are_refused(self, monkeypatch):
+        states._check_document(21)  # 1 GiB, 512 B an amplitude
+        with pytest.raises(ValueError, match=r"^the state document for n=22 would take 2\.1 GB, over the 1 GiB limit$"):
+            states._check_document(22)
+        monkeypatch.setattr(states, "DOCUMENT_BYTES", 1 << 28)
+        with pytest.raises(ValueError, match=r"^the state document for n=3 would take 2\.1 GB"):
+            state_to_json(ghz(3))
+        assert state_to_json(SignVector.from_string("+-+-+--+"))["data"] == "+-+-+--+"
+
     def test_complex_roundtrip_is_exact(self):
         st = random_state(3, 11)
         doc = state_to_json(st)
