@@ -1,12 +1,12 @@
 """Reduced density matrices, Schmidt spectra, and bipartite purity.
 
 Features:
-- reduced density matrix of any proper qubit subset: the amplitudes
-  gathered into the N_A x N_Abar matrix M_A through its spelled basis
-  (`bitspace._spell`) give rho_A as the Gram matrix M_A M_A^H
-- the Gram matrices of the balanced bipartitions, streamed in gathered
-  stacks: the single evaluation core behind every potential, verdict, sweep
-  and anneal (integer Grams for sign vectors, so those stay exact)
+- one Gram path (`_grams`): the amplitudes gathered into N_A x N_Abar
+  matrices M_A, through the cells each side's qubits spell
+  (`bitspace._spell`), give rho_A = M_A M_A^H in stacks; the single
+  evaluation core behind every reduced density matrix, potential,
+  verdict, sweep and anneal (integer Grams for sign vectors, so those
+  stay exact)
 - one record per n of the balanced subsets (`_sites`): where each kept
   M_A reads the amplitudes and how often it counts; built once for each
   of the last few n and read by every Gram evaluation, the sweep and the
@@ -22,7 +22,8 @@ Features:
   reduced density matrix (Form 1) and the XOR-indexed amplitude quadruple
   sum (Form 2, the paper's expansion, kept as an independent cross-check),
   its per-h sums from `_xor_sums`, which owns the index blocks
-- Schmidt spectrum with explicit bookkeeping of numerical zeros
+- Schmidt spectrum with explicit bookkeeping of numerical zeros, from the
+  one eigensolve (`DensityMatrix.eigenvalues`)
 - normalized entanglement measures: spectral E_A and linear entropy L_A
 - exact counts of the three purity monomial classes
 - purity of uniform-modulus states from the phase vector, through Form 1
@@ -42,7 +43,6 @@ from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .bitspace import MAX_TABLE_BYTES  # the site map's limit, also read from here
 from .bitspace import QubitMask, _check_balanced, _check_bytes, _check_split, _frozen, _spell, as_mask, binomial
 from .states import NORM_TOL, PolarState, PureState, assemble
 
@@ -116,7 +116,7 @@ class DensityMatrix:
 
     def validate(self) -> None:
         """Raise if any eigenvalue is below -1e-10."""
-        w = float(np.min(np.linalg.eigvalsh(self.entries)))
+        w = float(self.eigenvalues()[-1])
         if not w >= -EIGEN_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {w:.3e}")
 
@@ -160,15 +160,6 @@ def _proper_mask(A: Union[QubitMask, int], n: int) -> QubitMask:
     if mask == 0 or mask == (1 << n) - 1:
         raise ValueError("bipartition requires a nonempty proper subset of the qubits")
     return QubitMask(mask, n)
-
-
-def _gram(M: np.ndarray) -> np.ndarray:
-    """M M^H over the last two axes, for M = M_A.
-
-    Entry (l, l') is sum_m M[l, m] conj(M[l', m]).  Keeps the input dtype, so
-    an int64 sign vector gives an exact integer matrix, and any leading axes.
-    """
-    return M @ M.conj().swapaxes(-1, -2)
 
 
 def _chunks(count: int, item_bytes: int) -> Iterator[slice]:
@@ -220,16 +211,21 @@ def _sites(n: int) -> _Sites:
 
 
 def _grams(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
-    """Gram stacks of the M_A that rows and cols of _sites(n) (swapped for
-    the complements) spell from the last axis of values, leading axes kept,
-    in chunks of about CHUNK_BYTES of index, M_A and G_A: one take, then one
-    stacked _gram.  Each M_A is freed before its stack is yielded: held into
+    """Gram stacks M_A M_A^H of the M_A that rows and cols spell from the
+    last axis of values, as _sites(n) does (swapped for the complements),
+    leading axes kept, in chunks of about CHUNK_BYTES of index, M_A and G_A:
+    one take, then one stacked product.  Entry (l, l') of G_A is sum_m
+    M[l, m] conj(M[l', m]) in the input dtype, so sign vectors give exact
+    integer Grams.  Each M_A is freed before its stack is yielded: held into
     the next chunk, a large one cost fresh pages every chunk (365 page
     faults per matrix at n = 16)."""
     size = values.itemsize * (values.size // values.shape[-1])  # one entry over all batch axes
     n_a, n_b = rows.shape[1], cols.shape[1]
     for chunk in _chunks(len(rows), n_a * (n_b * (8 + size) + n_a * size)):
-        yield _gram(np.take(values, rows[chunk, :, None] + cols[chunk, None, :], axis=-1))
+        M = np.take(values, rows[chunk, :, None] + cols[chunk, None, :], axis=-1)
+        G = M @ M.conj().swapaxes(-1, -2)
+        del M
+        yield G
 
 
 def _xor_sums(l: np.ndarray, m: np.ndarray, N: int, term) -> np.ndarray:
@@ -280,8 +276,8 @@ def _sign_gram_sum(signs: np.ndarray, n: int):
 
 
 def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> DensityMatrix:
-    """Partial trace over the complement of A, as the Gram matrix of M_A,
-    gathered through the labels that A's qubits, then Abar's, spell.
+    """Partial trace over the complement of A: the Gram matrix of M_A, from
+    _grams, with A's cells and Abar's spelled from the mask's bits.
 
     The call holds four N_A x N_A complex matrices at its peak (the product,
     the checked copy, its conjugate and their difference), 2^(2|A| + 6)
@@ -289,8 +285,11 @@ def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> Densit
     """
     m = _proper_mask(A, state.n)
     _check_bytes(64 << 2 * m.size, f"the reduced density matrix of {m.size} qubits")
-    weights = sorted((1 << b for b in range(state.n - 1, -1, -1)), key=lambda w: not m.mask & w)
-    return DensityMatrix(_gram(state.amplitudes[_spell(weights).reshape(1 << m.size, -1)]))
+    weights = 1 << np.arange(state.n - 1, -1, -1)
+    inside = (weights & m.mask) != 0
+    rows, cols = (_spell(weights[None, side]) for side in (inside, ~inside))
+    (G,) = _grams(state.amplitudes, rows, cols)
+    return DensityMatrix(G[0])
 
 
 def purity_form1(state: PureState, A: Union[QubitMask, int]) -> float:
@@ -325,11 +324,9 @@ def schmidt_spectrum(state: PureState, A: Union[QubitMask, int]) -> SchmidtSpect
     The nonzero part coincides with the nonzero part of the complement's
     spectrum.  Raises when an eigenvalue falls below -1e-10.
     """
-    rho = reduced_density_matrix(state, A)
-    w = np.linalg.eigvalsh(rho.entries)
-    if not float(w[0]) >= -EIGEN_TOL:
-        raise ValueError(f"reduced density matrix has negative eigenvalue {float(w[0]):.3e}")
-    w = w[::-1]
+    w = reduced_density_matrix(state, A).eigenvalues()
+    if not float(w[-1]) >= -EIGEN_TOL:
+        raise ValueError(f"reduced density matrix has negative eigenvalue {float(w[-1]):.3e}")
     values = tuple(float(x) for x in w if x > SCHMIDT_CUTOFF)
     zeros = tuple(float(x) for x in w if x <= SCHMIDT_CUTOFF)
     return SchmidtSpectrum(values, zeros)

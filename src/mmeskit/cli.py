@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from functools import lru_cache
@@ -28,7 +29,7 @@ from typing import Optional, Sequence, Union
 
 from . import potential
 from ._catalog_data import SIGN_TARGETS
-from .bitspace import MAX_QUBITS, QubitMask
+from .bitspace import MAX_QUBITS, QubitMask, _check_bytes
 from .bipartite import purity_form1, purity_form2
 from .mmes import (
     CATALOG_NAMES, catalog, catalog_sign_vector, equation_variable_counts, is_perfect_mmes
@@ -48,13 +49,31 @@ from .states import (
 __all__ = ["run", "main", "read_state", "write_state"]
 
 
+# Parsing a complex document holds its text and, per amplitude (one `[`
+# each), the [re, im] list, its two floats and the arrays built from them:
+# 176 B measured past the text (tracemalloc, n = 14, dense and GHZ,
+# compact and indented).
+PARSE_BYTES = 192
+
+
 def read_state(path: str) -> Union[PureState, SignVector]:
-    """Load a state file in the JSON layout of `states`."""
+    """Load a state file in the JSON layout of `states`.
+
+    A file whose reading (its bytes and their text, twice its size) or
+    parsing (its text and PARSE_BYTES per `[`) would take over
+    bitspace.MAX_TABLE_BYTES is refused before it is read or parsed: every
+    document state_to_json writes (n <= 21) is admitted, complex documents
+    past n = 22 are refused.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        _check_bytes(2 * os.fstat(fh.fileno()).st_size, f"reading {path}")
+        text = fh.read()
+    _check_bytes(len(text) + PARSE_BYTES * text.count("["), f"parsing {path}")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    del text  # freed before the state is built, as json.load frees it
     return state_from_json(doc)
 
 
@@ -206,12 +225,8 @@ def _report_doc(report: SearchReport) -> dict:
     else:
         doc["objective"] = report.objective
         doc["replica_best_values"] = list(report.replica_best_values)
-        if report.best_state is None or isinstance(report.best_state, SignVector):
-            doc["best_state"] = (
-                None if report.best_state is None else report.best_state.to_string()
-            )
-        else:
-            doc["best_state"] = state_to_json(assemble(report.best_state))
+        best = report.best_state  # an anneal report always carries one
+        doc["best_state"] = best.to_string() if isinstance(best, SignVector) else state_to_json(assemble(best))
     return doc
 
 

@@ -196,19 +196,24 @@ def fully_factorized(pairs: Sequence[Sequence[complex]]) -> PureState:
     """Product state with z_k = prod_i alpha^i_{k_i}.
 
     `pairs` holds one normalized (alpha_0, alpha_1) pair per qubit, qubit 1
-    first.  Every pair must be normalized within NORM_TOL.
+    first.  Every pair must be normalized within NORM_TOL, and the product
+    of their squared norms, the state's squared norm, within the 3 NORM_TOL
+    that PureState admits; both are checked before the state is built.
     """
     n = _check_n(len(pairs), MAX_QUBITS)
-    vectors = []
+    vectors, norms = [], []
     for i, pair in enumerate(pairs, start=1):
         v = np.ascontiguousarray(pair, dtype=np.complex128)
         if v.shape != (2,):
             raise ValueError(f"qubit {i}: expected an amplitude pair, got shape {v.shape}")
-        if not abs(float(np.vdot(v, v).real) - 1.0) <= NORM_TOL:
+        norms.append(float(np.vdot(v, v).real))
+        if not abs(norms[-1] - 1.0) <= NORM_TOL:
             raise ValueError(f"qubit {i}: amplitude pair is not normalized")
         vectors.append(v)
-    amp = reduce(np.kron, vectors)
-    return PureState(n, amp)
+    norm_sq = math.prod(norms)
+    if not abs(norm_sq - 1.0) <= 3 * NORM_TOL:
+        raise ValueError(f"the {n} amplitude pairs' squared norms multiply to {norm_sq!r}, not 1")
+    return PureState(n, reduce(np.kron, vectors))
 
 
 def _check_unitary(U: np.ndarray, dim: int, name: str) -> np.ndarray:

@@ -28,7 +28,7 @@ from mmeskit import (
     population_from_walsh,
     walsh_coefficients,
 )
-from mmeskit.bipartite import _gram, _gram_sum_denominator, _sign_gram_sum
+from mmeskit.bipartite import _gram_sum_denominator, _sign_gram_sum
 from mmeskit.bitspace import balanced_bipartitions, embed_table, submasks, weight
 from mmeskit.mmes import _fwht
 from mmeskit.potential import _g_hat_core
@@ -123,7 +123,8 @@ def loop_balanced_grams(amplitudes: np.ndarray, n: int) -> list:
     """Gram matrix M_A M_A^H of every balanced A, in balanced_bipartitions
     order: one tensor transpose and one matrix product per subset, where the
     library gathers chunks of subsets from its site map."""
-    return [_gram(matricize(amplitudes, A.mask, n)) for A in balanced_bipartitions(n)]
+    Ms = (matricize(amplitudes, A.mask, n) for A in balanced_bipartitions(n))
+    return [M @ M.conj().T for M in Ms]
 
 
 def loop_permute_qubits(state: PureState, perm) -> PureState:

@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -40,7 +41,8 @@ from mmeskit import (
     state_to_json,
     uniform_from_signs,
 )
-from mmeskit.cli import read_state, run, write_state
+from mmeskit import bitspace
+from mmeskit.cli import PARSE_BYTES, _dump, read_state, run, write_state
 from mmeskit.mmes import CATALOG_NAMES
 from mmeskit.search import MAX_REPLICAS
 
@@ -510,7 +512,7 @@ REFUSALS = [
 
 
 # the same for sizes of a state file: {folder} holds the sign files s13.json
-# and s14.json, of 13 and 14 qubits
+# and s14.json, of 13 and 14 qubits, and huge.json, a sparse 2 GiB file
 SIZE_REFUSALS = [
     ("purity --file {folder}/s14.json --subset 1,2,3,4,5,6,7,8,9,10,11,12,13",
      "error: the reduced density matrix of 13 qubits would take 4.3 GB, over the 1 GiB limit\n"),
@@ -519,6 +521,7 @@ SIZE_REFUSALS = [
     ("catalog ghz --n 22", "error: the state document for n=22 would take 2.1 GB, over the 1 GiB limit\n"),
     ("catalog ghz --n 24 --out {folder}/ghz.json",
      "error: the state document for n=24 would take 8.6 GB, over the 1 GiB limit\n"),
+    ("verify {folder}/huge.json", "error: reading {folder}/huge.json would take 4.3 GB, over the 1 GiB limit\n"),
 ]
 
 
@@ -531,6 +534,8 @@ class TestRefusals:
     @pytest.mark.parametrize("argv, err", REFUSALS + SIZE_REFUSALS)
     def test_exits_one_at_once_in_little_memory(self, tmp_path, argv, err):
         write_sign_files(tmp_path)
+        with open(tmp_path / "huge.json", "wb") as fh:
+            fh.truncate(2 << 30)
         run_quietly(["search", "--n", "6"])  # build the parser outside the trace
         tracemalloc.start()
         start = time.perf_counter()
@@ -540,8 +545,65 @@ class TestRefusals:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result == (1, "", err)
+        assert result == (1, "", err.format(folder=tmp_path))
         assert seconds < 1.0 and peak < 1 << 20
+
+
+class TestReadBound:
+    """read_state refuses a file before reading past twice its size, and
+    before parsing past its text plus PARSE_BYTES a `[`."""
+
+    @staticmethod
+    def document(state, pretty):
+        return _dump(state_to_json(state), pretty) + "\n"
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_the_bound_holds_the_measured_peak(self, tmp_path, n, pretty):
+        for state in (random_state(n, n), ghz(n)):
+            text = self.document(state, pretty)
+            (tmp_path / "state.json").write_text(text)
+            tracemalloc.start()
+            try:
+                back = read_state(tmp_path / "state.json")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(back.amplitudes, state.amplitudes)
+            assert peak <= len(text) + PARSE_BYTES * text.count("[")
+
+    def test_every_document_the_library_writes_is_admitted(self):
+        # the longest amplitude text, both parts the longest float repr,
+        # indented, at n = 21, the largest document state_to_json writes
+        part = -1.2345678901234567e-100
+        text = _dump({"n": 1, "format": "complex", "data": [[part, part], [part, part]]}, True)
+        per_amplitude = len(text) / 2
+        assert (per_amplitude + PARSE_BYTES) * 2**21 + 2 * PARSE_BYTES <= bitspace.MAX_TABLE_BYTES
+        # no amplitude takes under ten bytes ([0.0,0.0], in GHZ compact), so
+        # every complex document of 23 qubits is refused
+        assert len(self.document(ghz(12), False)) >= 10 * 2**12
+        assert (10 + PARSE_BYTES) * 2**23 > bitspace.MAX_TABLE_BYTES
+
+    def test_a_document_over_a_patched_limit_is_refused_before_the_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "state.json"
+        text = self.document(random_state(6, 0), False)
+        path.write_text(text)
+        cost = len(text) + PARSE_BYTES * text.count("[")
+        monkeypatch.setattr(bitspace, "MAX_TABLE_BYTES", cost)
+        assert np.array_equal(read_state(path).amplitudes, random_state(6, 0).amplitudes)
+        monkeypatch.setattr(bitspace, "MAX_TABLE_BYTES", cost - 1)
+        with monkeypatch.context() as m:
+            m.setattr(json, "loads", None)  # a parse would raise TypeError
+            with pytest.raises(ValueError, match=f"^parsing {re.escape(str(path))} would take"):
+                read_state(path)
+        # a sign document under half that many bytes holds no `[`, and is read
+        path.write_text(self.document(SignVector(12, np.ones(1 << 12, dtype=np.int8)), False))
+        assert 2 * path.stat().st_size < cost - 1
+        assert read_state(path).n == 12
+        # a file of more than half the limit is refused before it is read
+        path.write_text(" " * (cost // 2))
+        with pytest.raises(ValueError, match=f"^reading {re.escape(str(path))} would take"):
+            read_state(path)
 
 
 # Text that is not a number.  It holds no decimal digit of any script, since

@@ -58,7 +58,7 @@ from mmeskit import (
 )
 from mmeskit import bipartite, potential
 from mmeskit.bipartite import _balanced_grams, _sign_gram_sum
-from mmeskit.bitspace import MAX_QUBITS
+from mmeskit.bitspace import MAX_QUBITS, MAX_TABLE_BYTES
 from mmeskit.mmes import _balanced_gaps
 from mmeskit.potential import MonomialCounts
 
@@ -382,7 +382,7 @@ class TestUniformPotential:
         def site_bytes(n):
             return bipartite._kept_count(n) * ((1 << n // 2) + (1 << n - n // 2)) * 8
 
-        admitted = [n for n in range(2, MAX_QUBITS + 1) if site_bytes(n) <= bipartite.MAX_TABLE_BYTES]
+        admitted = [n for n in range(2, MAX_QUBITS + 1) if site_bytes(n) <= MAX_TABLE_BYTES]
         assert admitted == list(range(2, 19))
         assert all(bipartite._gram_sum_denominator(n) < 1 << 63 for n in admitted)
 

@@ -35,9 +35,8 @@ from mmeskit import (
     pi_me_uniform,
 )
 from mmeskit import search
-from mmeskit.bipartite import (
-    MAX_TABLE_BYTES, _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
-)
+from mmeskit.bipartite import _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
+from mmeskit.bitspace import MAX_TABLE_BYTES
 from mmeskit.search import (
     DOUBLE, MAX_EVALUATIONS, MAX_REPLICAS, _block_scorer, _GramState, _raw_draws, _state_bytes, _walk
 )
@@ -544,7 +543,7 @@ class TestExhaustive:
         for image in gauge_images(plus, mode):
             assert score(image).tolist() == first.tolist()
 
-    def test_five_qubits_behind_the_gate(self):
+    def test_five_qubits_in_seconds(self):
         # 2^26 gauge classes scored, about 6 s on one core of a 2-vCPU Xeon
         report = exhaustive_search(5)
         assert report.min_value_exact == Fraction(1, 4)

@@ -6,6 +6,7 @@ unitaries, factorized products, and maximally entangled constructions.
 
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -188,6 +189,35 @@ class TestFactorizedAndGhz:
     def test_rejects_unnormalized_pair(self):
         with pytest.raises(ValueError):
             fully_factorized([(1, 1), (1, 0)])
+
+    @pytest.mark.parametrize("n", [10, 24])
+    def test_pairs_whose_product_leaves_the_norm_band_are_refused_before_the_build(self, n):
+        # each pair is within NORM_TOL, their product past PureState's 3 NORM_TOL
+        pairs = [(np.sqrt(1 + 9e-12 / n), 0)] * n
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^the {n} amplitude pairs' squared norms multiply to 1\.0000000000"):
+                fully_factorized(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the state would take 268 MB at n = 24
+
+    def test_every_admitted_product_builds(self):
+        # pairs anywhere in their band: the product is refused by name or built
+        rng = np.random.default_rng(6)
+        built = 0
+        for _ in range(200):
+            excess = rng.uniform(-1, 1, 10) * states.NORM_TOL
+            pairs = [(np.sqrt(1 + e), 0) for e in excess]
+            try:
+                st = fully_factorized(pairs)
+            except ValueError as exc:
+                assert "amplitude pairs' squared norms multiply to" in str(exc)
+                continue
+            built += 1
+            assert abs(np.vdot(st.amplitudes, st.amplitudes).real - 1.0) <= 3 * states.NORM_TOL
+        assert 50 < built < 200
 
     def test_ghz_amplitudes(self):
         st = ghz(3)
