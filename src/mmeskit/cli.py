@@ -52,7 +52,8 @@ __all__ = ["run", "main", "read_state", "write_state"]
 # Parsing a complex document holds its text and, per amplitude (one `[`
 # each), the [re, im] list, its two floats and the arrays built from them:
 # 176 B measured past the text (tracemalloc, n = 14, dense and GHZ,
-# compact and indented).
+# compact and indented).  An object (one `{` each) costs about as much: 192 B
+# for one with one key, 73 B for an empty one (tracemalloc, 2 MB texts).
 PARSE_BYTES = 192
 
 
@@ -60,7 +61,7 @@ def read_state(path: str) -> Union[PureState, SignVector]:
     """Load a state file in the JSON layout of `states`.
 
     A file whose reading (its bytes and their text, twice its size) or
-    parsing (its text and PARSE_BYTES per `[`) would take over
+    parsing (its text and PARSE_BYTES per `[` and per `{`) would take over
     bitspace.MAX_TABLE_BYTES is refused before it is read or parsed: every
     document state_to_json writes (n <= 21) is admitted, complex documents
     past n = 22 are refused.
@@ -68,7 +69,7 @@ def read_state(path: str) -> Union[PureState, SignVector]:
     with open(path, "r", encoding="utf-8") as fh:
         _check_bytes(2 * os.fstat(fh.fileno()).st_size, f"reading {path}")
         text = fh.read()
-    _check_bytes(len(text) + PARSE_BYTES * text.count("["), f"parsing {path}")
+    _check_bytes(len(text) + PARSE_BYTES * (text.count("[") + text.count("{")), f"parsing {path}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

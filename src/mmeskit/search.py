@@ -15,11 +15,12 @@ Features:
   of two exact Gram sums (`flip_delta`; the annealer does not use it)
 - exhaustive sign-vector census, one vector per gauge class (local Z
   gates and the global sign leave the potential unchanged), the classes
-  numbered in binary and scored in blocks from sign products fixed per
-  sweep: exact integer Gram sums with exact minimum, exact tie counting,
-  and deterministic reports rebuilt from the gauge images of the
-  minimizing classes, doubled over the group's n + 1 generators as the
-  classes are doubled over the free sites
+  numbered in binary and scored in blocks from sign products fixed per n,
+  built once per process with the rest of n's plan: exact integer Gram
+  sums with exact minimum, exact tie counting, and deterministic reports
+  rebuilt from the gauge images of the minimizing classes, doubled over
+  the group's n + 1 generators as the classes are doubled over the free
+  sites, their samples checked as one block
 - Metropolis annealer over sign flips or single-site phase rotations at a
   fictitious inverse temperature, both signs supported: positive schedules
   seek minima, negative ones maxima (fully factorized states); replicas
@@ -39,12 +40,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
 
 from .bipartite import _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
-from .bitspace import MAX_COUNT_QUBITS, MAX_QUBITS, _check_bytes, _whole
+from .bitspace import MAX_COUNT_QUBITS, MAX_QUBITS, _check_bytes, _frozen, _whole
 from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
 
@@ -336,7 +338,7 @@ def _block_scorer(n: int, pattern: np.ndarray):
     Column t of pattern holds the signs of class t, and the block from lo
     holds pattern[:, t] * high, high the signs of class lo, so
     entry (i, m) of a kept M_A's Gram matrix sums pattern products fixed
-    per sweep times high products, one small array per block.  Only the
+    per n times high products, one small array per block.  Only the
     entries above the diagonal (N_Abar) are formed, in int8, as |G| <=
     N_Abar <= 8 for n <= MAX_EXHAUSTIVE_N; T <= C(n, n/2) N^2 fits int32.
     """
@@ -355,6 +357,28 @@ def _block_scorer(n: int, pattern: np.ndarray):
     return score
 
 
+@lru_cache(maxsize=None)
+def _census(n: int) -> tuple:
+    """n's sweep plan in either mode, built once per process for each n that
+    exhaustive_search admits (n = 2..5, validated first): (free, size,
+    pattern, score, shifts, gauge), arrays read-only, the global sign last."""
+    N = 1 << n
+    free = np.array([x for x in range(N) if x & (x - 1)])  # neither 0 nor 2^b
+    size = min(SWEEP_BLOCK, 1 << free.size)
+    bits = size.bit_length() - 1
+    # column t holds the signs of class t, spelled as high spells those of
+    # class lo (int16 keeps the temporaries small)
+    t = np.arange(size, dtype=np.int16)
+    pattern = np.ones((N, size), dtype=np.int8)
+    pattern[free[:bits]] = 1 - 2 * (t >> t[:bits, None] & 1)
+    # the gauge generators: Z on qubit b negates the sites whose label has
+    # bit b set, and the global sign negates every site
+    gauge = np.full((n + 1, N), -1, dtype=np.int8)
+    gauge[:n] = 1 - 2 * (np.arange(N, dtype=np.int8) >> np.arange(n, dtype=np.int8)[:, None] & 1)
+    free, pattern, shifts, gauge = map(_frozen, (free, pattern, np.arange(free.size), gauge))
+    return free, size, pattern, _block_scorer(n, pattern), shifts, gauge
+
+
 def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
     """Exact minimum of the potential over all real uniform states.
 
@@ -364,16 +388,19 @@ def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
     site 0 and at every single-bit site 2^b.  The sweep scores those alone,
     numbered in binary: class t negates the k-th of the other N - n - 1
     sites where bit k of t is set.  It scores blocks of min(SWEEP_BLOCK,
-    2^(N - n - 1)) classes as exact integer Gram sums.  Each minimizing
-    class expands into its gauge images, doubled over the generators: Z on
-    each qubit, then in `full` mode the global sign.  So the minimum and the
-    tie count are exact, and the up to 16 sample minimizers are the first in
-    the Gray-code order of the whole space, position i holding the signs of
-    i xor (i >> 1), bit b negating site b.  `full` mode covers all 2^(2^n)
-    vectors, so counts include global-sign duplicates; `fix_global_sign`
-    freezes site 0 at +1 (bit b negating site b + 1) and covers half as
-    many.  n <= MAX_EXHAUSTIVE_N runs (n = 5, 2^26 classes, in about 6 s);
-    larger n is refused before anything is allocated.
+    2^(N - n - 1)) classes as exact integer Gram sums, from a plan built
+    once per process for each n (_census).  Each minimizing class expands
+    into its gauge images, doubled over the generators: Z on each qubit,
+    then in `full` mode the global sign.  So the minimum and the tie count
+    are exact, and the up to 16 sample minimizers are the first in the
+    Gray-code order of the whole space, position i holding the signs of
+    i xor (i >> 1), bit b negating site b; they are checked as one block,
+    their signs the read-only rows of one int8 array.  `full` mode covers
+    all 2^(2^n) vectors, so counts include global-sign duplicates;
+    `fix_global_sign` freezes site 0 at +1 (bit b negating site b + 1) and
+    covers half as many.  n <= MAX_EXHAUSTIVE_N runs (n = 5, 2^26 classes,
+    in about 6 s); larger n is refused before anything is allocated, and
+    before any plan is built.
     """
     n = _whole(n, "n")
     if symmetry_mode not in ("full", "fix_global_sign"):
@@ -390,16 +417,7 @@ def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
     start = time.perf_counter()
     N = 1 << n
     offset = 0 if symmetry_mode == "full" else 1
-    free = np.array([x for x in range(N) if x & (x - 1)])  # neither 0 nor 2^b
-    size = min(SWEEP_BLOCK, 1 << free.size)
-    bits = size.bit_length() - 1
-    # column t holds the signs of class t, spelled as high spells those of
-    # class lo (int16 keeps the temporaries small)
-    t = np.arange(size, dtype=np.int16)
-    pattern = np.ones((N, size), dtype=np.int8)
-    pattern[free[:bits]] = 1 - 2 * (t >> t[:bits, None] & 1)
-    score = _block_scorer(n, pattern)
-    shifts = np.arange(free.size)
+    free, size, pattern, score, shifts, gauge = _census(n)
     high = np.ones(N, dtype=np.int8)
     best: Optional[int] = None
     found: list[np.ndarray] = []  # the minimizing class representatives, by block
@@ -412,11 +430,8 @@ def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
         if low == best:
             found.append(pattern[:, T == best].T * high)
     # the images double over the gauge generators, as the classes over the
-    # free sites: Z on qubit b negates the sites whose label has bit b set,
-    # and in full mode the global sign negates every site
-    gauge = list(1 - 2 * (np.arange(N, dtype=np.int8) >> np.arange(n, dtype=np.int8)[:, None] & 1))
-    if not offset:
-        gauge.append(-1)
+    # free sites, the global sign in full mode only
+    gauge = gauge[: n + 1 - offset]
     m = sum(map(len, found))
     images = np.empty((m << len(gauge), N), dtype=np.int8)
     np.concatenate(found, out=images[:m])
@@ -430,14 +445,14 @@ def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
     while shift < N:
         position ^= position >> shift
         shift *= 2
-    samples = [SignVector(n, images[i]) for i in np.argsort(position)[:MAX_SAMPLES]]
+    samples = SignVector.from_rows(n, images[np.argsort(position)[:MAX_SAMPLES]])
     exact = Fraction(best, _gram_sum_denominator(n))
     return SearchReport(
         n=n,
         mode="exhaustive",
         min_value=float(exact),
         minimizer_count=len(images),
-        sample_minimizers=tuple(samples),
+        sample_minimizers=samples,
         evaluations=1 << (N - offset),
         wall_time=time.perf_counter() - start,
         min_value_exact=exact,

@@ -5,7 +5,8 @@ Features:
   basis, with the qubit-1-major bit convention of `bitspace`
 - PolarState: modulus/phase split z_k = r_k * zeta_k, with the convention
   zeta_k = 1 wherever r_k = 0
-- SignVector: +-1 phase patterns for real uniform states, with string I/O
+- SignVector: +-1 phase patterns for real uniform states, with string I/O,
+  checked one at a time or as the rows of one block
 - constructors: raw amplitudes, sign vectors, fully factorized products,
   maximally entangled bipartite states, GHZ, Haar-sphere samples, and
   uniform-modulus random phases
@@ -143,14 +144,25 @@ class SignVector:
     signs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _check_n(self.n, MAX_QUBITS))
-        raw = np.asarray(self.signs)
-        if raw.shape != (1 << self.n,):
-            raise ValueError(f"sign vector must have length {1 << self.n} for n={self.n}")
-        # before the cast, which would truncate 1.5 and wrap 257 to 1
-        if not np.all((raw == 1) | (raw == -1)):
+        (checked,) = self.from_rows(self.n, [self.signs])
+        vars(self).update(vars(checked))  # the fields of the one checked row
+
+    @classmethod
+    def from_rows(cls, n: int, rows) -> tuple["SignVector", ...]:
+        """A SignVector for each row of a (k, 2^n) array, checked as one
+        block: their signs are the read-only rows of one int8 copy."""
+        n = _check_n(n, MAX_QUBITS)
+        raw = np.asarray(rows)
+        if raw.ndim != 2 or raw.shape[1] != 1 << n:
+            raise ValueError(f"sign vector must have length {1 << n} for n={n}")
+        # before the cast, which would truncate 1.5, wrap 257 to 1, read True
+        # as 1 and drop a zero imaginary part
+        if raw.dtype.kind in "bc" or not np.all((raw == 1) | (raw == -1)):
             raise ValueError("sign entries must be exactly +1 or -1")
-        object.__setattr__(self, "signs", _frozen(np.array(raw, dtype=np.int8, order="C")))
+        vectors = tuple(cls.__new__(cls) for _ in raw)
+        for sv, row in zip(vectors, _frozen(np.array(raw, dtype=np.int8, order="C"))):
+            vars(sv).update(n=n, signs=row)
+        return vectors
 
     @classmethod
     def from_string(cls, text: str) -> "SignVector":

@@ -41,7 +41,7 @@ from mmeskit import (
     state_to_json,
     uniform_from_signs,
 )
-from mmeskit import bitspace
+from mmeskit import bitspace, search
 from mmeskit.cli import PARSE_BYTES, _dump, read_state, run, write_state
 from mmeskit.mmes import CATALOG_NAMES
 from mmeskit.search import MAX_REPLICAS
@@ -551,7 +551,7 @@ class TestRefusals:
 
 class TestReadBound:
     """read_state refuses a file before reading past twice its size, and
-    before parsing past its text plus PARSE_BYTES a `[`."""
+    before parsing past its text plus PARSE_BYTES a `[` and a `{`."""
 
     @staticmethod
     def document(state, pretty):
@@ -570,7 +570,7 @@ class TestReadBound:
             finally:
                 tracemalloc.stop()
             assert np.array_equal(back.amplitudes, state.amplitudes)
-            assert peak <= len(text) + PARSE_BYTES * text.count("[")
+            assert peak <= len(text) + PARSE_BYTES * (text.count("[") + text.count("{"))
 
     def test_every_document_the_library_writes_is_admitted(self):
         # the longest amplitude text, both parts the longest float repr,
@@ -588,7 +588,7 @@ class TestReadBound:
         path = tmp_path / "state.json"
         text = self.document(random_state(6, 0), False)
         path.write_text(text)
-        cost = len(text) + PARSE_BYTES * text.count("[")
+        cost = len(text) + PARSE_BYTES * (text.count("[") + 1)  # one `{`
         monkeypatch.setattr(bitspace, "MAX_TABLE_BYTES", cost)
         assert np.array_equal(read_state(path).amplitudes, random_state(6, 0).amplitudes)
         monkeypatch.setattr(bitspace, "MAX_TABLE_BYTES", cost - 1)
@@ -596,6 +596,14 @@ class TestReadBound:
             m.setattr(json, "loads", None)  # a parse would raise TypeError
             with pytest.raises(ValueError, match=f"^parsing {re.escape(str(path))} would take"):
                 read_state(path)
+            # objects count as lists do: 192 B parsed for each one-key object,
+            # so a text that the `[` alone would admit is refused
+            objects = "[" + ",".join(['{"a":1}'] * 200) + "]"
+            path.write_text(objects)
+            assert 2 * len(objects) + PARSE_BYTES < cost - 1 < len(objects) + PARSE_BYTES * 201
+            with pytest.raises(ValueError, match=f"^parsing {re.escape(str(path))} would take"):
+                read_state(path)
+            path.write_text(text)
         # a sign document under half that many bytes holds no `[`, and is read
         path.write_text(self.document(SignVector(12, np.ones(1 << 12, dtype=np.int8)), False))
         assert 2 * path.stat().st_size < cost - 1
@@ -873,6 +881,16 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("argv, stdout", PINNED_SEARCH, ids=[a for a, _ in PINNED_SEARCH])
     def test_exhaustive_searches_are_unchanged(self, capture, argv, stdout):
         assert capture(["search", *argv.split()]) == (0, stdout + "\n", "")
+
+    def test_sweeps_in_one_process_print_the_pinned_bytes(self, capture):
+        # each sweep reads its n's cached plan; none leaks into another n or mode
+        pinned = dict(PINNED_SEARCH)
+        search._census.cache_clear()
+        for first in (0, 1):
+            for k, n in enumerate((4, 3, 4, 2, 3)):
+                argv = f"--n {n} --mode {('full', 'fix_global_sign')[(first + k) % 2]}"
+                assert capture(["search", *argv.split()]) == (0, pinned[argv] + "\n", "")
+        assert search._census.cache_info().misses == 3
 
 
 def read_signs(text):

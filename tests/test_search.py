@@ -562,6 +562,42 @@ class TestExhaustive:
         for sv in report.sample_minimizers:
             assert energy_uniform_exact(sv) == Fraction(1, 4)
 
+    @pytest.mark.parametrize("mode", ("full", "fix_global_sign"))
+    def test_the_samples_are_rows_of_one_read_only_block(self, mode):
+        samples = exhaustive_search(4, mode).sample_minimizers
+        block = samples[0].signs.base
+        assert block.dtype == np.int8 and block.shape == (16, 16) and not block.flags.writeable
+        assert all(sv.signs.base is block and not sv.signs.flags.writeable for sv in samples)
+        assert [sv.signs.tolist() for sv in samples] == block.tolist()
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_the_plan_spells_the_classes_and_the_generators(self, n):
+        free, size, pattern, score, shifts, gauge = search._census(n)
+        assert free.size == (1 << n) - n - 1 and size == min(search.SWEEP_BLOCK, 1 << free.size)
+        assert pattern.T.tolist() == gauge_signs(n, np.arange(size)).tolist()
+        assert shifts.tolist() == list(range(free.size))
+        # Z on each qubit, then the global sign: the images of all-plus at
+        # a = 2^b, c = 0 and at a = 0, c = 1
+        plus = np.ones(1 << n, dtype=np.int8)
+        assert gauge.tolist() == gauge_images(plus)[[1 << b for b in range(n)] + [1 << n]].tolist()
+        assert not any(a.flags.writeable for a in (free, pattern, shifts, gauge))
+        assert score(plus).tolist() == sweep_scorer(n)[1](plus).tolist()
+
+    def test_a_second_sweep_builds_no_plan(self):
+        exhaustive_search(3)
+        before = search._census.cache_info()
+        exhaustive_search(3, "fix_global_sign")
+        exhaustive_search(np.int64(3))
+        after = search._census.cache_info()
+        assert (after.misses, after.currsize, after.hits) == (before.misses, before.currsize, before.hits + 2)
+
+    def test_refused_sweeps_build_no_plan(self):
+        before = search._census.cache_info()
+        for n, mode in ((6, "full"), (65, "full"), (10**11, "full"), (1, "full"), (3, "mirror")):
+            with pytest.raises(ValueError):
+                exhaustive_search(n, mode)
+        assert search._census.cache_info() == before
+
     def test_minimizers_come_in_sign_pairs(self):
         report = exhaustive_search(3)
         assert report.minimizer_count % 2 == 0

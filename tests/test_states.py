@@ -145,13 +145,36 @@ class TestPolarAndSigns:
             SignVector.from_string(text)
 
     @pytest.mark.parametrize(
-        "entries", [[1.5, -1.0], [1.0, -1.9], [0, 1], [-0.5, 1], [2, -1], [1, float("nan")]]
+        "build", [SignVector, lambda n, entries: SignVector.from_rows(n, [entries])], ids=["one", "rows"]
     )
-    def test_sign_vector_refuses_entries_other_than_one_before_the_cast(self, entries):
-        with pytest.raises(ValueError, match=r"exactly \+1 or -1"):
-            SignVector(1, entries)
-        with pytest.raises(ValueError, match=r"exactly \+1 or -1"):
-            SignVector(1, np.array(entries))
+    @pytest.mark.parametrize("entries", [
+        [1.5, -1.0], [1.0, -1.9], [0, 1], [-0.5, 1], [2, -1], [1, float("nan")],
+        # the int8 cast would read True as +1 and drop a zero imaginary part
+        [True, True], [True, False], [1 + 0j, -1], [1, 1j],
+    ])
+    def test_sign_vector_refuses_entries_other_than_one_before_the_cast(self, build, entries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's ComplexWarning included
+            with pytest.raises(ValueError, match=r"^sign entries must be exactly \+1 or -1$"):
+                build(1, entries)
+            with pytest.raises(ValueError, match=r"^sign entries must be exactly \+1 or -1$"):
+                build(1, np.array(entries))
+
+    def test_rows_are_checked_as_one_block(self):
+        rows = np.array([[1, -1, -1, 1], [-1, -1, -1, -1]], dtype=np.int64)
+        vectors = SignVector.from_rows(2, rows)
+        assert [sv.to_string() for sv in vectors] == ["+--+", "----"]
+        assert all(type(sv.n) is int and sv.n == 2 for sv in vectors)
+        block = vectors[0].signs.base
+        assert block.dtype == np.int8 and block.shape == (2, 4) and not block.flags.writeable
+        assert all(sv.signs.base is block and not sv.signs.flags.writeable for sv in vectors)
+        assert not np.shares_memory(block, rows)
+        for bad in (np.ones(4), np.ones((2, 8)), np.ones((1, 2, 4))):
+            with pytest.raises(ValueError, match=r"^sign vector must have length 4 for n=2$"):
+                SignVector.from_rows(2, bad)
+        for n in (0, 25, True, 2.0):
+            with pytest.raises(ValueError, match="n must be an integer|qubit count must be in"):
+                SignVector.from_rows(n, rows)
 
     def test_sign_vector_refuses_integers_that_wrap_to_one(self):
         # int8 keeps the low byte: 257 would read as +1, -255 as +1, 255 as -1
