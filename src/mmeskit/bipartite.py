@@ -7,17 +7,17 @@ Features:
   evaluation core behind every reduced density matrix, potential,
   verdict, sweep and anneal (integer Grams for sign vectors, so those
   stay exact)
-- one record per n of the balanced subsets (`_sites`): where each kept
-  M_A reads the amplitudes and how often it counts; built once for each
-  of the last few n and read by every Gram evaluation, the sweep and the
-  annealer, so none transposes a subset or repeats bipartition bookkeeping
+- one record per n of the balanced bipartitions (`_sites`): where one M_A
+  of each reads the amplitudes; built once for each of the last few n and
+  read by every Gram evaluation, the sweep and the annealer, so none
+  transposes a subset or repeats bipartition bookkeeping
 - one blocking rule (`_chunks`), applied inside the kernels: the Gram
   product (`_grams`) of the dense core and the sign sum, the XOR
   quadruple sums (`_xor_sums`) and the marginal gap size slices of about
   CHUNK_BYTES from their own arguments; no caller counts bytes
-- the exact Gram sum of sign vectors, each complementary pair of balanced
-  subsets counted once, and its C(n, n/2) N^2 normaliser: float32 Gram
-  stacks, exact since |G| <= N_Abar, squared and summed in float64
+- the exact Gram sum of sign vectors, each balanced bipartition once, and
+  its normaliser, their number times N^2: float32 Gram stacks, exact
+  since |G| <= N_Abar, squared and summed in float64
 - purity in two algebraically equivalent forms: Frobenius norm of the
   reduced density matrix (Form 1) and the XOR-indexed amplitude quadruple
   sum (Form 2, the paper's expansion, kept as an independent cross-check),
@@ -169,7 +169,7 @@ def _chunks(count: int, item_bytes: int) -> Iterator[slice]:
 
 
 def _kept_count(n: int) -> int:
-    """Number of subsets _sites(n) keeps, without listing them."""
+    """Number of balanced bipartitions, one kept subset each in _sites(n)."""
     return binomial(n, n // 2) // (2 - n % 2)
 
 
@@ -185,7 +185,6 @@ class _Sites(NamedTuple):
 
     rows: np.ndarray  # (kept, N_A)
     cols: np.ndarray  # (kept, N_Abar)
-    weight: int  # how often each kept subset counts
 
 
 @lru_cache(maxsize=8)
@@ -193,9 +192,9 @@ def _sites(n: int) -> _Sites:
     """The site map of n qubits, built once for each of the last few n.
 
     The subsets come in balanced_bipartitions order.  At even n, A and its
-    complement are both balanced, and their Gram matrices M M^H and M^H M
+    complement are one bipartition, and their Gram matrices M M^H and M^H M
     have the same Frobenius norm, so only the subsets holding qubit 1 are
-    kept, each counting twice.  A map over MAX_TABLE_BYTES is refused
+    kept, one per bipartition.  A map over MAX_TABLE_BYTES is refused
     before it is built: n <= 18 builds, n = 19 is refused.
     """
     n = _check_balanced(n)
@@ -207,7 +206,7 @@ def _sites(n: int) -> _Sites:
     np.put_along_axis(inside, qubits, True, axis=1)
     weights = np.broadcast_to(1 << np.arange(n - 1, -1, -1), inside.shape)
     rows, cols = (_frozen(_spell(weights[side].reshape(kept, -1))) for side in (inside, ~inside))
-    return _Sites(rows, cols, 2 - n % 2)
+    return _Sites(rows, cols)
 
 
 def _grams(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
@@ -249,30 +248,30 @@ def _balanced_grams(amplitudes: np.ndarray, n: int) -> Iterator[np.ndarray]:
     their bits.  For a normalized state each is a reduced density matrix.
     """
     sites = _sites(n)
-    for r, c in ((sites.rows, sites.cols), (sites.cols, sites.rows))[: sites.weight]:
+    for r, c in ((sites.rows, sites.cols), (sites.cols, sites.rows))[: 2 - n % 2]:
         yield from _grams(amplitudes, r, c)
 
 
 def _gram_sum_denominator(n: int) -> int:
-    """C(n, floor(n/2)) N^2: the potential of a unimodular vector z (every
-    |z_k| = 1) is its Gram sum T divided by this."""
-    return binomial(n, n // 2) << (2 * n)
+    """kept N^2, kept = _kept_count(n): the potential of a unimodular vector
+    z (every |z_k| = 1) is its Gram sum T over the kept subsets over this."""
+    return _kept_count(n) << 2 * n
 
 
 def _sign_gram_sum(signs: np.ndarray, n: int):
-    """Exact T = sum over balanced A of ||M_A M_A^T||_F^2 for +-1 signs.
+    """Exact T = sum over the kept A of ||M_A M_A^T||_F^2 for +-1 signs.
 
-    Leading batch axes are kept, and each complementary pair is summed once
-    (see _sites).  The float32 stacks of _grams and their squares are exact,
-    since |G| <= N_Abar <= 2^9; the squares are summed in float64, exact
-    since T <= C(n, n/2) N^2 <= C(18, 9) 4^18 < 2^52 for every admitted n,
+    Leading batch axes are kept, and each balanced bipartition is summed
+    once (see _sites).  The float32 stacks of _grams and their squares are
+    exact, since |G| <= N_Abar <= 2^9; the squares are summed in float64,
+    exact since T <= kept N^2 <= C(18, 9) 4^18 < 2^52 for every admitted n,
     and T goes to int64 once.  The sweep has its own kernel (search._block_scorer).
     """
     sites = _sites(n)
     data = signs.reshape(-1, 1 << n).astype(np.float32)
     stacks = _grams(data, sites.rows, sites.cols)
     total = sum(np.square(G, out=G).sum(axis=(1, 2, 3), dtype=np.float64) for G in stacks)
-    return (sites.weight * total.astype(np.int64)).reshape(signs.shape[:-1])[()]
+    return total.astype(np.int64).reshape(signs.shape[:-1])[()]
 
 
 def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> DensityMatrix:

@@ -283,8 +283,8 @@ def pi_me_uniform(phases: Union[PolarState, SignVector]) -> float:
 def energy_uniform_exact(sv: SignVector) -> Fraction:
     """Exact rational potential of the real uniform state with these signs.
 
-    The Gram matrices of the +-1 vector are integer; the potential is the
-    sum of their squared entries over C(n, floor(n/2)) N^2.
+    One integer Gram matrix per balanced bipartition of the +-1 vector: the
+    potential is the sum of their squared entries over their count times N^2.
     """
     T = _sign_gram_sum(sv.signs, sv.n)
     return Fraction(int(T), _gram_sum_denominator(sv.n))

@@ -186,12 +186,11 @@ class _GramState:
     One row buffer of width N_A holds every G_A row, then every M_A column
     (the rows of M_A^T), and index[j] lists the buffer rows of r_A(j) in
     each G_A, then those of c_A(j) in each M_A^T; `_walk` moves one site at
-    a time through them.  T is the weighted sum of ||G_A||_F^2, so the
-    potential of the unnormalized vector z is T /
-    bipartite._gram_sum_denominator(n).  Signs keep T exact in float64 as
-    in integers: every entry and the S of every move is at most kept N in
-    size, and T and its every change at most C(n, n/2) N^2, all below 2^53
-    for n <= 13.
+    a time through them.  T is the sum of ||G_A||_F^2, so the potential of
+    the unnormalized vector z is T / bipartite._gram_sum_denominator(n).
+    Signs keep T exact in float64 as in integers: every entry and the S of
+    every move is at most kept N in size, and T and its every change at
+    most kept N^2, all below 2^53 for n <= 13.
     """
 
     def __init__(self, n: int, z: np.ndarray) -> None:
@@ -200,7 +199,7 @@ class _GramState:
         n_b = sites.cols.shape[1]
         N = 1 << n
         self.z = z
-        self.counts = (sites.weight, kept, n_a, n_b)
+        self.counts = (kept, n_a, n_b)
         self.buffer = np.empty((kept * (n_a + n_b), n_a), dtype=z.dtype)
         G = self.buffer[: kept * n_a].reshape(kept, n_a, n_a)
         Mt = self.buffer[kept * n_a :].reshape(kept, n_b, n_a)
@@ -216,12 +215,12 @@ class _GramState:
         np.matmul(Mt.swapaxes(1, 2), Mt.conj(), out=G)
 
     def total(self):
-        """T, the weighted sum of the squared Frobenius norms of the G_A."""
-        weight, kept, n_a, _ = self.counts
+        """T, the sum of the squared Frobenius norms of the G_A."""
+        kept, n_a, _ = self.counts
         G = self.buffer[: kept * n_a]
         # einsum stays off BLAS: OpenBLAS runs a dot of more than 10,000
         # entries on its threads, and those threads spin through the walk
-        return weight * np.einsum("ij,ij->", G.conj(), G).real
+        return np.einsum("ij,ij->", G.conj(), G).real
 
 
 def _raw_draws(bit_generator) -> tuple:
@@ -249,11 +248,10 @@ def _walk(grams: _GramState, draw, half, config: AnnealConfig, better) -> np.nda
     and v is the column c_A(j) of M_A.  With d = new - old, row r of G_A
     moves by u = d conj(v) off the diagonal, and column r by conj(u), so
     ||G_A||_F^2 changes by 2 (2 Re <G_A[r, :], u> + ||u||^2); over the kept
-    A, each counting weight times, T changes by weight (4 Re(d conj(S -
-    kept N_Abar old)) + 2 kept (N_A - 1) |d|^2).  An accept forms u in an
-    array allocated once, updates the gathered rows in place, puts them
-    back through a void view of the buffer (one element per row), then
-    writes the Hermitian columns.
+    A, T changes by 4 Re(d conj(S - kept N_Abar old)) + 2 kept (N_A - 1)
+    |d|^2.  An accept forms u in an array allocated once, updates the
+    gathered rows in place, puts them back through a void view of the
+    buffer (one element per row), then writes the Hermitian columns.
     Float64 sign rows hold integers below 2^53 (see _GramState), so every
     sum, delta and T is the exact integer whatever order BLAS adds in, and
     delta / denom is the exact rational rounded once.
@@ -261,7 +259,7 @@ def _walk(grams: _GramState, draw, half, config: AnnealConfig, better) -> np.nda
     z = grams.z
     N = z.size
     n = N.bit_length() - 1
-    weight, kept, n_a, n_b = grams.counts
+    kept, n_a, n_b = grams.counts
     mass, pair = kept * n_b, 2 * kept * (n_a - 1)
     denom = _gram_sum_denominator(n)
     buffer, index, columns, pick, base = grams.buffer, grams.index, grams.columns, grams.pick, grams.base
@@ -295,7 +293,7 @@ def _walk(grams: _GramState, draw, half, config: AnnealConfig, better) -> np.nda
             buffer.take(at, 0, rows, "clip")  # in range; clip writes unbuffered
             d = new - old
             shifted = G.dot(M).item() - mass * old
-            delta = weight * (4 * (d * shifted.conjugate()).real + pair * abs(d) ** 2)
+            delta = 4 * (d * shifted.conjugate()).real + pair * abs(d) ** 2
             x = -beta * (delta / denom)
             if x >= 0 or (draw() >> 11) * DOUBLE < math.exp(x):
                 g = at[:kept]  # g[a] = a N_A + r_A(j), also the flat index of u[a, r_A(j)]
@@ -340,7 +338,7 @@ def _block_scorer(n: int, pattern: np.ndarray):
     entry (i, m) of a kept M_A's Gram matrix sums pattern products fixed
     per n times high products, one small array per block.  Only the
     entries above the diagonal (N_Abar) are formed, in int8, as |G| <=
-    N_Abar <= 8 for n <= MAX_EXHAUSTIVE_N; T <= C(n, n/2) N^2 fits int32.
+    N_Abar <= 8 for n <= MAX_EXHAUSTIVE_N; T <= kept N^2 fits int32.
     """
     sites = _sites(n)
     kept, n_a = sites.rows.shape
@@ -352,7 +350,7 @@ def _block_scorer(n: int, pattern: np.ndarray):
     def score(high: np.ndarray) -> np.ndarray:
         G = (products * np.multiply(*high[pairs])[:, :, None]).sum(axis=1, dtype=np.int8)
         G *= G  # at most N_Abar^2 = 64
-        return sites.weight * (2 * G.sum(axis=0, dtype=np.int32) + kept * n_a * n_b * n_b)
+        return 2 * G.sum(axis=0, dtype=np.int32) + kept * n_a * n_b * n_b
 
     return score
 
@@ -360,8 +358,8 @@ def _block_scorer(n: int, pattern: np.ndarray):
 @lru_cache(maxsize=None)
 def _census(n: int) -> tuple:
     """n's sweep plan in either mode, built once per process for each n that
-    exhaustive_search admits (n = 2..5, validated first): (free, size,
-    pattern, score, shifts, gauge), arrays read-only, the global sign last."""
+    exhaustive_search admits (n = 2..5, validated first): (free, pattern,
+    score, gauge), arrays read-only, the global sign last."""
     N = 1 << n
     free = np.array([x for x in range(N) if x & (x - 1)])  # neither 0 nor 2^b
     size = min(SWEEP_BLOCK, 1 << free.size)
@@ -375,8 +373,8 @@ def _census(n: int) -> tuple:
     # bit b set, and the global sign negates every site
     gauge = np.full((n + 1, N), -1, dtype=np.int8)
     gauge[:n] = 1 - 2 * (np.arange(N, dtype=np.int8) >> np.arange(n, dtype=np.int8)[:, None] & 1)
-    free, pattern, shifts, gauge = map(_frozen, (free, pattern, np.arange(free.size), gauge))
-    return free, size, pattern, _block_scorer(n, pattern), shifts, gauge
+    free, pattern, gauge = map(_frozen, (free, pattern, gauge))
+    return free, pattern, _block_scorer(n, pattern), gauge
 
 
 def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
@@ -417,7 +415,8 @@ def exhaustive_search(n: int, symmetry_mode: str = "full") -> SearchReport:
     start = time.perf_counter()
     N = 1 << n
     offset = 0 if symmetry_mode == "full" else 1
-    free, size, pattern, score, shifts, gauge = _census(n)
+    free, pattern, score, gauge = _census(n)
+    size, shifts = pattern.shape[1], np.arange(free.size)
     high = np.ones(N, dtype=np.int8)
     best: Optional[int] = None
     found: list[np.ndarray] = []  # the minimizing class representatives, by block

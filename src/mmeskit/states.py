@@ -29,7 +29,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bitspace import MAX_QUBITS, QubitMask, _check_bytes, _check_n, _frozen, _spell, embed_table
+from .bitspace import MAX_QUBITS, QubitMask, _check_bytes, _check_n, _frozen, _spell, _whole, embed_table
 
 __all__ = [
     "NORM_TOL",
@@ -144,7 +144,8 @@ class SignVector:
     signs: np.ndarray
 
     def __post_init__(self) -> None:
-        (checked,) = self.from_rows(self.n, [self.signs])
+        signs = self.signs
+        (checked,) = self.from_rows(self.n, signs[None] if isinstance(signs, np.ndarray) else [signs])
         vars(self).update(vars(checked))  # the fields of the one checked row
 
     @classmethod
@@ -156,8 +157,13 @@ class SignVector:
         if raw.ndim != 2 or raw.shape[1] != 1 << n:
             raise ValueError(f"sign vector must have length {1 << n} for n={n}")
         # before the cast, which would truncate 1.5, wrap 257 to 1, read True
-        # as 1 and drop a zero imaginary part
-        if raw.dtype.kind in "bc" or not np.all((raw == 1) | (raw == -1)):
+        # as 1 and drop a zero imaginary part; numpy reads a True among
+        # numbers as 1 too, so input that is not an integer or float array
+        # has its entry types checked, once per type present
+        numeric = isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf"
+        kinds = () if numeric else set(map(type, np.asarray(rows, dtype=object).flat))
+        unreal = any(k is bool or not issubclass(k, numbers.Real) for k in kinds)
+        if unreal or not np.all((raw == 1) | (raw == -1)):
             raise ValueError("sign entries must be exactly +1 or -1")
         vectors = tuple(cls.__new__(cls) for _ in raw)
         for sv, row in zip(vectors, _frozen(np.array(raw, dtype=np.int8, order="C"))):
@@ -329,14 +335,16 @@ def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
     k_{perm(i)}.
     """
     n = state.n
-    if sorted(perm) != list(range(1, n + 1)):
+    labels = [_whole(p, "qubit label") for p in perm]
+    if sorted(labels) != list(range(1, n + 1)):
         raise ValueError(f"perm must be a permutation of 1..{n}, got {perm!r}")
-    return PureState(n, state.amplitudes[_spell([1 << (n - p) for p in perm])])
+    return PureState(n, state.amplitudes[_spell([1 << (n - p) for p in labels])])
 
 
 def apply_single_qubit_unitary(state: PureState, qubit: int, U: np.ndarray) -> PureState:
     """Apply a 2x2 unitary to one qubit (1-based label)."""
     n = state.n
+    qubit = _whole(qubit, "qubit label")
     if not 1 <= qubit <= n:
         raise ValueError(f"qubit label {qubit} out of range for n={n}")
     U = _check_unitary(U, 2, "U")

@@ -286,7 +286,7 @@ def unit_phases(rng: np.random.Generator, count: int) -> tuple[complex, ...]:
     return tuple(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count)))
 
 
-def _delta(S, old, new, weight: int, kept: int, n_a: int, n_b: int):
+def _delta(S, old, new, kept: int, n_a: int, n_b: int):
     """Change of T when z_j goes from `old` to `new`, with |new| = |old|, as
     `search._walk` forms it inline (its docstring derives it).
 
@@ -297,7 +297,7 @@ def _delta(S, old, new, weight: int, kept: int, n_a: int, n_b: int):
     """
     d = new - old
     shifted = S - kept * n_b * old
-    return weight * (4 * (d * shifted.conjugate()).real + 2 * kept * (n_a - 1) * abs(d) ** 2)
+    return 4 * (d * shifted.conjugate()).real + 2 * kept * (n_a - 1) * abs(d) ** 2
 
 
 class LoopGramState(_GramState):
@@ -317,7 +317,7 @@ class LoopGramState(_GramState):
 
         Keeps the gathered rows for an accept of site j.
         """
-        kept = self.counts[1]
+        kept = self.counts[0]
         rows = self.buffer.take(self.index[j], axis=0)
         self.proposal = j, rows
         self.proposals += 1
@@ -334,7 +334,7 @@ class LoopGramState(_GramState):
             raise ValueError(f"site {j} is not the last proposed site")
         rows = self.proposal[1]
         self.proposal = None
-        kept, n_a = self.counts[1], self.counts[2]
+        kept, n_a = self.counts[:2]
         at = self.index[j]
         g = at[:kept]
         r = g - self.base

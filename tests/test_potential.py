@@ -332,15 +332,18 @@ class TestUniformPotential:
     def test_paired_sign_sums_equal_the_unpaired_sum_exactly(self, n):
         rng = np.random.default_rng(70 + n)
         signs = rng.choice((-1, 1), size=(2, 3, 1 << n))
-        want = [all_bipartition_sign_sum(SignVector(n, s)) for s in signs.reshape(-1, 1 << n)]
+        # over all C(n, n/2) balanced subsets, each complementary pair twice at even n
+        every = math.comb(n, n // 2) << (2 * n)
+        want = [Fraction(all_bipartition_sign_sum(SignVector(n, s)), every) for s in signs.reshape(-1, 1 << n)]
         for s, w in zip(signs.reshape(-1, 1 << n), want):
-            assert energy_uniform_exact(SignVector(n, s)) == Fraction(w, math.comb(n, n // 2) << (2 * n))
+            assert energy_uniform_exact(SignVector(n, s)) == w
+        denom = bipartite._gram_sum_denominator(n)
         for dtype in (np.int8, np.int64):
             for lead in ((), (3,), (2, 3)):
                 batch = signs.astype(dtype)[(0,) * (2 - len(lead))]
                 got = _sign_gram_sum(batch, n)
                 assert np.shape(got) == lead
-                assert np.ravel(got).tolist() == want[: math.prod(lead)]
+                assert [Fraction(T, denom) for T in np.ravel(got).tolist()] == want[: math.prod(lead)]
 
     @pytest.mark.parametrize("n", [12, 13])
     def test_all_plus_energy_is_exactly_one(self, n):
@@ -352,14 +355,16 @@ class TestUniformPotential:
         # beyond which float32 no longer holds every integer
         monkeypatch.setattr(bipartite, "CHUNK_BYTES", 1 << 40)
         sv = SignVector(n, np.random.default_rng(90 + n).choice((-1, 1), size=1 << n))
-        assert _sign_gram_sum(sv.signs, n) == all_bipartition_sign_sum(sv)
+        assert _sign_gram_sum(sv.signs, n) * (2 - n % 2) == all_bipartition_sign_sum(sv)
 
     def test_sites_spell_the_matricized_basis_of_each_kept_subset(self):
         for n in range(2, 10):
             sites = bipartite._sites(n)
-            weight = 2 - n % 2
-            kept = [A.mask for A in balanced_bipartitions(n) if weight == 1 or A.mask >> (n - 1)]
-            assert sites.weight == weight and len(sites.rows) == len(sites.cols) == len(kept)
+            # one subset of each complementary pair: at even n, those holding qubit 1
+            kept = [A.mask for A in balanced_bipartitions(n) if n % 2 or A.mask >> (n - 1)]
+            assert len(kept) * (2 - n % 2) == math.comb(n, n // 2)
+            assert sites._fields == ("rows", "cols")
+            assert len(sites.rows) == len(sites.cols) == len(kept) == bipartite._kept_count(n)
             assert sites.rows[:, -1].tolist() == kept  # each kept A's mask
             basis = np.arange(1 << n)
             for a, mask in enumerate(kept):
@@ -487,14 +492,16 @@ class TestOneBlockingRule:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_sign_gram_sums_are_the_unpaired_sums(self, n):
+        # the unpaired sums count each complementary pair twice at even n
+        pairing = 2 - n % 2
         if n <= 5:  # the sweep sizes, in sweep-sized batches
             signs, want = sweep_batch(n)
-            assert _sign_gram_sum(signs, n).tolist() == want
+            assert (pairing * _sign_gram_sum(signs, n)).tolist() == want
             return
         rng = np.random.default_rng(150 + n)
         for _ in range(2):
             sv = SignVector(n, rng.choice((-1, 1), size=1 << n).astype(np.int8))
-            assert _sign_gram_sum(sv.signs, n) == all_bipartition_sign_sum(sv)
+            assert pairing * _sign_gram_sum(sv.signs, n) == all_bipartition_sign_sum(sv)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_flip_deltas_are_the_gram_state_deltas(self, n):

@@ -11,13 +11,16 @@ same states.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import haar_unitary, loop_permute_qubits, matricize, walsh_marginal_gap
+from helpers import (
+    all_bipartition_sign_sum, haar_unitary, loop_permute_qubits, matricize, walsh_marginal_gap
+)
 from mmeskit import (
     PureState,
     SignVector,
@@ -39,6 +42,7 @@ from mmeskit import (
     state_from_json,
     state_to_json,
 )
+from mmeskit.bipartite import _gram_sum_denominator, _sign_gram_sum
 from mmeskit.mmes import CATALOG_NAMES
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -133,6 +137,17 @@ def test_sign_potential_is_invariant_under_local_z_and_the_global_sign(twist):
     twisted = (signs * (1 - 2 * parity)).astype(np.int8)
     n = N.bit_length() - 1
     assert energy_uniform_exact(SignVector(n, twisted)) == energy_uniform_exact(SignVector(n, signs))
+
+
+@PROPERTY
+@given(st.integers(2, 10).flatmap(lambda n: arrays(np.int8, 1 << n, elements=st.sampled_from((-1, 1)))))
+def test_the_kept_sign_sum_is_the_unpaired_average(signs):
+    # the Gram sum over one subset of each complementary pair, over its own
+    # denominator, is the average over all C(n, n/2) balanced subsets
+    n = signs.size.bit_length() - 1
+    every = math.comb(n, n // 2) << (2 * n)
+    want = Fraction(all_bipartition_sign_sum(SignVector(n, signs)), every)
+    assert Fraction(int(_sign_gram_sum(signs, n)), _gram_sum_denominator(n)) == want
 
 
 @PROPERTY

@@ -387,10 +387,12 @@ class TestWalk:
 
     @pytest.mark.parametrize("n", _sign_gate_sizes())
     def test_float_sign_sums_stay_below_two_to_the_53(self, n):
-        # every Gram entry and S is at most kept N in size, T and every delta at most C(n, n/2) N^2
+        # every Gram entry and S is at most kept N in size, T and every delta at most kept N^2
         N = 1 << n
         assert _kept_count(n) * N < 2**53
-        assert math.comb(n, n // 2) * N * N == _gram_sum_denominator(n) < 2**53
+        assert _kept_count(n) * N * N == _gram_sum_denominator(n) < 2**53
+        # kept counts each balanced bipartition once: a complementary pair at even n
+        assert _kept_count(n) * (2 - n % 2) == math.comb(n, n // 2)
 
     @pytest.mark.parametrize("beta", [math.inf, -math.inf])
     def test_a_zero_rotation_at_infinite_beta_takes_an_acceptance_draw_and_is_rejected(self, beta):
@@ -532,12 +534,14 @@ class TestExhaustive:
     @pytest.mark.parametrize("mode", ("full", "fix_global_sign"))
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
     def test_the_all_plus_position_scores_the_full_denominator(self, n, mode):
-        # every Gram entry of the all-plus vector is N_Abar, so T = C(n, n/2) N^2;
-        # dropping the diagonal or the even-n weight of two changes it
+        # every Gram entry of the all-plus vector is N_Abar, so T = kept N^2, the
+        # full denominator; dropping the diagonal or counting a complementary
+        # pair twice changes it
         _, score = sweep_scorer(n)
         plus = np.ones(1 << n, dtype=np.int8)
         first = score(plus)
-        assert first[0] == math.comb(n, n // 2) << (2 * n)
+        assert first[0] == _gram_sum_denominator(n)
+        assert first[0] * (2 - n % 2) == math.comb(n, n // 2) << (2 * n)
         # a block shifted by a gauge image of all-plus holds the gauge images
         # of the first block's vectors, with the same scores
         for image in gauge_images(plus, mode):
@@ -572,15 +576,15 @@ class TestExhaustive:
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
     def test_the_plan_spells_the_classes_and_the_generators(self, n):
-        free, size, pattern, score, shifts, gauge = search._census(n)
+        free, pattern, score, gauge = search._census(n)
+        size = pattern.shape[1]
         assert free.size == (1 << n) - n - 1 and size == min(search.SWEEP_BLOCK, 1 << free.size)
         assert pattern.T.tolist() == gauge_signs(n, np.arange(size)).tolist()
-        assert shifts.tolist() == list(range(free.size))
         # Z on each qubit, then the global sign: the images of all-plus at
         # a = 2^b, c = 0 and at a = 0, c = 1
         plus = np.ones(1 << n, dtype=np.int8)
         assert gauge.tolist() == gauge_images(plus)[[1 << b for b in range(n)] + [1 << n]].tolist()
-        assert not any(a.flags.writeable for a in (free, pattern, shifts, gauge))
+        assert not any(a.flags.writeable for a in (free, pattern, gauge))
         assert score(plus).tolist() == sweep_scorer(n)[1](plus).tolist()
 
     def test_a_second_sweep_builds_no_plan(self):

@@ -147,18 +147,27 @@ class TestPolarAndSigns:
     @pytest.mark.parametrize(
         "build", [SignVector, lambda n, entries: SignVector.from_rows(n, [entries])], ids=["one", "rows"]
     )
-    @pytest.mark.parametrize("entries", [
-        [1.5, -1.0], [1.0, -1.9], [0, 1], [-0.5, 1], [2, -1], [1, float("nan")],
-        # the int8 cast would read True as +1 and drop a zero imaginary part
-        [True, True], [True, False], [1 + 0j, -1], [1, 1j],
-    ])
-    def test_sign_vector_refuses_entries_other_than_one_before_the_cast(self, build, entries):
+    @pytest.mark.parametrize("entries, dtypes", [
+        *(
+            (entries, (None, object))
+            for entries in (
+                [1.5, -1.0], [1.0, -1.9], [0, 1], [-0.5, 1], [2, -1], [1, float("nan")],
+                # the int8 cast would read True as +1 and drop a zero imaginary part
+                [True, True], [True, False], [1 + 0j, -1], [1, 1j],
+            )
+        ),
+        # a numeric array holds a True among numbers as 1, a valid +1; a list
+        # and an object array keep it a bool
+        ([True, -1], (object,)), ([-1, np.True_], (object,)),
+    ], ids=[f"entries{i}" for i in range(12)])
+    def test_sign_vector_refuses_entries_other_than_one_before_the_cast(self, build, entries, dtypes):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's ComplexWarning included
             with pytest.raises(ValueError, match=r"^sign entries must be exactly \+1 or -1$"):
                 build(1, entries)
-            with pytest.raises(ValueError, match=r"^sign entries must be exactly \+1 or -1$"):
-                build(1, np.array(entries))
+            for dtype in dtypes:
+                with pytest.raises(ValueError, match=r"^sign entries must be exactly \+1 or -1$"):
+                    build(1, np.array(entries, dtype=dtype))
 
     def test_rows_are_checked_as_one_block(self):
         rows = np.array([[1, -1, -1, 1], [-1, -1, -1, -1]], dtype=np.int64)
@@ -308,6 +317,21 @@ class TestTransforms:
             permute_qubits(st, (1, 2))
         with pytest.raises(ValueError):
             permute_qubits(st, (1, 1, 2))
+
+    @pytest.mark.parametrize("labels", [[True, 2], [1.0, 2.0], [1, 2.0], [1, "2"]])
+    def test_permutation_labels_are_integers(self, labels):
+        # as in QubitMask.from_qubits: True is not qubit 1, nor 2.0 qubit 2
+        with pytest.raises(ValueError, match=r"^qubit label must be an integer, got "):
+            permute_qubits(ghz(2), labels)
+        assert np.array_equal(permute_qubits(ghz(2), np.array([2, 1])).amplitudes, ghz(2).amplitudes)
+
+    @pytest.mark.parametrize("qubit", [True, False, 1.0, 2.0, "1"])
+    def test_unitary_qubit_labels_are_integers(self, qubit):
+        with pytest.raises(ValueError, match=r"^qubit label must be an integer, got "):
+            apply_single_qubit_unitary(ghz(2), qubit, np.eye(2))
+        X = np.array([[0, 1], [1, 0]], dtype=complex)
+        flipped = apply_single_qubit_unitary(ghz(2), np.int64(1), X)
+        assert np.array_equal(flipped.amplitudes, apply_single_qubit_unitary(ghz(2), 1, X).amplitudes)
 
     def test_bit_flip_on_first_qubit(self):
         st = fully_factorized([(1, 0), (1, 0)])  # |00>
