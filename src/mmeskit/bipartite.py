@@ -23,7 +23,7 @@ Features:
   sum (Form 2, the paper's expansion, kept as an independent cross-check),
   its per-h sums from `_xor_sums`, which owns the index blocks
 - Schmidt spectrum with explicit bookkeeping of numerical zeros, from the
-  one eigensolve (`DensityMatrix.eigenvalues`)
+  one eigensolve and its one check (`DensityMatrix.validate`)
 - normalized entanglement measures: spectral E_A and linear entropy L_A
 - exact counts of the three purity monomial classes
 - purity of uniform-modulus states from the phase vector, through Form 1
@@ -43,7 +43,8 @@ from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .bitspace import QubitMask, _check_balanced, _check_bytes, _check_split, _frozen, _spell, as_mask, binomial
+from .bitspace import QubitMask, _check_balanced, _check_bytes, _check_split, _frozen, _spell, as_mask
+from .bitspace import binomial, embed_table
 from .states import NORM_TOL, PolarState, PureState, assemble
 
 __all__ = [
@@ -85,8 +86,7 @@ class DensityMatrix:
     Hermiticity and unit trace, within the 3 NORM_TOL that PureState
     admits for its squared norm, are checked at construction.  Positive
     semidefiniteness (no eigenvalue below -1e-10) costs a full eigensolve,
-    so it is checked by validate() and by schmidt_spectrum rather than on
-    every partial trace.
+    so validate(), whose spectrum schmidt_spectrum reads, checks it instead.
     """
 
     entries: np.ndarray
@@ -114,11 +114,12 @@ class DensityMatrix:
         """Real eigenvalues in non-increasing order."""
         return np.linalg.eigvalsh(self.entries)[::-1]
 
-    def validate(self) -> None:
-        """Raise if any eigenvalue is below -1e-10."""
-        w = float(self.eigenvalues()[-1])
-        if not w >= -EIGEN_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {w:.3e}")
+    def validate(self) -> np.ndarray:
+        """The eigenvalues, non-increasing; raise if any is below -1e-10."""
+        w = self.eigenvalues()
+        if not w[-1] >= -EIGEN_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {w[-1]:.3e}")
+        return w
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ def _sign_gram_sum(signs: np.ndarray, n: int):
 
 def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> DensityMatrix:
     """Partial trace over the complement of A: the Gram matrix of M_A, from
-    _grams, with A's cells and Abar's spelled from the mask's bits.
+    _grams, with M_A's rows and columns the embed tables of A and Abar.
 
     The call holds four N_A x N_A complex matrices at its peak (the product,
     the checked copy, its conjugate and their difference), 2^(2|A| + 6)
@@ -284,9 +285,7 @@ def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> Densit
     """
     m = _proper_mask(A, state.n)
     _check_bytes(64 << 2 * m.size, f"the reduced density matrix of {m.size} qubits")
-    weights = 1 << np.arange(state.n - 1, -1, -1)
-    inside = (weights & m.mask) != 0
-    rows, cols = (_spell(weights[None, side]) for side in (inside, ~inside))
+    rows, cols = (embed_table(side)[None] for side in (m.mask, m.mask ^ (1 << state.n) - 1))
     (G,) = _grams(state.amplitudes, rows, cols)
     return DensityMatrix(G[0])
 
@@ -321,11 +320,9 @@ def schmidt_spectrum(state: PureState, A: Union[QubitMask, int]) -> SchmidtSpect
     """Non-increasing eigenvalues of rho_A, split at the zero cutoff.
 
     The nonzero part coincides with the nonzero part of the complement's
-    spectrum.  Raises when an eigenvalue falls below -1e-10.
+    spectrum.  They are read from validate(), which refuses one below -1e-10.
     """
-    w = reduced_density_matrix(state, A).eigenvalues()
-    if not float(w[-1]) >= -EIGEN_TOL:
-        raise ValueError(f"reduced density matrix has negative eigenvalue {float(w[-1]):.3e}")
+    w = reduced_density_matrix(state, A).validate()
     values = tuple(float(x) for x in w if x > SCHMIDT_CUTOFF)
     zeros = tuple(float(x) for x in w if x <= SCHMIDT_CUTOFF)
     return SchmidtSpectrum(values, zeros)

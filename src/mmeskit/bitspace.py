@@ -100,6 +100,14 @@ def _whole(value, field: str, floats: bool = False) -> int:
     raise ValueError(f"{field} must be {kind}, got {value!r}")
 
 
+def _real(value, field: str) -> float:
+    """value as a float, or ValueError naming field: booleans, strings and
+    complex numbers are refused; NaN and infinities pass, for the caller."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{field} must be a real number, got {value!r}")
+
+
 def _check_bytes(size: int, subject: str) -> None:
     """Refuse subject, before it is allocated, when it would take over MAX_TABLE_BYTES."""
     if size > MAX_TABLE_BYTES:

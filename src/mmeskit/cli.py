@@ -176,15 +176,7 @@ def _cmd_potential(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     state = _as_pure(read_state(args.file))
     verdict = is_perfect_mmes(state, tol=args.tol)
-    doc = {
-        "n": state.n,
-        "is_perfect": verdict.is_perfect,
-        "tolerance": verdict.tolerance,
-        "worst_purity_gap": verdict.worst_purity_gap,
-        "worst_marginal_gap": verdict.worst_marginal_gap,
-        "worst_phase_residual": verdict.worst_phase_residual,
-    }
-    print(_dump(doc, args.pretty))
+    print(_dump({"n": state.n, **vars(verdict)}, args.pretty))
     return 0
 
 

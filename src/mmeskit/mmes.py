@@ -26,7 +26,7 @@ import numpy as np
 
 from ._catalog_data import SIGN_TARGETS
 from .bipartite import _balanced_grams, _chunks
-from .bitspace import QubitMask, _check_n, _frozen, _whole, as_mask, binomial
+from .bitspace import QubitMask, _check_n, _frozen, _real, _whole, as_mask, binomial
 from .potential import energy_uniform_exact, pi_me_form1
 from .states import PureState, SignVector, ghz, permute_qubits, uniform_from_signs
 
@@ -245,11 +245,12 @@ def is_perfect_mmes(state: PureState, tol: float = 1e-9) -> MmesVerdict:
     |pi_A - 1/N_A| <= tol for every balanced A, with N_A = 2^floor(n/2).
     The marginal uniformity gap and phase residual, equivalent conditions
     in exact arithmetic, are reported as diagnostics.  tol must be a
-    finite nonnegative number.
+    finite nonnegative real number (not a boolean or a string).
     """
     if state.n < 2:
         raise ValueError("perfect-state check requires n >= 2")
-    if isinstance(tol, bool) or not 0.0 <= tol < math.inf:
+    tol = _real(tol, "tolerance")
+    if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     purity_gap, phase_res = _balanced_gaps(state)
     marg_gap = marginal_uniformity_gap(population(state))
@@ -266,14 +267,13 @@ def equation_variable_counts(n: int) -> tuple[int, int]:
     """Exact size of the defining system: (equations, real unknowns).
 
     equations = N_A (N_A - 1) C(n, floor(n/2)) with N_A = 2^floor(n/2);
-    unknowns = 3 2^(n-1) - (1 + (-1)^n) C(n, floor(n/2)) / 4.
+    unknowns = 3 2^(n-1) - (1 + (-1)^n) C(n, floor(n/2)) / 4, that is
+    free_coefficient_count(n) + 2^n.
     """
     n = _check_n(n, low=2)
     n_a_dim = 1 << (n // 2)
-    half_binom = binomial(n, n // 2)
-    m_e = n_a_dim * (n_a_dim - 1) * half_binom
-    m_x = 3 * (1 << (n - 1)) - ((1 + (-1) ** n) * half_binom) // 4
-    return m_e, m_x
+    m_e = n_a_dim * (n_a_dim - 1) * binomial(n, n // 2)
+    return m_e, free_coefficient_count(n) + (1 << n)
 
 
 def free_coefficient_count(n: int) -> int:

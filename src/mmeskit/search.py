@@ -46,7 +46,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bipartite import _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
-from .bitspace import MAX_COUNT_QUBITS, MAX_QUBITS, _check_bytes, _frozen, _whole
+from .bitspace import MAX_COUNT_QUBITS, MAX_QUBITS, _check_bytes, _frozen, _real, _whole
 from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
 
@@ -123,11 +123,13 @@ class SearchReport:
 class AnnealConfig:
     """Annealing protocol: temperature ladder, move set, replicas, seed.
 
-    beta_schedule lists (beta, sweeps) stages executed in order; sweeps
-    are whole numbers, one sweep proposes one move per site; betas may be
-    infinite (a quench) but not NaN.  The sign of the final stage's beta
-    fixes the reported objective: nonnegative seeks minima, negative
-    maxima.  replicas and seed are integers, the seed nonnegative.
+    beta_schedule lists (beta, sweeps) pairs executed in order; sweeps
+    are whole numbers, one sweep proposes one move per site; betas are
+    real numbers, which may be infinite (a quench) but not NaN.  The sign
+    of the final stage's beta fixes the reported objective: nonnegative
+    seeks minima, negative maxima.  max_angle is a real number in (0, pi];
+    replicas and seed are integers, the seed nonnegative.  Booleans and
+    strings are refused in every numeric field.
     """
 
     beta_schedule: tuple[tuple[float, int], ...]
@@ -137,9 +139,11 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        stages = tuple(
-            (float(b), _whole(s, "sweep counts", floats=True)) for b, s in self.beta_schedule
-        )
+        try:
+            pairs = [(b, s) for b, s in self.beta_schedule]
+        except (TypeError, ValueError):
+            raise ValueError("beta_schedule must list (beta, sweeps) pairs") from None
+        stages = tuple((_real(b, "beta"), _whole(s, "sweep counts", floats=True)) for b, s in pairs)
         if not stages:
             raise ValueError("beta_schedule must contain at least one stage")
         if any(s < 0 for _, s in stages):
@@ -149,7 +153,8 @@ class AnnealConfig:
         object.__setattr__(self, "beta_schedule", stages)
         if self.move not in ("sign_flip", "phase_rotation"):
             raise ValueError(f"unknown move {self.move!r}")
-        if isinstance(self.max_angle, bool) or not 0 < self.max_angle <= math.pi:
+        object.__setattr__(self, "max_angle", _real(self.max_angle, "max_angle"))
+        if not 0 < self.max_angle <= math.pi:
             raise ValueError("max_angle must lie in (0, pi]")
         object.__setattr__(self, "replicas", _whole(self.replicas, "replicas"))
         if self.replicas < 1:

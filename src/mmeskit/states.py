@@ -287,7 +287,7 @@ def max_entangled_state(
 
 def ghz(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on n >= 2 qubits."""
-    if n < 2:
+    if _whole(n, "n") < 2:
         raise ValueError(f"ghz requires n >= 2, got {n}")
     n = _check_n(n, MAX_QUBITS)
     amp = np.zeros(1 << n, dtype=np.complex128)

@@ -88,6 +88,17 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.validate()
 
+    def test_validate_returns_the_spectrum_it_checked(self):
+        rho = reduced_density_matrix(random_state(4, 2), QubitMask.from_qubits((1, 3), 4))
+        assert np.array_equal(rho.validate(), rho.eigenvalues())
+
+    def test_schmidt_spectrum_refuses_through_validate(self, monkeypatch):
+        st, A = random_state(3, 4), QubitMask.from_qubits((1,), 3)
+        w = DensityMatrix.eigenvalues
+        monkeypatch.setattr(DensityMatrix, "eigenvalues", lambda rho: np.append(w(rho)[:-1], -1.1e-10))
+        with pytest.raises(ValueError, match=r"^density matrix has negative eigenvalue -1\.100e-10$"):
+            schmidt_spectrum(st, A)
+
     def test_entries_read_only(self):
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
         with pytest.raises(ValueError):

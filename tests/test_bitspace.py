@@ -86,7 +86,7 @@ class TestQubitCount:
     def test_bools_and_floats_are_refused(self, name):
         call, n = N_TAKERS[name]
         call(n)  # a cached builder now holds an entry equal to float(n)
-        for bad in (True, False, float(n), n + 0.5):
+        for bad in (True, False, float(n), n + 0.5, str(n)):
             # "n must be an integer", or a lower bound on n checked first
             with pytest.raises(ValueError, match=rf"\bn\b.*, got {re.escape(repr(bad))}$"):
                 call(bad)

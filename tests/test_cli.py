@@ -5,6 +5,7 @@ installed console script.  Output determinism is asserted byte for byte.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -43,7 +44,7 @@ from mmeskit import (
 )
 from mmeskit import bitspace, search
 from mmeskit.cli import PARSE_BYTES, _dump, read_state, run, write_state
-from mmeskit.mmes import CATALOG_NAMES
+from mmeskit.mmes import CATALOG_NAMES, MmesVerdict
 from mmeskit.search import MAX_REPLICAS
 
 
@@ -162,14 +163,18 @@ class TestVerify:
         assert doc["worst_phase_residual"] <= 1e-12
 
     def test_imperfect_state_verdict_matches_library(self, capture, state_file):
-        path = state_file(ghz(4))
-        code, out, _ = capture(["verify", path])
-        assert code == 0
-        doc = json.loads(out)
-        v = is_perfect_mmes(ghz(4))
-        assert doc["is_perfect"] is False
-        assert doc["worst_purity_gap"] == v.worst_purity_gap
-        assert doc["worst_marginal_gap"] == v.worst_marginal_gap
+        # verify prints n and the MmesVerdict fields, each the library's own value,
+        # for a catalog, a dense and a sign file
+        fields = {"n"} | {f.name for f in dataclasses.fields(MmesVerdict)}
+        sign = SignVector(6, [(-1) ** (k * k % 7) for k in range(64)])
+        for obj, state in ((ghz(4), ghz(4)), (random_state(5, 3),) * 2, (sign, uniform_from_signs(sign))):
+            code, out, _ = capture(["verify", state_file(obj)])
+            assert code == 0
+            doc = json.loads(out)
+            v = is_perfect_mmes(state)
+            assert doc["is_perfect"] is False
+            assert set(doc) == fields
+            assert doc == {"n": state.n, **dataclasses.asdict(v)}
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tolerance_exits_one(self, capture, state_file, tol):

@@ -258,7 +258,7 @@ class TestVerdict:
         for st in entries:
             assert is_perfect_mmes(st).is_perfect
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-15, math.inf, True, False])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-15, math.inf, True, False, "1", "0", 1 + 0j, None])
     def test_rejects_bad_tolerances(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             is_perfect_mmes(ghz(3), tol=tol)
@@ -297,6 +297,10 @@ class TestEquationCounts:
     )
     def test_table_rows(self, n, row):
         assert equation_variable_counts(n) == row
+
+    def test_unknowns_are_the_free_coefficients_plus_the_amplitudes(self):
+        for n in range(2, 65):
+            assert equation_variable_counts(n)[1] == free_coefficient_count(n) + 2**n
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_free_coefficients_match_subset_enumeration(self, n):

@@ -709,9 +709,15 @@ class TestAnnealConfig:
         for field, value in (
             ("replicas", 2.5), ("replicas", 2.0), ("replicas", True),
             ("seed", 1.5), ("seed", False), ("seed", -1), ("max_angle", True),
+            ("max_angle", "1"), ("max_angle", 1 + 0j), ("max_angle", None),
+            ("beta_schedule", "1:2"), ("beta_schedule", [(1.0,)]), ("beta_schedule", [(1.0, 5, 5)]),
+            ("beta_schedule", 5), ("beta_schedule", [1.0]),
         ):
             with pytest.raises(ValueError, match=field):
-                AnnealConfig(beta_schedule=[(1.0, 5)], **{field: value})
+                AnnealConfig(**{"beta_schedule": [(1.0, 5)], field: value})
+        for beta in ("1", "inf", True, 1 + 0j, None):
+            with pytest.raises(ValueError, match="^beta must be a real number"):
+                AnnealConfig(beta_schedule=[(1.0, 5), (beta, 5)])
 
     def test_rejects_nan_betas_and_keeps_infinite_quenches(self):
         for schedule in ([(math.nan, 5)], [(1.0, 5), (math.nan, 5)]):
