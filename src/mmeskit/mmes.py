@@ -17,6 +17,7 @@ Features:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -300,6 +301,8 @@ _C3 = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
 def _unit(value: complex, name: str) -> complex:
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     z = complex(value)
     if not abs(abs(z) - 1.0) <= PHASE_UNIT_TOL:
         raise ValueError(f"{name} must have unit modulus, got |{name}| = {abs(z)!r}")

@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .bitspace import MAX_QUBITS, _check_n, _check_split, binomial, multinomial, submasks, weight
+from .bitspace import MAX_QUBITS, _check_n, _check_split, _whole, as_mask, binomial, multinomial, submasks
 from .bipartite import _balanced_grams, _gram_sum_denominator, _sign_gram_sum, _xor_sums
 from .states import PolarState, PureState, SignVector, assemble
 
@@ -69,9 +69,10 @@ def g_hat(s: int, t: int, n: int, n_a: int) -> Fraction:
 
     g_hat(s, t; n_a) = (1/2) C(n, n_a)^(-1) [C(n-s-t, n_a-s) +
     C(n-s-t, n_a-t)] with out-of-range binomials equal to zero.  Symmetric
-    in (s, t); g_hat(0, 0) = 1.
+    in (s, t); g_hat(0, 0) = 1.  The weights s, t are read by `_whole`.
     """
     n, n_a = _check_split(n, n_a)
+    s, t = _whole(s, "weight s"), _whole(t, "weight t")
     if s < 0 or t < 0:
         raise ValueError("weights s, t must be nonnegative")
     return _g_hat_core(s, t, n, n_a)
@@ -82,9 +83,10 @@ def g_hat_dual(s: int, t: int, n: int, n_a: int) -> Fraction:
 
     (1/2) (s! t! (n-s-t)! / n!) [C(n_a, s) C(n-n_a, t) +
     C(n_a, t) C(n-n_a, s)], zero when s + t > n.  Agrees with g_hat
-    exactly; kept as an independent closed form.
+    exactly; kept as an independent closed form.  Reads s, t as g_hat does.
     """
     n, n_a = _check_split(n, n_a)
+    s, t = _whole(s, "weight s"), _whole(t, "weight t")
     if s < 0 or t < 0:
         raise ValueError("weights s, t must be nonnegative")
     if s + t > n:
@@ -95,28 +97,27 @@ def g_hat_dual(s: int, t: int, n: int, n_a: int) -> Fraction:
 
 
 def g(a: int, b: int, n: int, n_a: int) -> Fraction:
-    """Mask coupling g(a, b; n_a): zero on overlapping supports.
+    """Mask coupling g(a, b; n_a) of n-bit masks read by `as_mask(x, n)`.
 
     g(a, b; n_a) = g_hat(|a|, |b|; n_a) when a and b are disjoint, else 0.
     """
     n, n_a = _check_split(n, n_a)
-    if not (0 <= a < (1 << n) and 0 <= b < (1 << n)):
-        raise ValueError(f"masks must lie in [0, 2^{n})")
+    a, b = as_mask(a, n), as_mask(b, n)
     if a & b:
         return Fraction(0)
-    return _g_hat_core(weight(a), weight(b), n, n_a)
+    return _g_hat_core(a.bit_count(), b.bit_count(), n, n_a)
 
 
 def coupling_delta(k: int, k2: int, l: int, l2: int, n: int, n_a: int) -> Fraction:
-    """Symmetrized four-index coupling through the mask function g.
+    """Symmetrized four-index coupling of labels in [0, 2^n), read by `_whole`.
 
     Delta(k, k'; l, l'; n_a) = g((k xor l) or (k' xor l'),
     (k xor l') or (k' xor l); n_a).  Symmetric under swapping k with k'
     and under exchanging the pair (k, k') with (l, l').
     """
     n, n_a = _check_split(n, n_a)
-    hi = 1 << n
-    if not all(0 <= x < hi for x in (k, k2, l, l2)):
+    k, k2, l, l2 = (_whole(x, "basis label") for x in (k, k2, l, l2))
+    if not all(0 <= x < 1 << n for x in (k, k2, l, l2)):
         raise ValueError(f"basis labels must lie in [0, 2^{n})")
     return g((k ^ l) | (k2 ^ l2), (k ^ l2) | (k2 ^ l), n, n_a)
 
@@ -124,8 +125,10 @@ def coupling_delta(k: int, k2: int, l: int, l2: int, n: int, n_a: int) -> Fracti
 def admissible_q(k: int, k2: int, l: int, l2: int) -> int:
     """Admissibility kernel; the quadruple contributes iff this is zero.
 
-    q = ((k xor l) or (k' xor l')) and ((k xor l') or (k' xor l)).
+    q = ((k xor l) or (k' xor l')) and ((k xor l') or (k' xor l)), on
+    labels read by `_whole`.
     """
+    k, k2, l, l2 = (_whole(x, "basis label") for x in (k, k2, l, l2))
     return ((k ^ l) | (k2 ^ l2)) & ((k ^ l2) | (k2 ^ l))
 
 
@@ -144,7 +147,7 @@ class CouplingTable:
     constant: Fraction
 
     def validate(self) -> None:
-        """Check disjoint supports and the exact row-sum normalization."""
+        """Check disjoint supports and the exact row sums, each over the submasks of l."""
         for l, m, w in self.entries:
             if l == 0 or m == 0 or (l & m) or w == 0:
                 raise ValueError(f"malformed table entry {(l, m, w)}")
@@ -191,16 +194,14 @@ def build_coupling_table(n: int) -> CouplingTable:
 
 
 def coupling_row_sum(l: int, n: int, n_a: int) -> Fraction:
-    """Exact sum over m of g(l xor m, m; n_a); equals 1 for every l."""
+    """Exact sum over m of g(l xor m, m; n_a); equals 1 for every l.
+
+    Only the submasks m of l couple, each with g_hat(|l| - |m|, |m|); l is
+    read by `as_mask(l, n)`.
+    """
     n, n_a = _check_split(n, n_a)
-    if not 0 <= l < (1 << n):
-        raise ValueError(f"mask must lie in [0, 2^{n})")
-    total = Fraction(0)
-    for m in range(1 << n):
-        val = g(l ^ m, m, n, n_a)
-        if val:
-            total += val
-    return total
+    s = as_mask(l, n).bit_count()
+    return sum(_g_hat_core(s - m.bit_count(), m.bit_count(), n, n_a) for m in submasks(l))
 
 
 @lru_cache(maxsize=4)

@@ -29,7 +29,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bitspace import MAX_QUBITS, QubitMask, _check_bytes, _check_n, _frozen, _spell, _whole, embed_table
+from .bitspace import MAX_QUBITS, QubitMask, _check_bytes, _check_n, _frozen, _real, _spell, _whole, embed_table
 
 __all__ = [
     "NORM_TOL",
@@ -126,8 +126,8 @@ class PolarState:
         object.__setattr__(self, "phases", _frozen(zeta))
 
     def is_uniform(self, tol: float = NORM_TOL) -> bool:
-        """True when all moduli equal 1/sqrt(2^n) within tol."""
-        return float(np.max(np.abs(self.moduli - 1.0 / math.sqrt(1 << self.n)))) <= tol
+        """True when all moduli equal 1/sqrt(2^n) within tol, a real number."""
+        return float(np.max(np.abs(self.moduli - 1.0 / math.sqrt(1 << self.n)))) <= _real(tol, "tol")
 
 
 # Sign strings go through one byte table each way: '+' and '-' to the int8

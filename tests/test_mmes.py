@@ -339,6 +339,9 @@ class TestCatalog:
             catalog("bell_family", phases=(1.0, 0.5, 1.0))
         with pytest.raises(ValueError, match="unit modulus"):
             catalog("bell_family", phases=(1.0, complex(float("nan"), 0.0), 1.0))
+        for bad in ("1", True, None):
+            with pytest.raises(ValueError, match=r"^phase 0 must be a number"):
+                catalog("bell_family", phases=(bad, 1, 1))
 
     def test_bell_family_closure(self):
         rng = np.random.default_rng(17)

@@ -10,6 +10,7 @@ Oracles:
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -115,6 +116,36 @@ def modulus_pair_count(n):
     return len(pairs)
 
 
+# Each coupling function with valid arguments at n = 4, and the field that
+# names each argument slot when it is refused.
+COUPLING_ARGUMENTS = [
+    (g_hat, (1, 0, 4, 2), ("weight s", "weight t", "n", "subset size")),
+    (g_hat_dual, (1, 0, 4, 2), ("weight s", "weight t", "n", "subset size")),
+    (g, (1, 2, 4, 2), ("mask", "mask", "n", "subset size")),
+    (coupling_delta, (0, 1, 2, 3, 4, 2), ("basis label",) * 4 + ("n", "subset size")),
+    (admissible_q, (0, 1, 2, 3), ("basis label",) * 4),
+    (coupling_row_sum, (3, 4, 2), ("mask", "n", "subset size")),
+]
+
+
+def coupling_refusals():
+    """(function, arguments, refusal message) with one bad argument each.
+
+    Every slot gets a bool, a float and a string; the masks and labels of
+    the functions that take n also get -1 and 2^n.
+    """
+    for func, args, fields in COUPLING_ARGUMENTS:
+        for slot, field in enumerate(fields):
+            bads = [(bad, f"{field} must be an integer, got {bad!r}") for bad in (True, 1.0, "1")]
+            if field == "mask":
+                bads += [(bad, "out of range for n=4") for bad in (-1, 16)]
+            if field == "basis label" and func is coupling_delta:
+                bads += [(bad, "basis labels must lie in [0, 2^4)") for bad in (-1, 16)]
+            for bad, message in bads:
+                bent = args[:slot] + (bad,) + args[slot + 1:]
+                yield pytest.param(func, bent, message, id=f"{func.__name__}-{slot}-{bad!r}")
+
+
 class TestGHat:
     def test_known_values(self):
         assert g_hat(1, 1, 2, 1) == Fraction(1, 2)
@@ -154,6 +185,16 @@ class TestG:
                         assert g(a, b, n, n // 2) == 0
                     else:
                         assert g(a, b, n, n // 2) == g_hat(weight(a), weight(b), n, n // 2)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_row_terms_vanish_off_the_submasks(self, n):
+        for n_a in range(1, n):
+            for l in range(1 << n):
+                for m in range(1 << n):
+                    if m & ~l:
+                        assert g(l ^ m, m, n, n_a) == 0
+                    else:
+                        assert g(l ^ m, m, n, n_a) == g_hat(weight(l) - weight(m), weight(m), n, n_a)
 
 
 class TestCouplingDelta:
@@ -252,6 +293,11 @@ class TestCouplingTable:
             for n_a in range(1, n):
                 for l in range(1 << n):
                     assert coupling_row_sum(l, n, n_a) == 1
+
+    @pytest.mark.parametrize("func, args, message", coupling_refusals())
+    def test_coupling_arguments_are_refused_by_name(self, func, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            func(*args)
 
 
 class TestPotentialForms:

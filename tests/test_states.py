@@ -110,6 +110,9 @@ class TestPolarAndSigns:
     def test_is_uniform(self):
         assert random_phases(3, 0).is_uniform()
         assert not polar(ghz(3)).is_uniform()
+        for bad in ("1", True):
+            with pytest.raises(ValueError, match=r"^tol must be a real number"):
+                polar(ghz(3)).is_uniform(tol=bad)
 
     def test_sign_vector_string_roundtrip(self):
         sv = SignVector.from_string("+--+")
