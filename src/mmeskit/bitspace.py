@@ -4,6 +4,7 @@ Features:
 - basis labels k in X^n = {0,1}^n encoded as n-bit integers, with qubit i
   (1-based, i in {1..n}) occupying bit position n - i, so the binary string
   k_1 k_2 ... k_n reads literally as the numeral of the integer
+- one reader (`_index`) of every integer index argument, with one refusal
 - subsystem masks (QubitMask) with canonicalizing bipartition constructor
 - enumeration of balanced bipartitions in deterministic ascending order
   (`bipartite`'s per-n site map lists its subsets in the same order)
@@ -100,6 +101,24 @@ def _whole(value, field: str, floats: bool = False) -> int:
     raise ValueError(f"{field} must be {kind}, got {value!r}")
 
 
+def _index(value, field: str, n: int | None = None, low: int = 0, high: int | None = None) -> int:
+    """An integer index argument, read by `_whole`, in [low, high): high is
+    2^n by default and absent without n.  The one refusal of a value out of
+    range is "<field> <value> out of range[ for n=<n>]"."""
+    value = _whole(value, field)
+    if value < low or (value >= high if high is not None else n is not None and value >> n):
+        raise ValueError(f"{field} {value} out of range" + ("" if n is None else f" for n={n}"))
+    return value
+
+
+def _seed(value) -> int:
+    """A random seed, read by `_whole`, as a nonnegative int."""
+    seed = _whole(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _real(value, field: str) -> float:
     """value as a float, or ValueError naming field: booleans, strings and
     complex numbers are refused; NaN and infinities pass, for the caller."""
@@ -120,11 +139,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def weight(k: BasisIndex) -> int:
-    """Hamming weight |k|, the number of 1 bits of the basis label."""
-    k = _whole(k, "basis index")
-    if k < 0:
-        raise ValueError("basis index must be nonnegative")
-    return k.bit_count()
+    """Hamming weight |k| of the basis label k, read by `_index`."""
+    return _index(k, "basis index").bit_count()
 
 
 def complement(mask: int, n: int) -> int:
@@ -147,19 +163,15 @@ class QubitMask:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _check_n(self.n))
-        object.__setattr__(self, "mask", _whole(self.mask, "mask"))
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask:#b} out of range for n={self.n}")
+        object.__setattr__(self, "mask", _index(self.mask, "mask", self.n))
 
     @classmethod
     def from_qubits(cls, qubits: Sequence[int], n: int) -> "QubitMask":
-        """Mask of the given 1-based qubit labels."""
+        """Mask of the given 1-based qubit labels, each read by `_index` in [1, n]."""
         n = _check_n(n)
         mask = 0
         for label in qubits:
-            i = _whole(label, "qubit label")
-            if not 1 <= i <= n:
-                raise ValueError(f"qubit label {i} out of range for n={n}")
+            i = _index(label, "qubit label", n, low=1, high=n + 1)
             bit = 1 << (n - i)
             if mask & bit:
                 raise ValueError(f"duplicate qubit label {i}")
@@ -203,16 +215,13 @@ class QubitMask:
 def as_mask(A: Union[QubitMask, int], n: int | None = None) -> int:
     """Normalize a QubitMask or raw integer mask to a validated integer.
 
-    Without n a raw mask is only checked to be nonnegative.
+    A raw mask is read by `_index`: in [0, 2^n), or nonnegative without n.
     """
     if isinstance(A, QubitMask):
         if n is not None and A.n != n:
             raise ValueError(f"mask is for n={A.n}, expected n={n}")
         return A.mask
-    A = _whole(A, "mask")
-    if A < 0 or n is not None and A >> n:
-        raise ValueError(f"mask {A:#b} out of range" + ("" if n is None else f" for n={n}"))
-    return A
+    return _index(A, "mask", n)
 
 
 def balanced_bipartitions(n: int) -> list[QubitMask]:
@@ -232,14 +241,12 @@ def extract(k: BasisIndex, A: Union[QubitMask, int], n: int | None = None) -> Ba
 
     The lowest set bit of the mask maps to bit 0 of the result, so the
     qubit order of the binary string is preserved (qubit labels ascending
-    left to right).  Inverse of `embed` on its image.  k must be
-    nonnegative; when n is given the mask and k are checked against the
-    n-bit range.
+    left to right).  Inverse of `embed` on its image.  k is read by
+    `_index`: nonnegative, and when n is given the mask and k are checked
+    against the n-bit range.
     """
     mask = as_mask(A, n)
-    k = _whole(k, "basis index")
-    if k < 0 or n is not None and k >> n:
-        raise ValueError(f"basis index {k} out of range" + ("" if n is None else f" for n={n}"))
+    k = _index(k, "basis index", n)
     out = 0
     out_bit = 0
     while mask:
@@ -255,13 +262,11 @@ def embed(l: BasisIndex, A: Union[QubitMask, int], n: int | None = None) -> Basi
     """Inject l in X^A into X^n: bits of l placed at the positions of A.
 
     Bit 0 of l lands on the lowest set bit of the mask; all other bits of
-    the result are zero.  Satisfies extract(embed(l, A), A) == l.  When n
-    is given the mask is checked against the n-bit range.
+    the result are zero.  Satisfies extract(embed(l, A), A) == l.  l is
+    read by `_index` in [0, 2^n_A); given n, the mask is checked too.
     """
     mask = as_mask(A, n)
-    l = _whole(l, "sub-index")
-    if l < 0 or l >= (1 << mask.bit_count()):
-        raise ValueError(f"sub-index {l} out of range for a {mask.bit_count()}-qubit subset")
+    l = _index(l, "sub-index", mask.bit_count())
     out = 0
     while l:
         low = mask & -mask
@@ -310,8 +315,9 @@ def submasks(mask: int) -> Iterator[int]:
 
 
 def masks_of_weight(w: int, n: int) -> Iterator[int]:
-    """All n-bit masks of Hamming weight w, ascending as integers."""
-    n = _check_n(n)
+    """All n-bit masks of Hamming weight w, ascending as integers; none
+    when w, read by `_whole`, is negative or over n."""
+    n, w = _check_n(n), _whole(w, "weight w")
     if w < 0 or w > n:
         return
     if w == 0:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._catalog_data import SIGN_TARGETS
 from .bipartite import _balanced_grams, _chunks
-from .bitspace import QubitMask, _check_n, _frozen, _real, _whole, as_mask, binomial
+from .bitspace import QubitMask, _check_n, _frozen, _index, _real, _whole, as_mask, binomial
 from .potential import energy_uniform_exact, pi_me_form1
 from .states import PureState, SignVector, ghz, permute_qubits, uniform_from_signs
 
@@ -104,10 +104,8 @@ class WalshCoefficients:
         return float(self.values[0])
 
     def coefficient(self, T: int) -> float:
-        """c_T for the subset mask T (T = 0 gives the constant)."""
-        if not 0 <= T < (1 << self.n):
-            raise ValueError(f"subset mask {T} out of range for n={self.n}")
-        return float(self.values[T])
+        """c_T for the subset mask T (T = 0 gives the constant), read by `_index`."""
+        return float(self.values[_index(T, "subset mask", self.n)])
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .bitspace import MAX_QUBITS, _check_n, _check_split, _whole, as_mask, binomial, multinomial, submasks
+from .bitspace import MAX_QUBITS, _check_n, _check_split, _index, as_mask, binomial, multinomial, submasks
 from .bipartite import _balanced_grams, _gram_sum_denominator, _sign_gram_sum, _xor_sums
 from .states import PolarState, PureState, SignVector, assemble
 
@@ -69,13 +69,10 @@ def g_hat(s: int, t: int, n: int, n_a: int) -> Fraction:
 
     g_hat(s, t; n_a) = (1/2) C(n, n_a)^(-1) [C(n-s-t, n_a-s) +
     C(n-s-t, n_a-t)] with out-of-range binomials equal to zero.  Symmetric
-    in (s, t); g_hat(0, 0) = 1.  The weights s, t are read by `_whole`.
+    in (s, t); g_hat(0, 0) = 1.  The weights s, t are read by `_index`.
     """
     n, n_a = _check_split(n, n_a)
-    s, t = _whole(s, "weight s"), _whole(t, "weight t")
-    if s < 0 or t < 0:
-        raise ValueError("weights s, t must be nonnegative")
-    return _g_hat_core(s, t, n, n_a)
+    return _g_hat_core(_index(s, "weight s"), _index(t, "weight t"), n, n_a)
 
 
 def g_hat_dual(s: int, t: int, n: int, n_a: int) -> Fraction:
@@ -86,9 +83,7 @@ def g_hat_dual(s: int, t: int, n: int, n_a: int) -> Fraction:
     exactly; kept as an independent closed form.  Reads s, t as g_hat does.
     """
     n, n_a = _check_split(n, n_a)
-    s, t = _whole(s, "weight s"), _whole(t, "weight t")
-    if s < 0 or t < 0:
-        raise ValueError("weights s, t must be nonnegative")
+    s, t = _index(s, "weight s"), _index(t, "weight t")
     if s + t > n:
         return Fraction(0)
     denom = multinomial(n, (s, t, n - s - t))
@@ -109,16 +104,14 @@ def g(a: int, b: int, n: int, n_a: int) -> Fraction:
 
 
 def coupling_delta(k: int, k2: int, l: int, l2: int, n: int, n_a: int) -> Fraction:
-    """Symmetrized four-index coupling of labels in [0, 2^n), read by `_whole`.
+    """Symmetrized four-index coupling of labels in [0, 2^n), read by `_index`.
 
     Delta(k, k'; l, l'; n_a) = g((k xor l) or (k' xor l'),
     (k xor l') or (k' xor l); n_a).  Symmetric under swapping k with k'
     and under exchanging the pair (k, k') with (l, l').
     """
     n, n_a = _check_split(n, n_a)
-    k, k2, l, l2 = (_whole(x, "basis label") for x in (k, k2, l, l2))
-    if not all(0 <= x < 1 << n for x in (k, k2, l, l2)):
-        raise ValueError(f"basis labels must lie in [0, 2^{n})")
+    k, k2, l, l2 = (_index(x, "basis label", n) for x in (k, k2, l, l2))
     return g((k ^ l) | (k2 ^ l2), (k ^ l2) | (k2 ^ l), n, n_a)
 
 
@@ -126,9 +119,9 @@ def admissible_q(k: int, k2: int, l: int, l2: int) -> int:
     """Admissibility kernel; the quadruple contributes iff this is zero.
 
     q = ((k xor l) or (k' xor l')) and ((k xor l') or (k' xor l)), on
-    labels read by `_whole`.
+    nonnegative labels read by `_index`.
     """
-    k, k2, l, l2 = (_whole(x, "basis label") for x in (k, k2, l, l2))
+    k, k2, l, l2 = (_index(x, "basis label") for x in (k, k2, l, l2))
     return ((k ^ l) | (k2 ^ l2)) & ((k ^ l2) | (k2 ^ l))
 
 

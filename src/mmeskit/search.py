@@ -46,7 +46,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bipartite import _gram_sum_denominator, _kept_count, _sign_gram_sum, _sites
-from .bitspace import MAX_COUNT_QUBITS, MAX_QUBITS, _check_bytes, _frozen, _real, _whole
+from .bitspace import MAX_COUNT_QUBITS, MAX_QUBITS, _check_bytes, _frozen, _index, _real, _seed, _whole
 from .potential import energy_uniform_exact, pi_me_uniform
 from .states import PolarState, SignVector
 
@@ -159,9 +159,7 @@ class AnnealConfig:
         object.__setattr__(self, "replicas", _whole(self.replicas, "replicas"))
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     @property
     def objective(self) -> str:
@@ -323,12 +321,10 @@ def flip_delta(signs: SignVector, flip_index: int) -> float:
     A single-flip query that needs no Gram state: the exact Gram sums of
     the vector and of its flip, evaluated as one batch of two, and their
     difference rounded once.  The annealer does not use it: once its Gram
-    state is built, a proposal costs O(C(n, n/2) 2^(n/2)).
+    state is built, a proposal costs O(C(n, n/2) 2^(n/2)).  The flip
+    index is read by `_index` in [0, 2^n).
     """
-    N = 1 << signs.n
-    j = _whole(flip_index, "flip index")
-    if not 0 <= j < N:
-        raise ValueError(f"flip index {j} out of range for {N} sites")
+    j = _index(flip_index, "flip index", signs.n)
     pair = np.stack((signs.signs, signs.signs))
     pair[1, j] *= -1
     before, after = _sign_gram_sum(pair, signs.n).tolist()

@@ -29,7 +29,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bitspace import MAX_QUBITS, QubitMask, _check_bytes, _check_n, _frozen, _real, _spell, _whole, embed_table
+from .bitspace import (
+    MAX_QUBITS, QubitMask, _check_bytes, _check_n, _frozen, _index, _real, _seed, _spell, _whole, embed_table
+)
 
 __all__ = [
     "NORM_TOL",
@@ -296,17 +298,19 @@ def ghz(n: int) -> PureState:
 
 
 def random_state(n: int, seed: int) -> PureState:
-    """Haar-sphere sample: normalized standard complex Gaussian vector."""
+    """Haar-sphere sample: normalized standard complex Gaussian vector;
+    the seed is read as AnnealConfig reads it, a nonnegative integer."""
     n = _check_n(n, MAX_QUBITS)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return from_amplitudes(n, v)
 
 
 def random_phases(n: int, seed: int) -> PolarState:
-    """Uniform-modulus state with i.i.d. phases uniform on the circle."""
+    """Uniform-modulus state with i.i.d. phases uniform on the circle;
+    the seed is read as random_state reads it."""
     n = _check_n(n, MAX_QUBITS)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     angles = rng.uniform(0.0, 2.0 * math.pi, 1 << n)
     zeta = np.exp(1j * angles)
     r = np.full(1 << n, 1.0 / math.sqrt(1 << n))
@@ -330,23 +334,21 @@ def assemble(p: PolarState) -> PureState:
 def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
     """Relabel qubits: the new qubit i carries the old qubit perm[i-1].
 
-    `perm` is a bijection of {1..n} given as a length-n sequence.  The new
-    amplitude at label k is the old amplitude at the label whose bit i is
-    k_{perm(i)}.
+    `perm` is a bijection of {1..n} given as a length-n sequence, each
+    label read by `_index` in [1, n].  The new amplitude at label k is the
+    old amplitude at the label whose bit i is k_{perm(i)}.
     """
     n = state.n
-    labels = [_whole(p, "qubit label") for p in perm]
+    labels = [_index(p, "qubit label", n, low=1, high=n + 1) for p in perm]
     if sorted(labels) != list(range(1, n + 1)):
         raise ValueError(f"perm must be a permutation of 1..{n}, got {perm!r}")
     return PureState(n, state.amplitudes[_spell([1 << (n - p) for p in labels])])
 
 
 def apply_single_qubit_unitary(state: PureState, qubit: int, U: np.ndarray) -> PureState:
-    """Apply a 2x2 unitary to one qubit (1-based label)."""
+    """Apply a 2x2 unitary to one qubit, its 1-based label read by `_index` in [1, n]."""
     n = state.n
-    qubit = _whole(qubit, "qubit label")
-    if not 1 <= qubit <= n:
-        raise ValueError(f"qubit label {qubit} out of range for n={n}")
+    qubit = _index(qubit, "qubit label", n, low=1, high=n + 1)
     U = _check_unitary(U, 2, "U")
     t = state.amplitudes.reshape(1 << (qubit - 1), 2, 1 << (n - qubit))
     out = np.einsum("ab,ibj->iaj", U, t)

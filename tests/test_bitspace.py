@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from mmeskit import (
-    QubitMask, SignVector, balanced_bipartitions, binomial, bipartite_term_counts,
-    build_coupling_table, embed, equation_variable_counts, extract, free_coefficient_count, ghz,
-    monomial_counts, purity_form1, random_state, weight,
+    QubitMask, SignVector, apply_single_qubit_unitary, balanced_bipartitions, binomial, bipartite_term_counts,
+    build_coupling_table, embed, equation_variable_counts, extract, flip_delta, free_coefficient_count, ghz,
+    monomial_counts, permute_qubits, population, purity_form1, random_state, walsh_coefficients, weight,
 )
 from mmeskit.bitspace import (
     MAX_COUNT_QUBITS,
@@ -209,6 +209,54 @@ class TestQubitMask:
             complement(5, 2)
 
 
+# Every public function that takes an integer index, at n = 3: a call on
+# the index, the field its refusals name, its extreme values inside the
+# range, the values just outside it, and the n its range message names.
+WALSH3, PLUS3 = walsh_coefficients(population(ghz(3))), SignVector(3, np.ones(8, dtype=np.int8))
+INDEX_ARGUMENTS = [
+    ("as_mask", lambda v: as_mask(v, 3), "mask", (0, 7), (-1, 8), 3),
+    ("as_mask-without-n", as_mask, "mask", (0, 1 << 70), (-1,), None),
+    ("QubitMask", lambda v: QubitMask(v, 3), "mask", (0, 7), (-1, 8), 3),
+    ("from_qubits", lambda v: QubitMask.from_qubits((v,), 3), "qubit label", (1, 3), (-1, 0, 4), 3),
+    ("weight", weight, "basis index", (0, 1 << 70), (-1,), None),
+    ("extract", lambda v: extract(v, 0b101, 3), "basis index", (0, 7), (-1, 8), 3),
+    ("extract-without-n", lambda v: extract(v, 0b101), "basis index", (0, 1 << 70), (-1,), None),
+    ("embed", lambda v: embed(v, 0b101, 3), "sub-index", (0, 3), (-1, 4), 2),
+    ("coefficient", WALSH3.coefficient, "subset mask", (0, 7), (-1, 8), 3),
+    ("flip_delta", lambda v: flip_delta(PLUS3, v), "flip index", (0, 7), (-1, 8), 3),
+    ("apply_single_qubit_unitary", lambda v: apply_single_qubit_unitary(ghz(3), v, np.eye(2)), "qubit label",
+     (1, 3), (-1, 0, 4), 3),
+    ("permute_qubits", lambda v: permute_qubits(ghz(3), (2, 3, v)), "qubit label", (1,), (-1, 0, 4), 3),
+    ("masks_of_weight", lambda v: list(masks_of_weight(v, 3)), "weight w", (0, 3), (), None),
+]
+
+
+class TestIndexArguments:
+    """Each index argument is read by bitspace._index: one refusal of a
+    non-integer, naming the field, and one of a value out of range."""
+
+    @pytest.mark.parametrize("call, field, inside, outside, n", [row[1:] for row in INDEX_ARGUMENTS],
+                             ids=[row[0] for row in INDEX_ARGUMENTS])
+    def test_one_reader_refuses_by_name(self, call, field, inside, outside, n):
+        for value in inside:
+            call(value)
+            if value < 1 << 63:
+                call(np.int64(value))
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer, got {re.escape(repr(bad))}$"):
+                call(bad)
+        tail = "" if n is None else f" for n={n}"
+        for bad in outside:
+            with pytest.raises(ValueError, match=rf"^{re.escape(field)} {bad} out of range{tail}$"):
+                call(bad)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_masks_of_weight_yields_nothing_out_of_range(self, n):
+        # documented: a negative or oversized weight has no masks, and is no error
+        for w in (-1, n + 1, 1 << 70, np.int64(-1), np.int64(n + 1)):
+            assert list(masks_of_weight(w, n)) == []
+
+
 class TestBalancedBipartitions:
     def test_three_qubits_lists_singletons(self):
         assert [m.qubits() for m in balanced_bipartitions(3)] == [(1,), (2,), (3,)]
@@ -290,7 +338,7 @@ class TestExtractEmbed:
             assert embed(dtype(sub), A) == embed(sub, A) and type(embed(dtype(sub), A)) is int
         with pytest.raises(ValueError, match=r"^basis index 8 out of range for n=3$"):
             extract(dtype(8), 1, 3)
-        with pytest.raises(ValueError, match=r"^sub-index 4 out of range for a 2-qubit subset$"):
+        with pytest.raises(ValueError, match=r"^sub-index 4 out of range for n=2$"):
             embed(dtype(4), 0b101, 3)
 
     @pytest.mark.parametrize("n", (None, 3))

@@ -516,8 +516,8 @@ REFUSALS = [
 ]
 
 
-# the same for sizes of a state file: {folder} holds the sign files s13.json
-# and s14.json, of 13 and 14 qubits, and huge.json, a sparse 2 GiB file
+# the same for sizes of a state file: {folder} holds the sign files s6.json,
+# s13.json and s14.json, of 6, 13 and 14 qubits, and huge.json, a sparse 2 GiB file
 SIZE_REFUSALS = [
     ("purity --file {folder}/s14.json --subset 1,2,3,4,5,6,7,8,9,10,11,12,13",
      "error: the reduced density matrix of 13 qubits would take 4.3 GB, over the 1 GiB limit\n"),
@@ -530,13 +530,23 @@ SIZE_REFUSALS = [
 ]
 
 
+# the qubit labels of --subset, read by bitspace._index, on a six-qubit file
+SUBSET_REFUSALS = [
+    ("purity --file {folder}/s6.json --subset 7", "error: qubit label 7 out of range for n=6\n"),
+    ("purity --file {folder}/s6.json --subset 0", "error: qubit label 0 out of range for n=6\n"),
+    ("purity --file {folder}/s6.json --subset 1,1", "error: duplicate qubit label 1\n"),
+    ("purity --file {folder}/s6.json --subset 1,2,3,4,5,6",
+     "error: bipartition requires a nonempty proper subset of the qubits\n"),
+]
+
+
 def write_sign_files(folder):
-    for n in (13, 14):
+    for n in (6, 13, 14):
         write_state(f"{folder}/s{n}.json", SignVector(n, np.ones(1 << n, dtype=np.int8)))
 
 
 class TestRefusals:
-    @pytest.mark.parametrize("argv, err", REFUSALS + SIZE_REFUSALS)
+    @pytest.mark.parametrize("argv, err", REFUSALS + SIZE_REFUSALS + SUBSET_REFUSALS)
     def test_exits_one_at_once_in_little_memory(self, tmp_path, argv, err):
         write_sign_files(tmp_path)
         with open(tmp_path / "huge.json", "wb") as fh:

@@ -116,31 +116,31 @@ def modulus_pair_count(n):
     return len(pairs)
 
 
-# Each coupling function with valid arguments at n = 4, and the field that
-# names each argument slot when it is refused.
+# Each coupling function with valid arguments at n = 4, the field that
+# names each argument slot when it is refused, and the n that bounds its
+# weights, masks and labels (None: they are only nonnegative).
 COUPLING_ARGUMENTS = [
-    (g_hat, (1, 0, 4, 2), ("weight s", "weight t", "n", "subset size")),
-    (g_hat_dual, (1, 0, 4, 2), ("weight s", "weight t", "n", "subset size")),
-    (g, (1, 2, 4, 2), ("mask", "mask", "n", "subset size")),
-    (coupling_delta, (0, 1, 2, 3, 4, 2), ("basis label",) * 4 + ("n", "subset size")),
-    (admissible_q, (0, 1, 2, 3), ("basis label",) * 4),
-    (coupling_row_sum, (3, 4, 2), ("mask", "n", "subset size")),
+    (g_hat, (1, 0, 4, 2), ("weight s", "weight t", "n", "subset size"), None),
+    (g_hat_dual, (1, 0, 4, 2), ("weight s", "weight t", "n", "subset size"), None),
+    (g, (1, 2, 4, 2), ("mask", "mask", "n", "subset size"), 4),
+    (coupling_delta, (0, 1, 2, 3, 4, 2), ("basis label",) * 4 + ("n", "subset size"), 4),
+    (admissible_q, (0, 1, 2, 3), ("basis label",) * 4, None),
+    (coupling_row_sum, (3, 4, 2), ("mask", "n", "subset size"), 4),
 ]
 
 
 def coupling_refusals():
     """(function, arguments, refusal message) with one bad argument each.
 
-    Every slot gets a bool, a float and a string; the masks and labels of
-    the functions that take n also get -1 and 2^n.
+    Every slot gets a bool, a float and a string; every weight, mask and
+    label gets -1, and 2^n too where n bounds it.
     """
-    for func, args, fields in COUPLING_ARGUMENTS:
+    for func, args, fields, n in COUPLING_ARGUMENTS:
         for slot, field in enumerate(fields):
             bads = [(bad, f"{field} must be an integer, got {bad!r}") for bad in (True, 1.0, "1")]
-            if field == "mask":
-                bads += [(bad, "out of range for n=4") for bad in (-1, 16)]
-            if field == "basis label" and func is coupling_delta:
-                bads += [(bad, "basis labels must lie in [0, 2^4)") for bad in (-1, 16)]
+            if field not in ("n", "subset size"):
+                tail, outside = ("", (-1,)) if n is None else (f" for n={n}", (-1, 1 << n))
+                bads += [(bad, f"{field} {bad} out of range{tail}") for bad in outside]
             for bad, message in bads:
                 bent = args[:slot] + (bad,) + args[slot + 1:]
                 yield pytest.param(func, bent, message, id=f"{func.__name__}-{slot}-{bad!r}")
@@ -296,7 +296,7 @@ class TestCouplingTable:
 
     @pytest.mark.parametrize("func, args, message", coupling_refusals())
     def test_coupling_arguments_are_refused_by_name(self, func, args, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             func(*args)
 
 

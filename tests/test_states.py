@@ -15,6 +15,7 @@ import pytest
 from helpers import haar_unitary, loop_state_doc
 from mmeskit import states
 from mmeskit import (
+    AnnealConfig,
     NormalizationWarning,
     PolarState,
     PureState,
@@ -362,6 +363,22 @@ class TestRandomStates:
         p = random_phases(4, 1)
         assert p.is_uniform()
         assert np.allclose(np.abs(assemble(p).amplitudes), 0.25)
+
+    @pytest.mark.parametrize(
+        "make, vector", [(random_state, lambda s: s.amplitudes), (random_phases, lambda s: s.phases)],
+        ids=["random_state", "random_phases"],
+    )
+    def test_seeds_are_read_as_the_annealer_reads_them(self, make, vector):
+        # one reader: a seed the annealer refuses is refused here, in its words
+        for bad in (True, 1.5, "1"):
+            message = rf"^seed must be an integer, got {re.escape(repr(bad))}$"
+            for call in (lambda: make(3, bad), lambda: AnnealConfig(((1.0, 1),), seed=bad)):
+                with pytest.raises(ValueError, match=message):
+                    call()
+        for call in (lambda: make(3, -1), lambda: AnnealConfig(((1.0, 1),), seed=-1)):
+            with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+                call()
+        assert np.array_equal(vector(make(3, np.int64(5))), vector(make(3, 5)))
 
 
 class TestJson:
