@@ -43,7 +43,7 @@ from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .bitspace import QubitMask, _check_balanced, _check_bytes, _check_split, _frozen, _spell, as_mask
+from .bitspace import QubitMask, _check_balanced, _check_bytes, _check_split, _frozen, _proper, _spell
 from .bitspace import binomial, embed_table
 from .states import NORM_TOL, PolarState, PureState, assemble
 
@@ -153,14 +153,6 @@ class SchmidtSpectrum:
 
     def purity(self) -> float:
         return math.fsum(v * v for v in self.values)
-
-
-def _proper_mask(A: Union[QubitMask, int], n: int) -> QubitMask:
-    """Validate A as a nonempty proper subset of the n qubits."""
-    mask = as_mask(A, n)
-    if mask == 0 or mask == (1 << n) - 1:
-        raise ValueError("bipartition requires a nonempty proper subset of the qubits")
-    return QubitMask(mask, n)
 
 
 def _chunks(count: int, item_bytes: int) -> Iterator[slice]:
@@ -283,7 +275,7 @@ def reduced_density_matrix(state: PureState, A: Union[QubitMask, int]) -> Densit
     the checked copy, its conjugate and their difference), 2^(2|A| + 6)
     bytes; over MAX_TABLE_BYTES (|A| > 12) it is refused before any work.
     """
-    m = _proper_mask(A, state.n)
+    m = _proper(A, state.n)
     _check_bytes(64 << 2 * m.size, f"the reduced density matrix of {m.size} qubits")
     rows, cols = (embed_table(side)[None] for side in (m.mask, m.mask ^ (1 << state.n) - 1))
     (G,) = _grams(state.amplitudes, rows, cols)
@@ -303,7 +295,7 @@ def purity_form2(state: PureState, A: Union[QubitMask, int]) -> float:
     reduced matrix; one numpy sum per h, the 2^n of them compensated.
     Past MAX_XOR_QUBITS it is refused before any sum.
     """
-    mask = _proper_mask(A, state.n).mask
+    mask = _proper(A, state.n).mask
     if state.n > MAX_XOR_QUBITS:
         raise ValueError(
             f"the XOR quadruple sum over 4^{state.n} terms is out of reach; n <= {MAX_XOR_QUBITS}"
@@ -369,7 +361,7 @@ def purity_uniform(p: PolarState, A: Union[QubitMask, int]) -> float:
     evaluated as the form-1 purity of the assembled state.
     Requires all moduli equal to 1/sqrt(N) within 1e-12.
     """
-    _proper_mask(A, p.n)
+    _proper(A, p.n)
     if not p.is_uniform():
         raise ValueError("purity_uniform requires uniform moduli 1/sqrt(N)")
     return purity_form1(assemble(p), A)

@@ -5,6 +5,9 @@ Features:
   (1-based, i in {1..n}) occupying bit position n - i, so the binary string
   k_1 k_2 ... k_n reads literally as the numeral of the integer
 - one reader (`_index`) of every integer index argument, with one refusal
+- one reader (`as_mask`) of every subset argument, its optional n read as
+  every qubit count is, and one check (`_proper`) of a bipartition side,
+  with one refusal
 - subsystem masks (QubitMask) with canonicalizing bipartition constructor
 - enumeration of balanced bipartitions in deterministic ascending order
   (`bipartite`'s per-n site map lists its subsets in the same order)
@@ -179,22 +182,15 @@ class QubitMask:
         return cls(mask, n)
 
     @classmethod
-    def bipartition(cls, mask_or_qubits: Union[int, Sequence[int]], n: int) -> "QubitMask":
+    def bipartition(cls, A: Union["QubitMask", int, Sequence[int]], n: int) -> "QubitMask":
         """Canonical bipartition mask: the smaller party of (A, complement).
 
-        If the given subset has more than n/2 qubits it is replaced by its
-        complement, preserving the convention n_A <= n - n_A.  The result is
-        a valid nonempty proper subset.
+        A mask, or the QubitMask of from_qubits, is checked by `_proper`
+        as a nonempty proper subset; if it has more than n/2 qubits it is
+        replaced by its complement, preserving the convention n_A <= n - n_A.
         """
-        if isinstance(mask_or_qubits, numbers.Number):  # QubitMask refuses non-integers
-            out = cls(mask_or_qubits, n)
-        else:
-            out = cls.from_qubits(mask_or_qubits, n)
-        if out.size > n - out.size:
-            out = out.complement()
-        if out.size == 0 or out.size == n:
-            raise ValueError("bipartition requires a nonempty proper subset")
-        return out
+        out = _proper(A if isinstance(A, (QubitMask, numbers.Number)) else cls.from_qubits(A, n), n)
+        return out.complement() if out.size > out.n - out.size else out
 
     @property
     def size(self) -> int:
@@ -213,15 +209,28 @@ class QubitMask:
 
 
 def as_mask(A: Union[QubitMask, int], n: int | None = None) -> int:
-    """Normalize a QubitMask or raw integer mask to a validated integer.
+    """Normalize a QubitMask or raw integer mask to a validated integer:
+    the one reader of every subset argument.
 
-    A raw mask is read by `_index`: in [0, 2^n), or nonnegative without n.
+    A given n is read by `_check_n`, as every qubit count is, and a
+    QubitMask must be for that n.  A raw mask is read by `_index`: in
+    [0, 2^n), or nonnegative without n.
     """
+    n = None if n is None else _check_n(n)
     if isinstance(A, QubitMask):
         if n is not None and A.n != n:
             raise ValueError(f"mask is for n={A.n}, expected n={n}")
         return A.mask
     return _index(A, "mask", n)
+
+
+def _proper(A: Union[QubitMask, int], n: int) -> QubitMask:
+    """A, read by `as_mask(A, n)`, as a nonempty proper subset of the n
+    qubits: the one check of a bipartition side, with its one refusal."""
+    out = QubitMask(as_mask(A, n), n)
+    if out.size in (0, out.n):
+        raise ValueError("bipartition requires a nonempty proper subset of the qubits")
+    return out
 
 
 def balanced_bipartitions(n: int) -> list[QubitMask]:
@@ -241,9 +250,9 @@ def extract(k: BasisIndex, A: Union[QubitMask, int], n: int | None = None) -> Ba
 
     The lowest set bit of the mask maps to bit 0 of the result, so the
     qubit order of the binary string is preserved (qubit labels ascending
-    left to right).  Inverse of `embed` on its image.  k is read by
-    `_index`: nonnegative, and when n is given the mask and k are checked
-    against the n-bit range.
+    left to right).  Inverse of `embed` on its image.  A and the optional
+    n are read by `as_mask`; k is read by `_index`: nonnegative, and when
+    n is given checked against the n-bit range.
     """
     mask = as_mask(A, n)
     k = _index(k, "basis index", n)
@@ -262,8 +271,8 @@ def embed(l: BasisIndex, A: Union[QubitMask, int], n: int | None = None) -> Basi
     """Inject l in X^A into X^n: bits of l placed at the positions of A.
 
     Bit 0 of l lands on the lowest set bit of the mask; all other bits of
-    the result are zero.  Satisfies extract(embed(l, A), A) == l.  l is
-    read by `_index` in [0, 2^n_A); given n, the mask is checked too.
+    the result are zero.  Satisfies extract(embed(l, A), A) == l.  A and
+    the optional n are read by `as_mask`; l is read by `_index` in [0, 2^n_A).
     """
     mask = as_mask(A, n)
     l = _index(l, "sub-index", mask.bit_count())

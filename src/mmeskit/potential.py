@@ -288,10 +288,9 @@ def avg_linear_entropy(state: PureState) -> float:
     """Average linear entropy N_A/(N_A - 1) (1 - pi_ME), N_A = 2^floor(n/2).
 
     0 for product states, 1 exactly when every balanced bipartition is
-    maximally mixed.
+    maximally mixed.  pi_me_form1 refuses n < 2, as every reader of the
+    balanced bipartitions does.
     """
-    if state.n < 2:
-        raise ValueError("average linear entropy requires n >= 2")
     n_a_dim = 1 << (state.n // 2)
     pot = pi_me_form1(state)
     return (n_a_dim / (n_a_dim - 1)) * (1.0 - pot)

@@ -30,7 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .bitspace import (
-    MAX_QUBITS, QubitMask, _check_bytes, _check_n, _frozen, _index, _real, _seed, _spell, _whole, embed_table
+    MAX_QUBITS, QubitMask, _check_bytes, _check_n, _frozen, _index, _real, _seed, _spell, _whole, as_mask, embed_table
 )
 
 __all__ = [
@@ -262,23 +262,27 @@ def max_entangled_state(
     The reduced state of the smaller party is exactly maximally mixed, so
     its purity is 1/N_A; by the smaller-subsystem law the same holds for
     every subset of it.
+
+    n is taken from A only when None, and read by `_check_n` up to
+    MAX_QUBITS before any allocation; A is read by `QubitMask.bipartition`
+    and `as_mask`, which refuse a QubitMask for another n.
     """
-    if isinstance(A, QubitMask):
-        mask_obj = A
-    else:
-        if n is None:
+    if n is None:
+        if not isinstance(A, QubitMask):
             raise ValueError("n is required when A is a raw integer mask")
-        mask_obj = QubitMask(A, n)
-    n = mask_obj.n
-    small = QubitMask.bipartition(mask_obj.mask, n)
-    swapped = small.mask != mask_obj.mask
-    if swapped:
+        n = A.n
+    n = _check_n(n, MAX_QUBITS)
+    small = QubitMask.bipartition(A, n)
+    if small.mask != as_mask(A, n):
         u_a, u_abar = u_abar, u_a
     large = small.complement()
     dim_small = 1 << small.size
     dim_large = 1 << large.size
     U_s = np.eye(dim_small, dtype=np.complex128) if u_a is None else _check_unitary(u_a, dim_small, "u_a")
-    U_l = np.eye(dim_large, dtype=np.complex128) if u_abar is None else _check_unitary(u_abar, dim_large, "u_abar")
+    if u_abar is None:  # only the N_A columns that M reads
+        U_l = np.eye(dim_large, dim_small, dtype=np.complex128)
+    else:
+        U_l = _check_unitary(u_abar, dim_large, "u_abar")
     # matrix element M[a, b] = z at the label with k_A = a and k_Abar = b
     M = (U_s @ U_l[:, :dim_small].T) / math.sqrt(dim_small)
     amp = np.zeros(1 << n, dtype=np.complex128)

@@ -13,11 +13,14 @@ import pytest
 
 from mmeskit import (
     QubitMask, SignVector, apply_single_qubit_unitary, balanced_bipartitions, binomial, bipartite_term_counts,
-    build_coupling_table, embed, equation_variable_counts, extract, flip_delta, free_coefficient_count, ghz,
-    monomial_counts, permute_qubits, population, purity_form1, random_state, walsh_coefficients, weight,
+    build_coupling_table, embed, entanglement_E, equation_variable_counts, extract, flip_delta,
+    free_coefficient_count, ghz, linear_entropy_L, max_entangled_state, monomial_counts, permute_qubits,
+    population, purity_form1, purity_form2, purity_uniform, random_phases, random_state, reduced_density_matrix,
+    schmidt_spectrum, walsh_coefficients, weight,
 )
 from mmeskit.bitspace import (
     MAX_COUNT_QUBITS,
+    _check_n,
     as_mask,
     complement,
     embed_table,
@@ -255,6 +258,59 @@ class TestIndexArguments:
         # documented: a negative or oversized weight has no masks, and is no error
         for w in (-1, n + 1, 1 << 70, np.int64(-1), np.int64(n + 1)):
             assert list(masks_of_weight(w, n)) == []
+
+
+# Every reader of a bipartition side, each taking A on four qubits: A is
+# read by bitspace.as_mask and checked by bitspace._proper.
+SUBSET_READERS = {
+    "reduced_density_matrix": lambda A: reduced_density_matrix(random_state(4, 0), A),
+    "purity_form1": lambda A: purity_form1(random_state(4, 0), A),
+    "purity_form2": lambda A: purity_form2(random_state(4, 0), A),
+    "purity_uniform": lambda A: purity_uniform(random_phases(4, 0), A),
+    "schmidt_spectrum": lambda A: schmidt_spectrum(random_state(4, 0), A),
+    "entanglement_E": lambda A: entanglement_E(random_state(4, 0), A),
+    "linear_entropy_L": lambda A: linear_entropy_L(random_state(4, 0), A),
+    "QubitMask.bipartition": lambda A: QubitMask.bipartition(A, 4),
+    "max_entangled_state": lambda A: max_entangled_state(A, 4),
+}
+
+# The mask readers whose n is optional, each on both branches of as_mask.
+OPTIONAL_N_READERS = {
+    "as_mask": lambda n: as_mask(1, n),
+    "as_mask(QubitMask)": lambda n: as_mask(QubitMask(1, 3), n),
+    "extract": lambda n: extract(1, 1, n),
+    "embed": lambda n: embed(0, 1, n),
+    "complement": lambda n: complement(1, n),
+}
+
+
+class TestSubsetArguments:
+    """Each subset argument is read by bitspace.as_mask, and a bipartition
+    side is checked by bitspace._proper: one refusal, word for word."""
+
+    @pytest.mark.parametrize("name", SUBSET_READERS)
+    def test_one_check_refuses_improper_and_foreign_subsets(self, name):
+        call = SUBSET_READERS[name]
+        call(0b0011)
+        call(QubitMask(0b0110, 4))
+        for bad in (0, 0b1111, QubitMask(0, 4), QubitMask(0b1111, 4)):
+            with pytest.raises(ValueError, match=r"^bipartition requires a nonempty proper subset of the qubits$"):
+                call(bad)
+        with pytest.raises(ValueError, match=r"^mask is for n=3, expected n=4$"):
+            call(QubitMask(1, 3))
+
+    @pytest.mark.parametrize("name", OPTIONAL_N_READERS)
+    @pytest.mark.parametrize("bad", [True, 2.5, "3", -1, 0, MAX_COUNT_QUBITS + 1])
+    def test_a_given_n_is_read_as_every_qubit_count(self, name, bad):
+        with pytest.raises(ValueError) as expected:
+            _check_n(bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            OPTIONAL_N_READERS[name](bad)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_bipartition_takes_a_qubit_mask_as_its_raw_mask(self, n):
+        for mask in range(1, (1 << n) - 1):
+            assert QubitMask.bipartition(QubitMask(mask, n), n) == QubitMask.bipartition(mask, n)
 
 
 class TestBalancedBipartitions:

@@ -570,6 +570,10 @@ class TestAvgLinearEntropy:
         st = uniform_from_signs(catalog_sign_vector("four_best"))
         assert avg_linear_entropy(st) == pytest.approx(8.0 / 9.0, abs=1e-13)
 
+    def test_one_qubit_is_refused_as_pi_me_form1_refuses_it(self):
+        with pytest.raises(ValueError, match=r"^balanced bipartitions require n >= 2, got 1$"):
+            avg_linear_entropy(random_state(1, 0))
+
 
 class TestMonomialCounts:
     @pytest.mark.parametrize(

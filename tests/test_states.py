@@ -4,6 +4,7 @@ Covers norm tolerance bands, JSON roundtrips, qubit permutations, local
 unitaries, factorized products, and maximally entangled constructions.
 """
 
+import hashlib
 import json
 import re
 import tracemalloc
@@ -290,6 +291,43 @@ class TestMaxEntangled:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             max_entangled_state(QubitMask.from_qubits((1,), 2), u_a=np.eye(2) * 2.0)
+
+    def test_a_mask_for_another_n_is_refused(self):
+        with pytest.raises(ValueError, match=r"^mask is for n=4, expected n=5$"):
+            max_entangled_state(QubitMask(3, 4), 5)
+        assert max_entangled_state(QubitMask(3, 4), 4).n == max_entangled_state(QubitMask(3, 4)).n == 4
+
+    def test_builds_only_the_columns_it_reads(self):
+        # the full identity on the larger party took 67 MB at n = 12
+        max_entangled_state(1, 3)
+        tracemalloc.start()
+        try:
+            max_entangled_state(1, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+            with pytest.raises(ValueError, match=r"^qubit count must be in \[1, 24\], got 25$"):
+                max_entangled_state(1, 25)
+            refused_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 and refused_peak < 1 << 20
+
+    def test_amplitudes_are_pinned_bit_for_bit(self):
+        # every proper mask at n = 2..10 with the identity unitaries: each
+        # amplitude is 0 or N_A^(-1/2), exact on any BLAS
+        digest = hashlib.sha256()
+        for n in range(2, 11):
+            for mask in range(1, (1 << n) - 1):
+                digest.update(max_entangled_state(mask, n).amplitudes.tobytes())
+        assert digest.hexdigest() == "6e1a21980e4d65256b2b9dacd689f5d9da10a20ae8133e6140824451717ef612"
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_the_default_u_abar_is_the_full_identity(self, n):
+        rng = np.random.default_rng(n)
+        for mask in range(1, (1 << n) - 1):
+            u_a = haar_unitary(1 << mask.bit_count(), rng)
+            full = np.eye(1 << (n - mask.bit_count()))
+            got = max_entangled_state(mask, n, u_a=u_a).amplitudes
+            assert got.tobytes() == max_entangled_state(mask, n, u_a=u_a, u_abar=full).amplitudes.tobytes()
 
 
 class TestTransforms:
