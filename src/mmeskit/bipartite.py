@@ -10,7 +10,8 @@ Features:
 - one record per n of the balanced bipartitions (`_sites`): where one M_A
   of each reads the amplitudes; built once for each of the last few n and
   read by every Gram evaluation, the sweep and the annealer, so none
-  transposes a subset or repeats bipartition bookkeeping
+  transposes a subset or repeats bipartition bookkeeping; only the
+  verdict also forms the even-n complements (`_balanced_grams`)
 - one blocking rule (`_chunks`), applied inside the kernels: the Gram
   product (`_grams`) of the dense core and the sign sum, the XOR
   quadruple sums (`_xor_sums`) and the marginal gap size slices of about
@@ -238,7 +239,8 @@ def _balanced_grams(amplitudes: np.ndarray, n: int) -> Iterator[np.ndarray]:
     from the same map with rows and columns swapped (M_Abar = M_A^T).  Each
     of the C(n, n/2) matrices comes once, in no promised order, as the BLAS
     product a lone M_A gives, so order-free reductions (fsum, max) keep
-    their bits.  For a normalized state each is a reduced density matrix.
+    their bits.  Its only reader is the verdict (mmes._balanced_gaps),
+    whose phase residual needs the off-diagonals of both sides.
     """
     sites = _sites(n)
     for r, c in ((sites.rows, sites.cols), (sites.cols, sites.rows))[: 2 - n % 2]:

@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .bitspace import MAX_QUBITS, _check_n, _check_split, _index, as_mask, binomial, multinomial, submasks
-from .bipartite import _balanced_grams, _gram_sum_denominator, _sign_gram_sum, _xor_sums
+from .bipartite import _gram_sum_denominator, _grams, _kept_count, _sign_gram_sum, _sites, _xor_sums
 from .states import PolarState, PureState, SignVector, assemble
 
 __all__ = [
@@ -208,10 +208,11 @@ def pi_me_form1(state: PureState) -> float:
     """Potential as the mean purity over all balanced bipartitions.
 
     Each purity is the squared Frobenius norm of the bipartition's Gram
-    matrix M_A M_A^H.
+    matrix M_A M_A^H, counted once (the kept subsets of _sites(n)); at even
+    n, the mean over all C(n, n/2) subsets can differ from it by up to 2 ulp.
     """
-    grams = (G for stack in _balanced_grams(state.amplitudes, state.n) for G in stack)
-    return math.fsum(float(np.vdot(G, G).real) for G in grams) / binomial(state.n, state.n // 2)
+    grams = (G for stack in _grams(state.amplitudes, *_sites(state.n)) for G in stack)
+    return math.fsum(float(np.vdot(G, G).real) for G in grams) / _kept_count(state.n)
 
 
 def pi_me_form2(state: PureState) -> float:

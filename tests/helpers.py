@@ -127,6 +127,14 @@ def loop_balanced_grams(amplitudes: np.ndarray, n: int) -> list:
     return [M @ M.conj().T for M in Ms]
 
 
+def two_sided_pi_me(state: PureState) -> float:
+    """Form 1 over all C(n, n/2) balanced subsets: the fsum of the squared
+    norms of loop_balanced_grams over their count, where the library counts
+    each even-n bipartition once, from one side."""
+    grams = loop_balanced_grams(state.amplitudes, state.n)
+    return math.fsum(float(np.vdot(G, G).real) for G in grams) / len(grams)
+
+
 def loop_permute_qubits(state: PureState, perm) -> PureState:
     """Relabel qubits one qubit at a time: bit n - perm[i-1] of the source
     label is bit n - i of the target's, where the library spells the whole

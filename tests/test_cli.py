@@ -780,6 +780,9 @@ PINNED = [
     (7, 0, '{"is_perfect":false,"n":7,"tolerance":1e-09,"worst_marginal_gap":0.10754533183263815,"worst_phase_residual":0.08692042189815434,"worst_purity_gap":0.07948924557463044}', '0.186359211650345', '0.16865201276410283', '0.16865201276410283'),
     (9, 0, '{"is_perfect":false,"n":9,"tolerance":1e-09,"worst_marginal_gap":0.06259691228899159,"worst_phase_residual":0.037655369760455186,"worst_purity_gap":0.040300056757102284}', '0.09443453028302994', '0.09425217036471599', '0.094252170364716'),
     (2, "mixed", '{"is_perfect":true,"n":2,"tolerance":1e-09,"worst_marginal_gap":0.0,"worst_phase_residual":0.0,"worst_purity_gap":0.0}', '0.5', '0.5', '0.5'),
+    # even n, where the one-sided Form 1 sum and the two-sided one differ in the last bit
+    (8, 33, '{"is_perfect":false,"n":8,"tolerance":1e-09,"worst_marginal_gap":0.06798463351354672,"worst_phase_residual":0.04919288094641877,"worst_purity_gap":0.07961024385477422}', '0.12294959773941631', '0.1265860960524348', '0.1265860960524348'),
+    (10, 64, '{"is_perfect":false,"n":10,"tolerance":1e-09,"worst_marginal_gap":0.04089556966788488,"worst_phase_residual":0.02094996908192869,"worst_purity_gap":0.034772852951573466}', '0.0625057303793012', '0.06080422504146685', '0.060804225041466854'),
 ]
 SUBSETS = {2: "2", 3: "2", 5: "1,4", 6: "1,3", 7: "2,3,6", 8: "2,3,5,8", 9: "1,3,4,8", 10: "1,4,5,9,10"}
 # integer components and -0.0 next to floats
@@ -797,6 +800,7 @@ PINNED_FORMS = [
     (5, 0, '0.35970051249549656', '0.3597005124954964'),
     (7, 0, '0.18635921165034497', '0.18635921165034497'),
     (2, "mixed", '0.5', '0.5'),
+    (8, 33, '0.12294959773941629', '0.12294959773941605'),
 ]
 # stdout of potential --form uniform on the sign vector of
 # default_rng(200 + n).choice((-1, 1)), as printed when the exact sign sum

@@ -309,9 +309,10 @@ class TestPotentialForms:
             assert abs(f1 - pi_me_form2(st)) <= 1e-12
             assert abs(f1 - pi_me_form4(st)) <= 1e-12
 
-    def test_form1_is_the_balanced_average(self):
-        st = random_state(5, 3)
-        parts = balanced_bipartitions(5)
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_form1_is_the_balanced_average(self, n):
+        st = random_state(n, 3)
+        parts = balanced_bipartitions(n)
         want = sum(purity_form2(st, A) for A in parts) / len(parts)
         assert pi_me_form1(st) == pytest.approx(want, abs=1e-13)
 
@@ -505,6 +506,38 @@ class TestStreamedGrams:
             purities = [sorted(float(np.vdot(G, G).real) for G in grams) for grams in (got, want)]
             assert purities[0] == purities[1]
             assert _balanced_gaps(state) == loop_balanced_gaps(state)
+
+
+class TestGramCounts:
+    """How many Gram matrices each evaluation forms, counted where every
+    module reads bipartite._grams."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        taken, grams = [], bipartite._grams
+
+        def counting(values, rows, cols):
+            taken.append(len(rows))
+            return grams(values, rows, cols)
+
+        for module in (bipartite, potential):
+            monkeypatch.setattr(module, "_grams", counting, raising=False)
+        return taken
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_form1_forms_one_gram_per_bipartition(self, n, monkeypatch):
+        taken = self.counted(monkeypatch)
+        state = random_state(n, n)
+        for fn, arg in ((pi_me_form1, state), (avg_linear_entropy, state), (pi_me_uniform, random_phases(n, n))):
+            taken.clear()
+            fn(arg)
+            assert sum(taken) == bipartite._kept_count(n)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_the_verdict_forms_every_balanced_gram(self, n, monkeypatch):
+        taken = self.counted(monkeypatch)
+        is_perfect_mmes(random_state(n, n))
+        assert sum(taken) == math.comb(n, n // 2)
 
 
 @functools.cache

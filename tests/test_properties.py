@@ -1,12 +1,13 @@
 """Property tests over generated states.
 
 Every evaluation path of the potential agrees on arbitrary normalized
-states, the direct marginal gap agrees with its Walsh reconstruction, the
-potential is invariant under local unitaries and qubit relabelings, the
-spelled gathers of reduced density matrices and relabelings equal their
-transpose and per-qubit loop oracles bit for bit, and the JSON state
-format round-trips.  Examples are derandomized, so every run checks the
-same states.
+states, Form 1 is within 2 ulp of its sum over every balanced subset (and
+equal to it at odd n), the direct marginal gap agrees with its Walsh
+reconstruction, the potential is invariant under local unitaries and
+qubit relabelings, the spelled gathers of reduced density matrices and
+relabelings equal their transpose and per-qubit loop oracles bit for bit,
+and the JSON state format round-trips.  Examples are derandomized, so
+every run checks the same states.
 """
 
 import json
@@ -15,16 +16,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (
-    all_bipartition_sign_sum, haar_unitary, loop_permute_qubits, matricize, walsh_marginal_gap
+    all_bipartition_sign_sum, haar_unitary, loop_permute_qubits, matricize, two_sided_pi_me,
+    walsh_marginal_gap,
 )
 from mmeskit import (
     PureState,
     SignVector,
     apply_single_qubit_unitary,
+    assemble,
     balanced_bipartitions,
     catalog,
     energy_uniform_exact,
@@ -35,8 +38,10 @@ from mmeskit import (
     pi_me_form1,
     pi_me_form2,
     pi_me_form4,
+    pi_me_uniform,
     population,
     purity_form2,
+    random_phases,
     random_state,
     reduced_density_matrix,
     state_from_json,
@@ -67,6 +72,25 @@ def test_every_potential_path_agrees(state):
     assert abs(core - pi_me_form2(state)) <= 1e-12
     assert abs(core - pi_me_form4(state)) <= 1e-12
     assert abs(core - math.fsum(purities) / len(purities)) <= 1e-12
+
+
+@PROPERTY
+@given(st.integers(2, 12), st.integers(0, 10**6), st.booleans())
+@example(8, 33, False)  # the two sums differ in the last bit here
+@example(10, 64, False)
+def test_form1_counts_each_bipartition_once(n, seed, uniform):
+    """Summing one side of each even-n bipartition moves Form 1 by at most
+    2 ulp from the two-sided sum; at odd n both sum the same Grams."""
+    if uniform:
+        phases = random_phases(n, seed)
+        got, want = pi_me_uniform(phases), two_sided_pi_me(assemble(phases))
+    else:
+        state = random_state(n, seed)
+        got, want = pi_me_form1(state), two_sided_pi_me(state)
+    if n % 2:
+        assert got == want
+    else:
+        assert abs(got - want) <= 2 * math.ulp(want)
 
 
 @PROPERTY
